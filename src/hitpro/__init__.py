@@ -30,12 +30,13 @@ from .evaluator import (
     distance_distribution,
     embed_tracklet,
     evaluate_dataset,
+    evaluate_embeddings,
     evaluate_retrieval,
     mining_quality,
 )
 from .mining import MiningReport, build_mining_report, cosine_sim, mine_positive_sets, rho_schedule, soft_weights
 from .objective import LossBreakdown, ema_update, loss_cross_modal, loss_imcc, loss_intra_camera, total_loss
-from .prototyping import build_prototypes, partition_tracklet, tracklet_embedding
+from .prototyping import build_prototypes, embed_tracklets, partition_tracklet, tracklet_embedding
 from .sampler import BatchSpec, sample_batch
 from .synthgen import GenConfig, generate_dataset
 from .trainer import OptState, TrainResult, sgd_step, train
@@ -68,10 +69,12 @@ __all__ = [
     "distance_distribution",
     "ema_update",
     "embed_tracklet",
+    "embed_tracklets",
     "encode",
     "encode_backward",
     "encoder_init",
     "evaluate_dataset",
+    "evaluate_embeddings",
     "evaluate_retrieval",
     "generate_dataset",
     "load_checkpoint",

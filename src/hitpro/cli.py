@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .datamodel import Modality, PositiveKind, TrainConfig, load_checkpoint, load_dataset, save_checkpoint, save_dataset
-from .evaluator import dataset_labels, distance_distribution, embed_tracklet, evaluate_dataset, mining_quality
+from .evaluator import dataset_labels, distance_distribution, evaluate_embeddings, mining_quality
 from .gradcheck import run_gradcheck
 from .mining import build_mining_report
+from .prototyping import embed_tracklets
 from .synthgen import GenConfig, generate_dataset
 from .trainer import train
 
@@ -175,18 +176,17 @@ def _cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    threads = _threads(args)
-    results = evaluate_dataset(params, dataset, cfg, max_rank=args.max_rank, threads=threads)
-
+    vectors = embed_tracklets(params, dataset.tracklets, cfg, _threads(args))
+    results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
     embeddings = [
         {
             "tracklet_id": t.tracklet_id,
             "modality": t.modality.value,
             "camera_id": t.camera_id,
             "gt_identity": t.gt_identity,
-            "vector": embed_tracklet(params, t, cfg),
+            "vector": v,
         }
-        for t in dataset.tracklets
+        for t, v in zip(dataset.tracklets, vectors)
     ]
     dist = distance_distribution(
         [(e["vector"], e["gt_identity"]) for e in embeddings],

@@ -91,56 +91,101 @@ class SubTracklet:
         return tracklet.frames[self.start : self.end]
 
 
-@dataclass
 class Prototype:
-    """Unit-norm identity anchor for one tracklet."""
+    """Unit-norm identity anchor for one tracklet.
 
-    tracklet_id: str
-    modality: Modality
-    camera_id: int
-    vector: np.ndarray  # (d,) float64, unit norm
+    A prototype built directly owns a copy of its ``(d,)`` float64 vector. One
+    handed out by a :class:`PrototypeStore` is a view of a row of the store's
+    camera matrix: reading ``vector`` reads that row, assigning it writes
+    the row.
+    """
+
+    __slots__ = ("tracklet_id", "modality", "camera_id", "_matrix", "_row")
+
+    def __init__(self, tracklet_id: str, modality: Modality, camera_id: int, vector):
+        self.tracklet_id = tracklet_id
+        self.modality = modality
+        self.camera_id = camera_id
+        self._matrix = np.array(vector, dtype=np.float64, ndmin=2)
+        self._row = 0
+
+    @property
+    def vector(self) -> np.ndarray:
+        return self._matrix[self._row]
+
+    @vector.setter
+    def vector(self, value) -> None:
+        self._matrix[self._row] = value
 
 
 class PrototypeStore:
-    """Per-(modality, camera) ordered prototype lists with id lookup.
+    """Prototypes as one ``(n_cam, d)`` float64 matrix per (modality, camera).
 
-    Order within a camera follows dataset order and is stable for the epoch.
-    The store is the one mutable training structure: EMA updates rewrite
-    prototype vectors in place.
+    Each camera keeps its tracklet ids in dataset order, stable for the
+    epoch; row ``i`` of the camera's matrix is the prototype of id ``i``.
+    Losses, mining and the checkpoint read the matrices directly. The store
+    is the one mutable training structure: EMA updates rewrite matrix rows
+    in place.
     """
 
     def __init__(self, prototypes: list[Prototype]):
-        self._groups: dict[tuple[Modality, int], list[Prototype]] = {}
-        self._by_id: dict[str, Prototype] = {}
+        members: dict[tuple[Modality, int], list[Prototype]] = {}
         for p in prototypes:
-            if p.tracklet_id in self._by_id:
-                raise ValueError(f"duplicate prototype for tracklet {p.tracklet_id}")
-            self._groups.setdefault((p.modality, p.camera_id), []).append(p)
-            self._by_id[p.tracklet_id] = p
+            members.setdefault((p.modality, p.camera_id), []).append(p)
+        self._ids = {key: [p.tracklet_id for p in ps] for key, ps in members.items()}
+        self._matrices: dict[tuple[Modality, int], np.ndarray] = {}
+        self._index: dict[str, tuple[Modality, int, int]] = {}
+        for (modality, cam), protos in members.items():
+            if len({p.vector.shape for p in protos}) != 1:
+                raise ValueError(
+                    f"prototypes of {modality.value} camera {cam} have mixed dimensions"
+                )
+            self._matrices[(modality, cam)] = np.stack([p.vector for p in protos])
+            for row, p in enumerate(protos):
+                if p.tracklet_id in self._index:
+                    raise ValueError(f"duplicate prototype for tracklet {p.tracklet_id}")
+                self._index[p.tracklet_id] = (modality, cam, row)
 
-    def group(self, modality: Modality, camera_id: int) -> list[Prototype]:
-        return self._groups.get((modality, camera_id), [])
+    def matrix(self, modality: Modality, camera_id: int) -> np.ndarray:
+        """The camera's live ``(n_cam, d)`` prototype matrix."""
+        return self._matrices[(modality, camera_id)]
 
-    def cameras(self, modality: Modality) -> list[int]:
-        return sorted(c for (m, c) in self._groups if m is modality)
+    def ids(self, modality: Modality, camera_id: int) -> list[str]:
+        """Tracklet ids of the camera's matrix rows, in row order."""
+        return self._ids.get((modality, camera_id), [])
 
-    def modality_prototypes(self, modality: Modality) -> list[Prototype]:
-        out: list[Prototype] = []
-        for cam in self.cameras(modality):
-            out.extend(self.group(modality, cam))
-        return out
-
-    def get(self, tracklet_id: str) -> Prototype:
+    def locate(self, tracklet_id: str) -> tuple[Modality, int, int]:
+        """``(modality, camera_id, row)`` of a tracklet's prototype."""
         try:
-            return self._by_id[tracklet_id]
+            return self._index[tracklet_id]
         except KeyError:
             raise KeyError(f"no prototype for tracklet {tracklet_id!r}") from None
 
+    def _view(self, modality: Modality, camera_id: int, row: int) -> Prototype:
+        p = Prototype.__new__(Prototype)
+        p.tracklet_id = self._ids[(modality, camera_id)][row]
+        p.modality, p.camera_id = modality, camera_id
+        p._matrix, p._row = self._matrices[(modality, camera_id)], row
+        return p
+
+    def group(self, modality: Modality, camera_id: int) -> list[Prototype]:
+        return [self._view(modality, camera_id, row)
+                for row in range(len(self.ids(modality, camera_id)))]
+
+    def cameras(self, modality: Modality) -> list[int]:
+        return sorted(c for (m, c) in self._matrices if m is modality)
+
+    def modality_prototypes(self, modality: Modality) -> list[Prototype]:
+        return [p for cam in self.cameras(modality) for p in self.group(modality, cam)]
+
+    def get(self, tracklet_id: str) -> Prototype:
+        return self._view(*self.locate(tracklet_id))
+
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._index)
 
     def __contains__(self, tracklet_id: str) -> bool:
-        return tracklet_id in self._by_id
+        return tracklet_id in self._index
 
 
 class PositiveKind(enum.Enum):
@@ -214,10 +259,6 @@ class TrainConfig:
     use_dts: bool = True
     fixed_threshold: float = 0.7  # used when use_dts is False
     use_swa: bool = True
-    # normalization toggles (all on by default; see module docs)
-    normalize_embeddings: bool = True
-    normalize_prototypes: bool = True
-    normalize_ema: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.thresh_final <= self.thresh_init <= 1.0):
@@ -330,10 +371,20 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     d_in = int(manifest["d_in"])
     base = manifest_path.parent
     tracklets = []
-    for entry in manifest["tracklets"]:
-        tid = entry["tracklet_id"]
-        n_frames = int(entry["n_frames"])
-        payload_path = base / entry["feature_file"]
+    for i, entry in enumerate(manifest["tracklets"]):
+        try:
+            tid = entry["tracklet_id"]
+            n_frames = int(entry["n_frames"])
+            modality = Modality(entry["modality"])
+            camera_id = int(entry["camera_id"])
+            feature_file = Path(entry["feature_file"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"manifest entry {i} is malformed: {exc!r}") from exc
+        if feature_file.is_absolute() or ".." in feature_file.parts:
+            raise DatasetError(
+                f"tracklet {tid}: feature_file {str(feature_file)!r} leaves the dataset directory"
+            )
+        payload_path = base / feature_file
         raw = payload_path.read_bytes()  # missing file raises FileNotFoundError
         expected = 4 * n_frames * d_in
         if len(raw) != expected:
@@ -345,8 +396,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         tracklets.append(
             Tracklet(
                 tracklet_id=tid,
-                modality=Modality(entry["modality"]),
-                camera_id=int(entry["camera_id"]),
+                modality=modality,
+                camera_id=camera_id,
                 frames=frames,
                 gt_identity=entry.get("gt_identity"),
             )
@@ -357,18 +408,6 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         n_cameras_ir=int(manifest["n_cameras_ir"]),
         tracklets=tuple(tracklets),
     )
-
-
-def _store_sections(store: PrototypeStore):
-    """Deterministic (name, tracklet_ids, matrix) triples for a store."""
-    out = []
-    for modality in (Modality.VIS, Modality.IR):
-        for cam in store.cameras(modality):
-            protos = store.group(modality, cam)
-            ids = [p.tracklet_id for p in protos]
-            mat = np.stack([p.vector for p in protos]) if protos else np.zeros((0, 0))
-            out.append((f"store.{modality.value}.{cam}", modality, cam, ids, mat))
-    return out
 
 
 def save_checkpoint(params, store: PrototypeStore, epoch: int, path: str | Path) -> None:
@@ -388,9 +427,11 @@ def save_checkpoint(params, store: PrototypeStore, epoch: int, path: str | Path)
         add(f"encoder.{name}", arr)
 
     store_meta = []
-    for name, modality, cam, ids, mat in _store_sections(store):
-        add(name, mat)
-        store_meta.append({"modality": modality.value, "camera_id": cam, "tracklet_ids": ids})
+    for modality in (Modality.VIS, Modality.IR):
+        for cam in store.cameras(modality):
+            add(f"store.{modality.value}.{cam}", store.matrix(modality, cam))
+            store_meta.append({"modality": modality.value, "camera_id": cam,
+                               "tracklet_ids": store.ids(modality, cam)})
 
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -408,9 +449,10 @@ def save_checkpoint(params, store: PrototypeStore, epoch: int, path: str | Path)
 
 
 def load_checkpoint(path: str | Path):
-    """Inverse of :func:`save_checkpoint`; returns ``(params, store, epoch)``."""
-    from .encoder import EncoderParams  # deferred to avoid an import cycle
+    """Inverse of :func:`save_checkpoint`; returns ``(params, store, epoch)``.
 
+    A malformed file raises :class:`CheckpointError`.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 4:
         raise CheckpointError(f"corrupt checkpoint {path}: shorter than header length field")
@@ -421,12 +463,19 @@ def load_checkpoint(path: str | Path):
         header = json.loads(raw[4 : 4 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: bad header ({exc})") from exc
-    version = header.get("format_version")
+    version = header.get("format_version") if isinstance(header, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint {path}: format version {version} != {CHECKPOINT_FORMAT_VERSION}"
         )
-    blob = raw[4 + header_len :]
+    try:
+        return _parse_checkpoint(header, raw[4 + header_len :])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: {exc!r}") from exc
+
+
+def _parse_checkpoint(header: dict, blob: bytes):
+    from .encoder import EncoderParams  # deferred to avoid an import cycle
 
     arrays: dict[str, np.ndarray] = {}
     for sec in header["sections"]:
@@ -435,7 +484,7 @@ def load_checkpoint(path: str | Path):
         start = sec["offset"]
         end = start + 4 * count
         if end > len(blob):
-            raise CheckpointError(f"corrupt checkpoint {path}: truncated section {sec['name']}")
+            raise ValueError(f"truncated section {sec['name']}")
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape).astype(np.float64)
         arrays[sec["name"]] = arr
 
@@ -448,9 +497,12 @@ def load_checkpoint(path: str | Path):
     for group in header["store_groups"]:
         modality = Modality(group["modality"])
         cam = int(group["camera_id"])
-        mat = arrays[f"store.{modality.value}.{cam}"]
-        for tid, vec in zip(group["tracklet_ids"], mat):
-            prototypes.append(
-                Prototype(tracklet_id=tid, modality=modality, camera_id=cam, vector=vec.copy())
-            )
+        ids = group["tracklet_ids"]
+        name = f"store.{modality.value}.{cam}"
+        if name not in arrays:
+            raise KeyError(f"missing store section {name!r}")
+        mat = arrays[name]
+        if mat.ndim != 2 or mat.shape[0] != len(ids):
+            raise ValueError(f"{len(ids)} tracklet ids for section {name!r} of shape {mat.shape}")
+        prototypes.extend(Prototype(tid, modality, cam, vec) for tid, vec in zip(ids, mat))
     return params, PrototypeStore(prototypes), int(header["epoch"])

@@ -3,7 +3,7 @@
 Pipeline: linear frame projection (+ learned additive position table),
 ``n_tte_layers`` post-norm transformer layers (single-head self-attention,
 ReLU feed-forward, two layer norms), then attention pooling over time
-(two-linear-layer ReLU score head + softmax) and optional L2 normalization.
+(two-linear-layer ReLU score head + softmax) and L2 normalization.
 
 All arithmetic runs in float64 so analytic gradients can be checked against
 central finite differences; parameters are serialized as float32.
@@ -275,7 +275,6 @@ class ForwardCache:
     pooled: np.ndarray
     pooled_norm: float
     embedding: np.ndarray
-    normalized: bool
 
 
 def _check_finite(arr: np.ndarray, stage: str) -> None:
@@ -283,13 +282,11 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
         raise NumericError(stage)
 
 
-def encode(
-    params: EncoderParams, frames: np.ndarray, normalize: bool = True
-) -> tuple[np.ndarray, ForwardCache]:
+def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the full pipeline on a (seq_len, d_in) frame matrix.
 
-    Returns the embedding (unit norm when ``normalize``) and the cache
-    consumed by :func:`encode_backward`.
+    Returns the unit-norm embedding and the cache consumed by
+    :func:`encode_backward`.
     """
     if frames.shape != (params.seq_len, params.d_in):
         raise ValueError(
@@ -329,20 +326,15 @@ def encode(
     alpha = stable_softmax(za @ params.wa2)
     _check_finite(alpha, "frame_weighting")
     pooled = alpha @ h
-    if normalize:
-        pooled_norm = float(np.linalg.norm(pooled))
-        if pooled_norm == 0.0:
-            raise NumericError("output_normalization")
-        embedding = pooled / pooled_norm
-    else:
-        pooled_norm = 1.0
-        embedding = pooled.copy()
+    pooled_norm = float(np.linalg.norm(pooled))
+    if pooled_norm == 0.0:
+        raise NumericError("output_normalization")
+    embedding = pooled / pooled_norm
     _check_finite(embedding, "embedding")
 
     cache = ForwardCache(
         x=x, layer_caches=layer_caches, h_last=h, z=z, za=za, alpha=alpha,
         pooled=pooled, pooled_norm=pooled_norm, embedding=embedding,
-        normalized=normalize,
     )
     return embedding, cache
 
@@ -362,11 +354,8 @@ def encode_backward(
     grads = params.zeros_like()
     scale = 1.0 / math.sqrt(params.embed_dim)
 
-    if cache.normalized:
-        e = cache.embedding
-        gf = (g - e * (g @ e)) / cache.pooled_norm
-    else:
-        gf = g
+    e = cache.embedding
+    gf = (g - e * (g @ e)) / cache.pooled_norm
 
     # pooled = alpha @ h_last
     h_last = cache.h_last

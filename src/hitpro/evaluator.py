@@ -10,7 +10,7 @@ import numpy as np
 from .datamodel import Dataset, Modality, TrainConfig, Tracklet
 from .encoder import EncoderParams
 from .mining import MiningReport
-from .prototyping import tracklet_embedding
+from .prototyping import embed_tracklets, tracklet_embedding
 
 
 @dataclass
@@ -100,19 +100,19 @@ def evaluate_dataset(
     threads: int = 1,
 ) -> dict[str, RetrievalResult]:
     """Both retrieval directions with labeled tracklet embeddings."""
+    vectors = embed_tracklets(params, dataset.tracklets, cfg, threads)
+    return evaluate_embeddings(dataset, vectors, max_rank)
+
+
+def evaluate_embeddings(
+    dataset: Dataset, vectors: list[np.ndarray], max_rank: int = 20
+) -> dict[str, RetrievalResult]:
+    """Both retrieval directions from one embedding per tracklet, in dataset order."""
     if not dataset.has_labels:
         raise ValueError("retrieval evaluation requires gt_identity on every tracklet")
-    embedded: dict[Modality, list[tuple[np.ndarray, int]]] = {}
-    for modality in (Modality.VIS, Modality.IR):
-        tracklets = dataset.by_modality(modality)
-        if threads > 1 and len(tracklets) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vecs = list(pool.map(lambda t: embed_tracklet(params, t, cfg), tracklets))
-        else:
-            vecs = [embed_tracklet(params, t, cfg) for t in tracklets]
-        embedded[modality] = [(v, t.gt_identity) for v, t in zip(vecs, tracklets)]
+    embedded: dict[Modality, list[tuple[np.ndarray, int]]] = {m: [] for m in Modality}
+    for t, v in zip(dataset.tracklets, vectors):
+        embedded[t.modality].append((v, t.gt_identity))
 
     results = {}
     for direction, q_mod, g_mod in (

@@ -107,18 +107,6 @@ class MiningReport:
         }
 
 
-def _target_groups(store: PrototypeStore, source_modality: Modality,
-                   source_camera: int, kind: PositiveKind):
-    if kind is PositiveKind.INTRA_MODAL:
-        return [
-            (cam, store.group(source_modality, cam))
-            for cam in store.cameras(source_modality)
-            if cam != source_camera
-        ]
-    other = source_modality.other
-    return [(cam, store.group(other, cam)) for cam in store.cameras(other)]
-
-
 def build_mining_report(
     store: PrototypeStore,
     source_modality: Modality,
@@ -126,60 +114,63 @@ def build_mining_report(
     epoch: int,
     cfg: TrainConfig,
 ) -> MiningReport:
-    """Mine one (source modality, direction) family with full diagnostics."""
+    """Mine one (source modality, direction) family with full diagnostics.
+
+    Each source row meets each target camera's prototype matrix in one
+    matrix-vector product; row norms are taken once per camera.
+    """
     report = MiningReport(source_modality=source_modality, kind=kind, epoch=epoch)
     rho = rho_schedule(epoch, cfg)
-    for source in store.modality_prototypes(source_modality):
-        src = source.vector
-        src_norm = float(np.linalg.norm(src))
-        candidates: list[tuple[int, str, float]] = []
-        for cam, protos in _target_groups(store, source_modality, source.camera_id, kind):
-            if not protos:
-                continue
-            mat = np.stack([p.vector for p in protos])
-            sims = (mat @ src) / (np.linalg.norm(mat, axis=1) * src_norm)
-            best = int(np.argmax(sims))  # first max wins: lowest index tie-break
-            candidates.append((cam, protos[best].tracklet_id, float(sims[best])))
-
-        if not candidates:
-            report.rows.append(
-                MiningRow(source=source.tracklet_id, s_max=None, threshold=None,
-                          candidates=[], accepted=[])
-            )
-            continue
-
-        s_max = max(sim for _, _, sim in candidates)
-        if cfg.use_dts:
-            # a non-positive best would invert the meaning of rho * s_max
-            threshold = rho * s_max
-            if s_max > 0.0:
-                survivors = [(tid, sim) for _, tid, sim in candidates if sim >= threshold]
-            else:
-                survivors = []
-        else:
-            threshold = cfg.fixed_threshold
-            survivors = [(tid, sim) for _, tid, sim in candidates if sim >= threshold]
-
-        if survivors:
-            if cfg.use_swa:
-                weights = soft_weights([sim for _, sim in survivors], cfg.weight_temp)
-            else:
-                weights = np.full(len(survivors), 1.0 / len(survivors))
-            accepted = [
-                (tid, sim, float(w)) for (tid, sim), w in zip(survivors, weights)
-            ]
-        else:
-            accepted = []
-        report.rows.append(
-            MiningRow(
-                source=source.tracklet_id,
-                s_max=s_max,
-                threshold=threshold,
-                candidates=candidates,
-                accepted=accepted,
-            )
-        )
+    target_modality = (
+        source_modality if kind is PositiveKind.INTRA_MODAL else source_modality.other
+    )
+    targets = []
+    for cam in store.cameras(target_modality):
+        mat = store.matrix(target_modality, cam)
+        targets.append((cam, store.ids(target_modality, cam), mat, np.linalg.norm(mat, axis=1)))
+    for source_camera in store.cameras(source_modality):
+        source_ids = store.ids(source_modality, source_camera)
+        for source_id, src in zip(source_ids, store.matrix(source_modality, source_camera)):
+            src_norm = float(np.linalg.norm(src))
+            candidates: list[tuple[int, str, float]] = []
+            for cam, ids, mat, norms in targets:
+                if kind is PositiveKind.INTRA_MODAL and cam == source_camera:
+                    continue
+                sims = (mat @ src) / (norms * src_norm)
+                best = int(np.argmax(sims))  # first max wins: lowest index tie-break
+                candidates.append((cam, ids[best], float(sims[best])))
+            report.rows.append(_mining_row(source_id, candidates, rho, cfg))
     return report
+
+
+def _mining_row(source_id: str, candidates: list[tuple[int, str, float]],
+                rho: float, cfg: TrainConfig) -> MiningRow:
+    """Threshold one source's per-camera candidates and weight the survivors."""
+    if not candidates:
+        return MiningRow(source=source_id, s_max=None, threshold=None,
+                         candidates=[], accepted=[])
+
+    s_max = max(sim for _, _, sim in candidates)
+    if cfg.use_dts:
+        # a non-positive best would invert the meaning of rho * s_max
+        threshold = rho * s_max
+        if s_max > 0.0:
+            survivors = [(tid, sim) for _, tid, sim in candidates if sim >= threshold]
+        else:
+            survivors = []
+    else:
+        threshold = cfg.fixed_threshold
+        survivors = [(tid, sim) for _, tid, sim in candidates if sim >= threshold]
+
+    accepted = []
+    if survivors:
+        if cfg.use_swa:
+            weights = soft_weights([sim for _, sim in survivors], cfg.weight_temp)
+        else:
+            weights = np.full(len(survivors), 1.0 / len(survivors))
+        accepted = [(tid, sim, float(w)) for (tid, sim), w in zip(survivors, weights)]
+    return MiningRow(source=source_id, s_max=s_max, threshold=threshold,
+                     candidates=candidates, accepted=accepted)
 
 
 def mine_positive_sets(

@@ -29,10 +29,40 @@ class LossBreakdown:
     grads: list[np.ndarray]  # per batch embedding, vis entries then ir entries
 
 
-def _camera_matrix(store: PrototypeStore, modality, camera_id):
-    group = store.group(modality, camera_id)
-    ids = [p.tracklet_id for p in group]
-    return ids, np.stack([p.vector for p in group])
+def _weighted_alignment_loss(
+    batch: list[BatchItem],
+    store: PrototypeStore,
+    positive_sets: dict[str, WeightedPositiveSet] | None,
+    loss_temp: float,
+) -> tuple[float, list[np.ndarray]]:
+    """Weighted cross entropy toward each accepted target, softmax over the
+    target's own camera; embeddings with empty sets contribute zero. With
+    ``positive_sets=None`` the one target is the embedding's own prototype,
+    at weight 1: the intra-camera loss. Mean over the batch."""
+    total = 0.0
+    grads = []
+    inv_b = 1.0 / len(batch)
+    for q, source_id in batch:
+        grad = np.zeros_like(q)
+        if positive_sets is None:
+            entries = ((source_id, 1.0),)
+        else:
+            wps = positive_sets.get(source_id)
+            entries = wps.entries if wps is not None else ()
+        for target_id, weight in entries:
+            try:
+                modality, cam, pos = store.locate(target_id)
+            except KeyError as exc:
+                raise ValueError(
+                    f"{source_id!r} aligns to missing prototype {target_id!r}"
+                ) from exc
+            mat = store.matrix(modality, cam)
+            logits = (mat @ q) / loss_temp
+            total += -weight * float(log_softmax(logits)[pos]) * inv_b
+            probs = stable_softmax(logits)
+            grad += weight * (probs @ mat - mat[pos]) / loss_temp * inv_b
+        grads.append(grad)
+    return total, grads
 
 
 def loss_intra_camera(
@@ -40,51 +70,7 @@ def loss_intra_camera(
 ) -> tuple[float, list[np.ndarray]]:
     """Softmax cross entropy of each embedding against its own camera's
     prototypes, positive at its own prototype; mean over the batch."""
-    total = 0.0
-    grads = []
-    inv_b = 1.0 / len(batch)
-    for q, source_id in batch:
-        own = store.get(source_id)
-        ids, mat = _camera_matrix(store, own.modality, own.camera_id)
-        own_pos = ids.index(source_id)
-        logits = (mat @ q) / loss_temp
-        total += -float(log_softmax(logits)[own_pos]) * inv_b
-        probs = stable_softmax(logits)
-        grads.append((probs @ mat - mat[own_pos]) / loss_temp * inv_b)
-    return total, grads
-
-
-def _weighted_alignment_loss(
-    batch: list[BatchItem],
-    store: PrototypeStore,
-    positive_sets: dict[str, WeightedPositiveSet],
-    loss_temp: float,
-) -> tuple[float, list[np.ndarray]]:
-    """Weighted cross entropy toward each accepted target, softmax over the
-    target's own camera; embeddings with empty sets contribute zero."""
-    total = 0.0
-    grads = []
-    inv_b = 1.0 / len(batch)
-    for q, source_id in batch:
-        grad = np.zeros_like(q)
-        wps = positive_sets.get(source_id)
-        if wps is not None:
-            for target_id, weight in wps.entries:
-                try:
-                    target = store.get(target_id)
-                except KeyError as exc:
-                    raise ValueError(
-                        f"positive set for {source_id!r} references missing "
-                        f"prototype {target_id!r}"
-                    ) from exc
-                ids, mat = _camera_matrix(store, target.modality, target.camera_id)
-                pos = ids.index(target_id)
-                logits = (mat @ q) / loss_temp
-                total += -weight * float(log_softmax(logits)[pos]) * inv_b
-                probs = stable_softmax(logits)
-                grad += weight * (probs @ mat - mat[pos]) / loss_temp * inv_b
-        grads.append(grad)
-    return total, grads
+    return _weighted_alignment_loss(batch, store, None, loss_temp)
 
 
 def loss_imcc(
@@ -126,43 +112,25 @@ def total_loss(
     active_cm = cfg.use_cm and (not cfg.use_hls or epoch >= cfg.cross_start_epoch)
 
     batches = [b for b in (vis_batch, ir_batch) if b]
-    l_ic = 0.0
+    values = []
     grads: list[np.ndarray] = []
-    for batch in batches:
-        value, g = loss_intra_camera(batch, store, cfg.loss_temp)
-        l_ic += value
-        grads.extend(g)
+    for positive_sets, active in ((None, True), (intra_sets, active_imcc), (cross_sets, active_cm)):
+        value = 0.0
+        if active:
+            term_grads = []
+            for batch in batches:
+                v, g = _weighted_alignment_loss(batch, store, positive_sets, cfg.loss_temp)
+                value += v
+                term_grads.extend(g)
+            grads = [a + b for a, b in zip(grads, term_grads)] if grads else term_grads
+        values.append(value)
 
-    l_imcc = 0.0
-    if active_imcc:
-        offset = 0
-        for batch in batches:
-            value, g = loss_imcc(batch, store, intra_sets, cfg.loss_temp)
-            l_imcc += value
-            for i, gi in enumerate(g):
-                grads[offset + i] = grads[offset + i] + gi
-            offset += len(batch)
-
-    l_cm = 0.0
-    if active_cm:
-        offset = 0
-        for batch in batches:
-            value, g = loss_cross_modal(batch, store, cross_sets, cfg.loss_temp)
-            l_cm += value
-            for i, gi in enumerate(g):
-                grads[offset + i] = grads[offset + i] + gi
-            offset += len(batch)
-
-    l_total = l_ic
-    if active_imcc:
-        l_total += l_imcc
-    if active_cm:
-        l_total += l_cm
+    l_ic, l_imcc, l_cm = values
     return LossBreakdown(
         l_ic=l_ic,
         l_imcc=l_imcc,
         l_cm=l_cm,
-        l_total=l_total,
+        l_total=l_ic + l_imcc + l_cm,
         active_imcc=active_imcc,
         active_cm=active_cm,
         grads=grads,
@@ -175,12 +143,11 @@ def ema_update(
     intra_sets: dict[str, WeightedPositiveSet],
     cross_sets: dict[str, WeightedPositiveSet],
     momentum: float,
-    normalize: bool = True,
 ) -> None:
     """p <- (1 - momentum) * p + momentum * q, then re-normalize.
 
     Each embedding updates its own prototype plus every accepted intra- and
-    cross-modal target, in batch order.
+    cross-modal target, in batch order, in place in the store's matrices.
     """
     for q, source_id in batch:
         targets = [source_id]
@@ -189,6 +156,6 @@ def ema_update(
             if wps is not None:
                 targets.extend(wps.target_ids)
         for tid in targets:
-            proto = store.get(tid)
-            blended = (1.0 - momentum) * proto.vector + momentum * q
-            proto.vector = l2_normalize(blended) if normalize else blended
+            modality, cam, row = store.locate(tid)
+            mat = store.matrix(modality, cam)
+            mat[row] = l2_normalize((1.0 - momentum) * mat[row] + momentum * q)

@@ -48,33 +48,31 @@ def tracklet_embedding(
     total = np.zeros(cfg.embed_dim)
     for sub in subs:
         frames = select_frames(sub.slice_frames(tracklet), cfg.seq_len)
-        emb, _ = encode(params, frames, normalize=cfg.normalize_embeddings)
+        emb, _ = encode(params, frames)
         total += emb
-    mean = total / len(subs)
-    return l2_normalize(mean) if cfg.normalize_prototypes else mean
+    return l2_normalize(total / len(subs))
+
+
+def embed_tracklets(
+    params: EncoderParams, tracklets, cfg: TrainConfig, threads: int = 1
+) -> list[np.ndarray]:
+    """:func:`tracklet_embedding` of each tracklet, in input order.
+
+    Embarrassingly parallel over tracklets; results are positioned by index,
+    so any thread count yields identical output.
+    """
+    if threads > 1 and len(tracklets) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda t: tracklet_embedding(params, t, cfg), tracklets))
+    return [tracklet_embedding(params, t, cfg) for t in tracklets]
 
 
 def build_prototypes(
     params: EncoderParams, dataset: Dataset, cfg: TrainConfig, threads: int = 1
 ) -> PrototypeStore:
-    """Encode every tracklet and group prototypes by (modality, camera).
-
-    Embarrassingly parallel over tracklets; results are positioned by index,
-    so any thread count yields identical output.
-    """
-    tracklets = dataset.tracklets
-    if threads > 1 and len(tracklets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vectors = list(pool.map(lambda t: tracklet_embedding(params, t, cfg), tracklets))
-    else:
-        vectors = [tracklet_embedding(params, t, cfg) for t in tracklets]
-    prototypes = [
-        Prototype(
-            tracklet_id=t.tracklet_id,
-            modality=t.modality,
-            camera_id=t.camera_id,
-            vector=vec,
-        )
-        for t, vec in zip(tracklets, vectors)
-    ]
-    return PrototypeStore(prototypes)
+    """Encode every tracklet and group prototypes by (modality, camera)."""
+    vectors = embed_tracklets(params, dataset.tracklets, cfg, threads)
+    return PrototypeStore([
+        Prototype(t.tracklet_id, t.modality, t.camera_id, vec)
+        for t, vec in zip(dataset.tracklets, vectors)
+    ])

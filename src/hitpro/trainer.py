@@ -67,7 +67,7 @@ def _encode_batch(params: EncoderParams, dataset: Dataset, spec, cfg: TrainConfi
     for sub, source_id in spec.entries:
         tracklet = dataset.get(source_id)
         frames = select_frames(sub.slice_frames(tracklet), cfg.seq_len)
-        emb, cache = encode(params, frames, normalize=cfg.normalize_embeddings)
+        emb, cache = encode(params, frames)
         items.append((emb, source_id))
         caches.append(cache)
     return items, caches
@@ -90,7 +90,8 @@ def train(dataset: Dataset, cfg: TrainConfig, threads: int = 1) -> TrainResult:
     )
     opt = OptState(velocity=params.zeros_like(), lr=cfg.lr, momentum=cfg.sgd_momentum)
     gt = dataset_labels(dataset)
-    result = TrainResult(params=params, store=build_prototypes(params, dataset, cfg, threads))
+    epochs: list[dict] = []
+    store = None
 
     for epoch in range(cfg.total_epochs):
         partitions = {
@@ -129,10 +130,7 @@ def train(dataset: Dataset, cfg: TrainConfig, threads: int = 1) -> TrainResult:
             for cache, g_emb in zip(vis_caches + ir_caches, breakdown.grads):
                 grads.add_scaled(encode_backward(params, cache, g_emb), 1.0)
             sgd_step(params, grads, opt)
-            ema_update(
-                store, vis_items + ir_items, intra_sets, cross_sets,
-                cfg.ema_momentum, cfg.normalize_ema,
-            )
+            ema_update(store, vis_items + ir_items, intra_sets, cross_sets, cfg.ema_momentum)
             for key in ("l_ic", "l_imcc", "l_cm", "l_total"):
                 sums[key] += getattr(breakdown, key)
 
@@ -154,7 +152,8 @@ def train(dataset: Dataset, cfg: TrainConfig, threads: int = 1) -> TrainResult:
             for _, _, key in _FAMILY_KEYS:
                 precision, recall = mining_quality(reports[key], gt)
                 record["mining"][key] = {"precision": precision, "recall": recall}
-        result.epochs.append(record)
-        result.store = store
+        epochs.append(record)
 
-    return result
+    if store is None:  # no epoch ran: the initial encoder's prototypes
+        store = build_prototypes(params, dataset, cfg, threads)
+    return TrainResult(params=params, store=store, epochs=epochs)

@@ -218,3 +218,133 @@ def test_store_lookup_and_order():
     assert store.get("IR_1_2").camera_id == 1
     with pytest.raises(KeyError):
         store.get("nope")
+
+
+def _rewrite_header(path, out, mutate):
+    """Copy a checkpoint to ``out`` with ``mutate(header)`` applied to its header."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4 : 4 + header_len])
+    mutate(header)
+    new_header = json.dumps(header, sort_keys=True).encode()
+    out.write_bytes(struct.pack("<I", len(new_header)) + new_header + raw[4 + header_len :])
+    return out
+
+
+def _saved_checkpoint(tmp_path):
+    params, store = checkpoint_pair()
+    path = tmp_path / "checkpoint.hpt"
+    save_checkpoint(params, store, epoch=3, path=path)
+    return path
+
+
+def test_checkpoint_id_count_mismatch_rejected(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+
+    def drop_id(header):
+        header["store_groups"][0]["tracklet_ids"].pop()
+
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", drop_id)
+    with pytest.raises(CheckpointError, match="tracklet ids"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key", ["epoch", "sections", "store_groups", "encoder"])
+def test_checkpoint_missing_header_key_rejected(tmp_path, key):
+    path = _saved_checkpoint(tmp_path)
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", lambda h: h.pop(key))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("section", ["store.VIS.0", "encoder.proj"])
+def test_checkpoint_missing_section_rejected(tmp_path, section):
+    path = _saved_checkpoint(tmp_path)
+
+    def drop_section(header):
+        header["sections"] = [s for s in header["sections"] if s["name"] != section]
+
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", drop_section)
+    with pytest.raises(CheckpointError, match="section"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_encoder_shape_mismatch_rejected(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+
+    def flatten_proj(header):
+        sec = next(s for s in header["sections"] if s["name"] == "encoder.proj")
+        sec["shape"] = [int(np.prod(sec["shape"]))]
+
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", flatten_proj)
+    with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_round_trip_restores_camera_matrices(tmp_path):
+    params, store = checkpoint_pair()
+    save_checkpoint(params, store, epoch=2, path=tmp_path / "c.hpt")
+    _, loaded, _ = load_checkpoint(tmp_path / "c.hpt")
+    for modality in (Modality.VIS, Modality.IR):
+        assert loaded.cameras(modality) == store.cameras(modality)
+        for cam in store.cameras(modality):
+            assert loaded.ids(modality, cam) == store.ids(modality, cam)
+            mat = loaded.matrix(modality, cam)
+            assert mat.dtype == np.float64 and mat.flags.c_contiguous
+            np.testing.assert_array_equal(
+                mat, store.matrix(modality, cam).astype("<f4").astype(np.float64)
+            )
+
+
+def test_store_rejects_mixed_dimensions_in_a_camera():
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        PrototypeStore([
+            Prototype("a", Modality.VIS, 0, np.ones(4)),
+            Prototype("b", Modality.VIS, 0, np.ones(5)),
+        ])
+
+
+def test_prototype_vector_writes_through_to_camera_matrix():
+    store = make_store()
+    modality, cam, row = store.locate("IR_1_2")
+    new = np.arange(4.0)
+    store.get("IR_1_2").vector = new
+    np.testing.assert_array_equal(store.matrix(modality, cam)[row], new)
+    for p in store.group(modality, cam):
+        p.vector = p.vector * 2.0
+    np.testing.assert_array_equal(store.matrix(modality, cam)[row], 2.0 * new)
+    np.testing.assert_array_equal(store.get("IR_1_2").vector, 2.0 * new)
+
+
+def _manifest_with(tmp_path, mutate):
+    ds = make_dataset(n=2)
+    data = tmp_path / "data"
+    save_dataset(ds, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    mutate(manifest["tracklets"][0])
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    return data
+
+
+def test_feature_file_outside_dataset_rejected(tmp_path):
+    outside = tmp_path / "outside.f32"
+    outside.write_bytes(np.zeros((4, 3), dtype="<f4").tobytes())  # a well-sized payload
+    for target in (str(outside), "../outside.f32"):
+        data = _manifest_with(tmp_path, lambda e: e.update(feature_file=target))
+        with pytest.raises(DatasetError, match="feature_file"):
+            load_dataset(data)
+
+
+@pytest.mark.parametrize(
+    "field", ["tracklet_id", "modality", "camera_id", "n_frames", "feature_file"]
+)
+def test_manifest_entry_missing_field_rejected(tmp_path, field):
+    data = _manifest_with(tmp_path, lambda e: e.pop(field))
+    with pytest.raises(DatasetError, match=field):
+        load_dataset(data)
+
+
+def test_manifest_bad_modality_rejected(tmp_path):
+    data = _manifest_with(tmp_path, lambda e: e.update(modality="UV"))
+    with pytest.raises(DatasetError, match="UV"):
+        load_dataset(data)

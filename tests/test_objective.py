@@ -304,3 +304,38 @@ def test_ema_updates_positive_targets_and_preserves_norm():
         after = store.get(tid).vector
         assert abs(np.linalg.norm(after) - 1.0) < 1e-6
         assert not np.array_equal(after, before[tid])
+
+
+def test_ema_writes_through_to_the_matrices_losses_and_mining_read():
+    rng = np.random.default_rng(23)
+    store, _ = random_store(rng, cams_vis=2, cams_ir=2, max_per_cam=3)
+    source = store.modality_prototypes(Modality.VIS)[0].tracklet_id
+    modality, cam, row = store.locate(source)
+    q = unit(rng.normal(size=6))
+    ema_update(store, [(q, source)], {}, {}, momentum=0.5)
+
+    np.testing.assert_array_equal(store.matrix(modality, cam)[row], store.get(source).vector)
+    # a store rebuilt from the updated vectors gives the same loss and mining
+    rebuilt = PrototypeStore([
+        Prototype(p.tracklet_id, p.modality, p.camera_id, p.vector.copy())
+        for m in (Modality.VIS, Modality.IR)
+        for p in store.modality_prototypes(m)
+    ])
+    assert (loss_intra_camera([(q, source)], store, 0.05)[0]
+            == loss_intra_camera([(q, source)], rebuilt, 0.05)[0])
+    cfg = cfg_with(thresh_init=0.5, thresh_final=0.5)
+    assert (mine_positive_sets(store, Modality.VIS, PositiveKind.CROSS_MODAL, 0, cfg)
+            == mine_positive_sets(rebuilt, Modality.VIS, PositiveKind.CROSS_MODAL, 0, cfg))
+
+
+def test_prototype_assignment_changes_what_the_loss_reads():
+    store = PrototypeStore([
+        Prototype("own", Modality.VIS, 0, np.array([1.0, 0.0])),
+        Prototype("other", Modality.VIS, 0, np.array([0.0, 1.0])),
+    ])
+    q = np.array([1.0, 0.0])
+    before, _ = loss_intra_camera([(q, "own")], store, 0.5)
+    store.get("other").vector = np.array([1.0, 0.0])  # now tied with own
+    after, _ = loss_intra_camera([(q, "own")], store, 0.5)
+    assert before == pytest.approx(0.1269, abs=1e-4)
+    assert after == pytest.approx(np.log(2.0), abs=1e-12)
