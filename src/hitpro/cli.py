@@ -131,7 +131,7 @@ def _cmd_train(args) -> int:
     cfg = cfg.with_overrides(d_in=dataset.d_in)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = train(dataset, cfg, threads=_threads(args))
+    result = train(dataset, cfg)
     save_checkpoint(result.params, result.store, cfg.total_epochs, out / "checkpoint.hpt")
     _write_json(out / "metrics.json", {"epochs": result.epochs})
     _write_effective_config(out, "train", gen_cfg, cfg, args)
@@ -176,7 +176,7 @@ def _cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    vectors = embed_tracklets(params, dataset.tracklets, cfg, _threads(args))
+    vectors = embed_tracklets(params, dataset.tracklets, cfg)
     results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
     embeddings = [
         {
@@ -238,7 +238,7 @@ def build_parser() -> _Parser:
     def add_common(p, data=False, checkpoint=False, out_required=True):
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--threads", type=int, help="worker threads (env HITPRO_THREADS)")
+        p.add_argument("--threads", type=int, help="accepted, no effect (env HITPRO_THREADS)")
         if data:
             p.add_argument("--data", required=True, help="dataset dir or manifest.json")
         if checkpoint:

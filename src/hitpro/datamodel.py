@@ -356,6 +356,13 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     return manifest_path
 
 
+def _manifest_int(value, what: str) -> int:
+    """A JSON integer from a manifest; floats, strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DatasetError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset; validates counts, dims and payload sizes against the manifest."""
     manifest_path = Path(manifest_path)
@@ -368,16 +375,21 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     for key in ("d_in", "n_cameras_vis", "n_cameras_ir", "tracklets"):
         if key not in manifest:
             raise DatasetError(f"manifest missing required key {key!r}")
-    d_in = int(manifest["d_in"])
+    d_in = _manifest_int(manifest["d_in"], "d_in")
+    n_cameras_vis = _manifest_int(manifest["n_cameras_vis"], "n_cameras_vis")
+    n_cameras_ir = _manifest_int(manifest["n_cameras_ir"], "n_cameras_ir")
     base = manifest_path.parent
     tracklets = []
     for i, entry in enumerate(manifest["tracklets"]):
         try:
             tid = entry["tracklet_id"]
-            n_frames = int(entry["n_frames"])
+            n_frames = _manifest_int(entry["n_frames"], f"entry {i} n_frames")
             modality = Modality(entry["modality"])
-            camera_id = int(entry["camera_id"])
+            camera_id = _manifest_int(entry["camera_id"], f"entry {i} camera_id")
             feature_file = Path(entry["feature_file"])
+            gt_identity = entry.get("gt_identity")
+            if gt_identity is not None:
+                gt_identity = _manifest_int(gt_identity, f"entry {i} gt_identity")
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"manifest entry {i} is malformed: {exc!r}") from exc
         if feature_file.is_absolute() or ".." in feature_file.parts:
@@ -399,13 +411,13 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
                 modality=modality,
                 camera_id=camera_id,
                 frames=frames,
-                gt_identity=entry.get("gt_identity"),
+                gt_identity=gt_identity,
             )
         )
     return Dataset(
         d_in=d_in,
-        n_cameras_vis=int(manifest["n_cameras_vis"]),
-        n_cameras_ir=int(manifest["n_cameras_ir"]),
+        n_cameras_vis=n_cameras_vis,
+        n_cameras_ir=n_cameras_ir,
         tracklets=tuple(tracklets),
     )
 

@@ -5,6 +5,13 @@ Pipeline: linear frame projection (+ learned additive position table),
 ReLU feed-forward, two layer norms), then attention pooling over time
 (two-linear-layer ReLU score head + softmax) and L2 normalization.
 
+:func:`encode` and :func:`encode_backward` run on a stack of N sub-tracklets
+at once: every matmul is one stacked matmul over the N samples, and the
+backward pass sums each parameter gradient over them. Each sample goes
+through exactly the arithmetic of a one-sample call, and the sums over
+samples run in stack order, so a stack gives bit for bit the embeddings and
+summed gradients of a loop of single calls.
+
 All arithmetic runs in float64 so analytic gradients can be checked against
 central finite differences; parameters are serialized as float32.
 """
@@ -20,6 +27,9 @@ from .numerics import stable_softmax
 
 LN_EPS = 1e-5
 MAX_TTE_LAYERS = 2
+_LAYER_FIELDS = (
+    "wq", "wk", "wv", "wo", "wf1", "wf2", "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
+)
 
 
 class NumericError(RuntimeError):
@@ -49,21 +59,65 @@ class TteLayerParams:
     ln2_bias: np.ndarray
 
 
-@dataclass
 class EncoderParams:
-    """All trainable tensors; a plain container of float64 arrays."""
+    """All trainable tensors, as named views into one contiguous float64
+    vector ``flat``; a new instance starts at zero.
 
-    d_in: int
-    embed_dim: int
-    ffn_dim: int
-    pool_hidden_dim: int
-    seq_len: int
-    proj: np.ndarray  # (d_in, embed_dim)
-    pos: np.ndarray  # (seq_len, embed_dim)
-    layers: list[TteLayerParams]
-    wa1: np.ndarray  # (embed_dim, pool_hidden_dim)
-    ba1: np.ndarray  # (pool_hidden_dim,)
-    wa2: np.ndarray  # (pool_hidden_dim,)
+    Views are written in place (``params.proj[...] = ...``, ``grads.wa1 +=
+    ...``); whole-parameter arithmetic runs on ``flat``.
+    """
+
+    def __init__(
+        self,
+        d_in: int,
+        embed_dim: int,
+        ffn_dim: int,
+        pool_hidden_dim: int,
+        seq_len: int,
+        n_tte_layers: int,
+        flat: np.ndarray | None = None,
+    ):
+        if min(d_in, embed_dim, ffn_dim, pool_hidden_dim, seq_len) < 1:
+            raise ValueError("all encoder dimensions must be >= 1")
+        if not (0 <= n_tte_layers <= MAX_TTE_LAYERS):
+            raise ValueError(f"n_tte_layers must be in [0, {MAX_TTE_LAYERS}]")
+        self.d_in = d_in
+        self.embed_dim = embed_dim
+        self.ffn_dim = ffn_dim
+        self.pool_hidden_dim = pool_hidden_dim
+        self.seq_len = seq_len
+        d, d_ff = embed_dim, ffn_dim
+        layer_shapes = dict(
+            wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d), wf1=(d, d_ff), wf2=(d_ff, d),
+            ln1_gain=(d,), ln1_bias=(d,), ln2_gain=(d,), ln2_bias=(d,),
+        )
+        shapes = [("proj", (d_in, d)), ("pos", (seq_len, d))]
+        for i in range(n_tte_layers):
+            shapes += [(f"layers.{i}.{f}", layer_shapes[f]) for f in _LAYER_FIELDS]
+        shapes += [("wa1", (d, pool_hidden_dim)), ("ba1", (pool_hidden_dim,)),
+                   ("wa2", (pool_hidden_dim,))]
+        size = sum(math.prod(shape) for _, shape in shapes)
+        if flat is None:
+            flat = np.zeros(size)
+        elif flat.shape != (size,) or flat.dtype != np.float64:
+            raise ValueError(f"flat buffer {flat.dtype}{flat.shape} != float64({size},)")
+        self.flat = flat
+        self._named: list[tuple[str, np.ndarray]] = []
+        offset = 0
+        for name, shape in shapes:
+            n = math.prod(shape)
+            self._named.append((name, flat[offset : offset + n].reshape(shape)))
+            offset += n
+        views = dict(self._named)
+        self.proj = views["proj"]  # (d_in, embed_dim)
+        self.pos = views["pos"]  # (seq_len, embed_dim)
+        self.layers = [
+            TteLayerParams(**{f: views[f"layers.{i}.{f}"] for f in _LAYER_FIELDS})
+            for i in range(n_tte_layers)
+        ]
+        self.wa1 = views["wa1"]  # (embed_dim, pool_hidden_dim)
+        self.ba1 = views["ba1"]  # (pool_hidden_dim,)
+        self.wa2 = views["wa2"]  # (pool_hidden_dim,)
 
     @property
     def n_tte_layers(self) -> int:
@@ -80,68 +134,31 @@ class EncoderParams:
         }
 
     def named_arrays(self):
-        """Deterministic (name, array) iteration over every parameter tensor."""
-        yield "proj", self.proj
-        yield "pos", self.pos
-        for i, layer in enumerate(self.layers):
-            for field in (
-                "wq", "wk", "wv", "wo", "wf1", "wf2",
-                "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-            ):
-                yield f"layers.{i}.{field}", getattr(layer, field)
-        yield "wa1", self.wa1
-        yield "ba1", self.ba1
-        yield "wa2", self.wa2
+        """Deterministic (name, array) iteration over every parameter tensor,
+        in ``flat`` order."""
+        return iter(self._named)
 
     def n_parameters(self) -> int:
-        return sum(arr.size for _, arr in self.named_arrays())
+        return self.flat.size
 
     def zeros_like(self) -> "EncoderParams":
-        return EncoderParams(
-            d_in=self.d_in,
-            embed_dim=self.embed_dim,
-            ffn_dim=self.ffn_dim,
-            pool_hidden_dim=self.pool_hidden_dim,
-            seq_len=self.seq_len,
-            proj=np.zeros_like(self.proj),
-            pos=np.zeros_like(self.pos),
-            layers=[
-                TteLayerParams(**{
-                    f: np.zeros_like(getattr(layer, f))
-                    for f in (
-                        "wq", "wk", "wv", "wo", "wf1", "wf2",
-                        "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-                    )
-                })
-                for layer in self.layers
-            ],
-            wa1=np.zeros_like(self.wa1),
-            ba1=np.zeros_like(self.ba1),
-            wa2=np.zeros_like(self.wa2),
-        )
+        return EncoderParams(**self.dims())
 
     def copy(self) -> "EncoderParams":
-        out = self.zeros_like()
-        for (_, dst), (_, src) in zip(out.named_arrays(), self.named_arrays()):
-            dst += src
-        return out
+        return EncoderParams(**self.dims(), flat=self.flat.copy())
 
     def add_scaled(self, other: "EncoderParams", scale: float) -> None:
         """In-place ``self += scale * other`` over every tensor."""
-        for (_, dst), (_, src) in zip(self.named_arrays(), other.named_arrays()):
-            dst += scale * src
+        self.check_same_layout(other)
+        self.flat += scale * other.flat
+
+    def check_same_layout(self, other: "EncoderParams") -> None:
+        if other.dims() != self.dims():
+            raise ValueError(f"parameter layout mismatch: {other.dims()} vs {self.dims()}")
 
     @classmethod
     def from_named_arrays(cls, dims: dict, arrays: dict[str, np.ndarray]) -> "EncoderParams":
-        params = encoder_init(
-            d_in=dims["d_in"],
-            embed_dim=dims["embed_dim"],
-            ffn_dim=dims["ffn_dim"],
-            pool_hidden_dim=dims["pool_hidden_dim"],
-            n_tte_layers=dims["n_tte_layers"],
-            seq_len=dims["seq_len"],
-            seed=0,
-        )
+        params = cls(**dims)
         for name, arr in params.named_arrays():
             if name not in arrays:
                 raise KeyError(f"missing encoder section {name!r}")
@@ -166,46 +183,21 @@ def encoder_init(
 
     ``n_tte_layers`` is capped at 2 to keep the manual backward surface small.
     """
-    if min(d_in, embed_dim, ffn_dim, pool_hidden_dim, seq_len) < 1:
-        raise ValueError("all encoder dimensions must be >= 1")
-    if not (0 <= n_tte_layers <= MAX_TTE_LAYERS):
-        raise ValueError(f"n_tte_layers must be in [0, {MAX_TTE_LAYERS}]")
+    params = EncoderParams(d_in, embed_dim, ffn_dim, pool_hidden_dim, seq_len, n_tte_layers)
     rng = np.random.default_rng(seed)
-    proj = _xavier(rng, d_in, embed_dim, (d_in, embed_dim))
-    # zero start keeps a fresh encoder permutation-symmetric over time
-    pos = np.zeros((seq_len, embed_dim))
-    layers = []
-    for _ in range(n_tte_layers):
-        layers.append(
-            TteLayerParams(
-                wq=_xavier(rng, embed_dim, embed_dim, (embed_dim, embed_dim)),
-                wk=_xavier(rng, embed_dim, embed_dim, (embed_dim, embed_dim)),
-                wv=_xavier(rng, embed_dim, embed_dim, (embed_dim, embed_dim)),
-                wo=_xavier(rng, embed_dim, embed_dim, (embed_dim, embed_dim)),
-                wf1=_xavier(rng, embed_dim, ffn_dim, (embed_dim, ffn_dim)),
-                wf2=_xavier(rng, ffn_dim, embed_dim, (ffn_dim, embed_dim)),
-                ln1_gain=np.ones(embed_dim),
-                ln1_bias=np.zeros(embed_dim),
-                ln2_gain=np.ones(embed_dim),
-                ln2_bias=np.zeros(embed_dim),
-            )
-        )
-    wa1 = _xavier(rng, embed_dim, pool_hidden_dim, (embed_dim, pool_hidden_dim))
-    ba1 = np.zeros(pool_hidden_dim)
-    wa2 = _xavier(rng, pool_hidden_dim, 1, (pool_hidden_dim,))
-    return EncoderParams(
-        d_in=d_in,
-        embed_dim=embed_dim,
-        ffn_dim=ffn_dim,
-        pool_hidden_dim=pool_hidden_dim,
-        seq_len=seq_len,
-        proj=proj,
-        pos=pos,
-        layers=layers,
-        wa1=wa1,
-        ba1=ba1,
-        wa2=wa2,
-    )
+    # weight matrices draw in named_arrays order; zero start keeps a fresh
+    # encoder permutation-symmetric over time (pos), and biases start at zero
+    params.proj[...] = _xavier(rng, d_in, embed_dim, params.proj.shape)
+    for layer in params.layers:
+        for f in ("wq", "wk", "wv", "wo"):
+            getattr(layer, f)[...] = _xavier(rng, embed_dim, embed_dim, (embed_dim, embed_dim))
+        layer.wf1[...] = _xavier(rng, embed_dim, ffn_dim, layer.wf1.shape)
+        layer.wf2[...] = _xavier(rng, ffn_dim, embed_dim, layer.wf2.shape)
+        layer.ln1_gain[...] = 1.0
+        layer.ln2_gain[...] = 1.0
+    params.wa1[...] = _xavier(rng, embed_dim, pool_hidden_dim, params.wa1.shape)
+    params.wa2[...] = _xavier(rng, pool_hidden_dim, 1, params.wa2.shape)
+    return params
 
 
 def select_frames(frames: np.ndarray, seq_len: int) -> np.ndarray:
@@ -227,20 +219,33 @@ def select_frames(frames: np.ndarray, seq_len: int) -> np.ndarray:
     return frames[idx]
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Per-sample transpose of a stack of matrices."""
+    return a.transpose(0, 2, 1)
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, k) x (N, k) -> (N, 1): per-sample dot products, each the same
+    BLAS dot as ``a[n] @ b[n]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0]
+
+
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mu = x.mean(axis=1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv_std
     return gain * xhat + bias, xhat, inv_std
 
 
 def _layer_norm_backward(dy, xhat, inv_std, gain):
-    dgain = (dy * xhat).sum(axis=0)
-    dbias = dy.sum(axis=0)
+    """Input gradient and the gain and bias gradients summed over time, then
+    over samples."""
+    dgain = (dy * xhat).sum(axis=1).sum(axis=0)
+    dbias = dy.sum(axis=1).sum(axis=0)
     dxhat = dy * gain
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv_std * (dxhat - m1 - xhat * m2)
     return dx, dgain, dbias
 
@@ -264,17 +269,25 @@ class _LayerCache:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations required for the exact backward pass."""
+    """Intermediate activations required for the exact backward pass, each
+    stacked over the N samples of the forward call."""
 
-    x: np.ndarray
+    x: np.ndarray  # (N, seq_len, d_in)
     layer_caches: list[_LayerCache]
     h_last: np.ndarray
     z: np.ndarray  # pre-ReLU pooling scores
     za: np.ndarray
-    alpha: np.ndarray
+    alphas: np.ndarray  # (N, seq_len) frame weights
     pooled: np.ndarray
-    pooled_norm: float
-    embedding: np.ndarray
+    pooled_norm: np.ndarray  # (N, 1)
+    embedding: np.ndarray  # (N, embed_dim)
+    single: bool  # the forward call took one (seq_len, d_in) matrix
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Frame weights, shaped like the forward call's input: (seq_len,)
+        for one matrix, (N, seq_len) for a stack."""
+        return self.alphas[0] if self.single else self.alphas
 
 
 def _check_finite(arr: np.ndarray, stage: str) -> None:
@@ -283,16 +296,20 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
 
 
 def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the full pipeline on a (seq_len, d_in) frame matrix.
+    """Run the full pipeline on a (seq_len, d_in) frame matrix, or on a
+    stack (N, seq_len, d_in) of them.
 
-    Returns the unit-norm embedding and the cache consumed by
-    :func:`encode_backward`.
+    Returns the unit-norm embedding, (embed_dim,) or (N, embed_dim), and the
+    cache consumed by :func:`encode_backward`. A non-finite value in any
+    sample raises :class:`NumericError` naming the stage.
     """
-    if frames.shape != (params.seq_len, params.d_in):
-        raise ValueError(
-            f"frames shape {frames.shape} != (seq_len={params.seq_len}, d_in={params.d_in})"
-        )
     x = np.asarray(frames, dtype=np.float64)
+    single = x.ndim == 2
+    if single:
+        x = x[None]
+    if x.ndim != 3 or x.shape[0] < 1 or x.shape[1:] != (params.seq_len, params.d_in):
+        raise ValueError(f"frames shape {np.shape(frames)} != "
+                         f"([N,] seq_len={params.seq_len}, d_in={params.d_in})")
     scale = 1.0 / math.sqrt(params.embed_dim)
 
     h = x @ params.proj + params.pos
@@ -304,7 +321,7 @@ def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, Forwa
         q = h_in @ layer.wq
         k = h_in @ layer.wk
         v = h_in @ layer.wv
-        attn = stable_softmax((q @ k.T) * scale, axis=1)
+        attn = stable_softmax((q @ _t(k)) * scale, axis=-1)
         u = attn @ v
         r1 = h_in + u @ layer.wo
         h1, xhat1, inv_std1 = _layer_norm(r1, layer.ln1_gain, layer.ln1_bias)
@@ -323,51 +340,60 @@ def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, Forwa
 
     z = h @ params.wa1 + params.ba1
     za = np.maximum(z, 0.0)
-    alpha = stable_softmax(za @ params.wa2)
-    _check_finite(alpha, "frame_weighting")
-    pooled = alpha @ h
-    pooled_norm = float(np.linalg.norm(pooled))
-    if pooled_norm == 0.0:
+    alphas = stable_softmax(za @ params.wa2)
+    _check_finite(alphas, "frame_weighting")
+    pooled = (alphas[:, None, :] @ h)[:, 0]
+    # sqrt of the same dot np.linalg.norm takes of one vector
+    pooled_norm = np.sqrt(_dot_rows(pooled, pooled))
+    if np.any(pooled_norm == 0.0):
         raise NumericError("output_normalization")
     embedding = pooled / pooled_norm
     _check_finite(embedding, "embedding")
 
     cache = ForwardCache(
-        x=x, layer_caches=layer_caches, h_last=h, z=z, za=za, alpha=alpha,
-        pooled=pooled, pooled_norm=pooled_norm, embedding=embedding,
+        x=x, layer_caches=layer_caches, h_last=h, z=z, za=za, alphas=alphas,
+        pooled=pooled, pooled_norm=pooled_norm, embedding=embedding, single=single,
     )
-    return embedding, cache
+    return (embedding[0] if single else embedding), cache
 
 
 def encode_backward(
     params: EncoderParams, cache: ForwardCache, grad_embedding: np.ndarray
 ) -> EncoderParams:
-    """Exact gradient of ``grad_embedding . embedding`` for every parameter.
+    """Exact gradient of ``sum_n grad_embedding[n] . embedding[n]`` for every
+    parameter; ``grad_embedding`` has the shape of the forward call's
+    embedding output.
 
     The cache must come from a matching forward pass; inputs are constants.
+    Each parameter gradient is taken per sample, then summed over the samples
+    in stack order (``.sum(axis=0)`` adds the rows one after another).
     """
     if len(cache.layer_caches) != params.n_tte_layers:
         raise ValueError("forward cache does not match params (layer count)")
     g = np.asarray(grad_embedding, dtype=np.float64)
-    if g.shape != (params.embed_dim,):
-        raise ValueError(f"grad_embedding shape {g.shape} != ({params.embed_dim},)")
+    if cache.single:
+        g = g[None]
+    if g.shape != cache.embedding.shape:
+        expected = cache.embedding.shape[1:] if cache.single else cache.embedding.shape
+        raise ValueError(f"grad_embedding shape {np.shape(grad_embedding)} != {expected}")
     grads = params.zeros_like()
     scale = 1.0 / math.sqrt(params.embed_dim)
 
     e = cache.embedding
-    gf = (g - e * (g @ e)) / cache.pooled_norm
+    gf = (g - e * _dot_rows(g, e)) / cache.pooled_norm
 
     # pooled = alpha @ h_last
     h_last = cache.h_last
-    dalpha = h_last @ gf
-    dh = np.outer(cache.alpha, gf)
-    ds = cache.alpha * (dalpha - float(dalpha @ cache.alpha))
-    grads.wa2 += cache.za.T @ ds
-    dza = np.outer(ds, params.wa2)
+    alphas = cache.alphas
+    dalpha = (h_last @ gf[:, :, None])[:, :, 0]
+    dh = alphas[:, :, None] * gf[:, None, :]
+    ds = alphas * (dalpha - _dot_rows(dalpha, alphas))
+    grads.wa2 += (_t(cache.za) @ ds[:, :, None])[:, :, 0].sum(axis=0)
+    dza = ds[:, :, None] * params.wa2
     dz = dza * (cache.z > 0.0)
-    grads.wa1 += h_last.T @ dz
-    grads.ba1 += dz.sum(axis=0)
-    dh += dz @ params.wa1.T
+    grads.wa1 += (_t(h_last) @ dz).sum(axis=0)
+    grads.ba1 += dz.sum(axis=1).sum(axis=0)
+    dh = dh + dz @ params.wa1.T
 
     for layer, lc, glayer in zip(
         reversed(params.layers), reversed(cache.layer_caches), reversed(grads.layers)
@@ -375,28 +401,25 @@ def encode_backward(
         dr2, dg2, db2 = _layer_norm_backward(dh, lc.xhat2, lc.inv_std2, layer.ln2_gain)
         glayer.ln2_gain += dg2
         glayer.ln2_bias += db2
-        dh1 = dr2.copy()
-        glayer.wf2 += lc.f1a.T @ dr2
+        glayer.wf2 += (_t(lc.f1a) @ dr2).sum(axis=0)
         df1 = (dr2 @ layer.wf2.T) * (lc.f1 > 0.0)
-        glayer.wf1 += lc.h1.T @ df1
-        dh1 += df1 @ layer.wf1.T
+        glayer.wf1 += (_t(lc.h1) @ df1).sum(axis=0)
+        dh1 = dr2 + df1 @ layer.wf1.T
         dr1, dg1, db1 = _layer_norm_backward(dh1, lc.xhat1, lc.inv_std1, layer.ln1_gain)
         glayer.ln1_gain += dg1
         glayer.ln1_bias += db1
-        dh_in = dr1.copy()
-        glayer.wo += lc.u.T @ dr1
+        glayer.wo += (_t(lc.u) @ dr1).sum(axis=0)
         du = dr1 @ layer.wo.T
-        dattn = du @ lc.v.T
-        dv = lc.attn.T @ du
-        dscores = lc.attn * (dattn - (dattn * lc.attn).sum(axis=1, keepdims=True))
+        dattn = du @ _t(lc.v)
+        dv = _t(lc.attn) @ du
+        dscores = lc.attn * (dattn - (dattn * lc.attn).sum(axis=-1, keepdims=True))
         dq = (dscores @ lc.k) * scale
-        dk = (dscores.T @ lc.q) * scale
-        glayer.wq += lc.h_in.T @ dq
-        glayer.wk += lc.h_in.T @ dk
-        glayer.wv += lc.h_in.T @ dv
-        dh_in += dq @ layer.wq.T + dk @ layer.wk.T + dv @ layer.wv.T
-        dh = dh_in
+        dk = (_t(dscores) @ lc.q) * scale
+        glayer.wq += (_t(lc.h_in) @ dq).sum(axis=0)
+        glayer.wk += (_t(lc.h_in) @ dk).sum(axis=0)
+        glayer.wv += (_t(lc.h_in) @ dv).sum(axis=0)
+        dh = dr1 + (dq @ layer.wq.T + dk @ layer.wk.T + dv @ layer.wv.T)
 
-    grads.proj += cache.x.T @ dh
-    grads.pos += dh
+    grads.proj += (_t(cache.x) @ dh).sum(axis=0)
+    grads.pos += dh.sum(axis=0)
     return grads

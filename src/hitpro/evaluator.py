@@ -12,6 +12,10 @@ from .encoder import EncoderParams
 from .mining import MiningReport
 from .prototyping import embed_tracklets, tracklet_embedding
 
+# Sampled pairs per gather in distance_distribution; keeps the gathered
+# embedding rows to a few MB whatever n_pairs is.
+_PAIR_BLOCK = 1024
+
 
 @dataclass
 class RetrievalResult:
@@ -97,10 +101,9 @@ def evaluate_dataset(
     dataset: Dataset,
     cfg: TrainConfig,
     max_rank: int = 20,
-    threads: int = 1,
 ) -> dict[str, RetrievalResult]:
     """Both retrieval directions with labeled tracklet embeddings."""
-    vectors = embed_tracklets(params, dataset.tracklets, cfg, threads)
+    vectors = embed_tracklets(params, dataset.tracklets, cfg)
     return evaluate_embeddings(dataset, vectors, max_rank)
 
 
@@ -133,23 +136,28 @@ def distance_distribution(
 ) -> dict:
     """Sample cosine distances (1 - cos) of intra- and inter-class pairs.
 
-    Pairs are drawn uniformly with replacement from the enumerated pair sets;
+    Pairs are drawn uniformly with replacement from the pair sets, each
+    enumerated in row-major (i, j), i < j order;
     histograms use fixed bins over [0, 2].
     """
-    n = len(embeddings)
-    ids = [identity for _, identity in embeddings]
-    intra = [(i, j) for i in range(n) for j in range(i + 1, n) if ids[i] == ids[j]]
-    inter = [(i, j) for i in range(n) for j in range(i + 1, n) if ids[i] != ids[j]]
-    if not intra or not inter:
+    ids = np.array([identity for _, identity in embeddings])
+    pairs = np.stack(np.triu_indices(len(embeddings), 1), axis=1)  # i < j, row-major
+    same = ids[pairs[:, 0]] == ids[pairs[:, 1]]
+    intra, inter = pairs[same], pairs[~same]
+    if not len(intra) or not len(inter):
         raise ValueError("need at least one intra-class and one inter-class pair")
 
     mat = np.stack([e for e, _ in embeddings]).astype(np.float64)
     mat /= np.linalg.norm(mat, axis=1, keepdims=True)
 
-    def sample(pairs):
-        idx = rng.integers(0, len(pairs), size=n_pairs)
-        picked = np.array(pairs)[idx]
-        cos = np.einsum("ij,ij->i", mat[picked[:, 0]], mat[picked[:, 1]])
+    def sample(candidates):
+        picked = candidates[rng.integers(0, len(candidates), size=n_pairs)]
+        cos = np.empty(n_pairs)
+        for start in range(0, n_pairs, _PAIR_BLOCK):
+            block = picked[start : start + _PAIR_BLOCK]
+            cos[start : start + len(block)] = np.einsum(
+                "ij,ij->i", mat[block[:, 0]], mat[block[:, 1]]
+            )
         return 1.0 - cos
 
     pos = sample(intra)

@@ -13,29 +13,28 @@ DEFAULT_STEP = 1e-4
 
 def _probe_value(params: EncoderParams, frames: np.ndarray, g: np.ndarray) -> float:
     embedding, _ = encode(params, frames)
-    return float(g @ embedding)
+    return float(np.vdot(g, embedding))
 
 
 def finite_difference_grads(
     params: EncoderParams, frames: np.ndarray, g: np.ndarray, step: float = DEFAULT_STEP
 ) -> EncoderParams:
-    """Numeric gradient of ``g . encode(params, frames)`` per parameter.
+    """Numeric gradient of ``g . encode(params, frames)`` per parameter; for a
+    stack of N frame matrices, of the sum over the N samples.
 
     Perturbs each scalar in place by +-step (restoring it afterwards) and
     accumulates centered differences in float64.
     """
     grads = params.zeros_like()
-    for (_, arr), (_, gout) in zip(params.named_arrays(), grads.named_arrays()):
-        flat = arr.reshape(-1)
-        gflat = gout.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            plus = _probe_value(params, frames, g)
-            flat[i] = orig - step
-            minus = _probe_value(params, frames, g)
-            flat[i] = orig
-            gflat[i] = (plus - minus) / (2.0 * step)
+    flat = params.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        plus = _probe_value(params, frames, g)
+        flat[i] = orig - step
+        minus = _probe_value(params, frames, g)
+        flat[i] = orig
+        grads.flat[i] = (plus - minus) / (2.0 * step)
     return grads
 
 

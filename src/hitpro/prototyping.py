@@ -8,13 +8,16 @@ is involved anywhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .datamodel import Dataset, Prototype, PrototypeStore, SubTracklet, TrainConfig, Tracklet
 from .encoder import EncoderParams, encode, select_frames
 from .numerics import l2_normalize
+
+# Sub-tracklets per encoder call when embedding many tracklets: large enough
+# that per-call overhead is small, small enough that the forward activations
+# of one chunk stay a few MB.
+ENCODE_CHUNK = 64
 
 
 def partition_tracklet(tracklet: Tracklet, k: int) -> list[SubTracklet]:
@@ -42,36 +45,45 @@ def tracklet_embedding(
     """Normalized mean of the tracklet's sub-tracklet embeddings.
 
     The single recipe shared by prototype construction and test-time
-    feature extraction.
+    feature extraction; :func:`embed_tracklets` applies it to many tracklets.
     """
-    subs = partition_tracklet(tracklet, cfg.n_subtracklets)
-    total = np.zeros(cfg.embed_dim)
-    for sub in subs:
-        frames = select_frames(sub.slice_frames(tracklet), cfg.seq_len)
-        emb, _ = encode(params, frames)
-        total += emb
-    return l2_normalize(total / len(subs))
+    return embed_tracklets(params, [tracklet], cfg)[0]
 
 
-def embed_tracklets(
-    params: EncoderParams, tracklets, cfg: TrainConfig, threads: int = 1
-) -> list[np.ndarray]:
+def embed_tracklets(params: EncoderParams, tracklets, cfg: TrainConfig) -> list[np.ndarray]:
     """:func:`tracklet_embedding` of each tracklet, in input order.
 
-    Embarrassingly parallel over tracklets; results are positioned by index,
-    so any thread count yields identical output.
+    All sub-tracklets of all tracklets go through the encoder as stacks of
+    ``ENCODE_CHUNK`` sub-tracklets, which bounds the forward activations held
+    at once.
     """
-    if threads > 1 and len(tracklets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda t: tracklet_embedding(params, t, cfg), tracklets))
-    return [tracklet_embedding(params, t, cfg) for t in tracklets]
+    parts = [partition_tracklet(t, cfg.n_subtracklets) for t in tracklets]
+    subs = [(t, sub) for t, part in zip(tracklets, parts) for sub in part]
+    embeddings = np.empty((len(subs), cfg.embed_dim))
+    for start in range(0, len(subs), ENCODE_CHUNK):
+        chunk = subs[start : start + ENCODE_CHUNK]
+        frames = np.stack([select_frames(sub.slice_frames(t), cfg.seq_len) for t, sub in chunk])
+        embeddings[start : start + len(chunk)] = encode(params, frames)[0]
+    vectors = []
+    row = 0
+    for part in parts:
+        total = np.zeros(cfg.embed_dim)
+        for emb in embeddings[row : row + len(part)]:
+            total += emb
+        vectors.append(l2_normalize(total / len(part)))
+        row += len(part)
+    return vectors
 
 
 def build_prototypes(
     params: EncoderParams, dataset: Dataset, cfg: TrainConfig, threads: int = 1
 ) -> PrototypeStore:
-    """Encode every tracklet and group prototypes by (modality, camera)."""
-    vectors = embed_tracklets(params, dataset.tracklets, cfg, threads)
+    """Encode every tracklet and group prototypes by (modality, camera).
+
+    ``threads`` is accepted and has no effect: the encoder runs batched on
+    the calling thread.
+    """
+    vectors = embed_tracklets(params, dataset.tracklets, cfg)
     return PrototypeStore([
         Prototype(t.tracklet_id, t.modality, t.camera_id, vec)
         for t, vec in zip(dataset.tracklets, vectors)

@@ -34,15 +34,12 @@ class OptState:
 
 def sgd_step(params: EncoderParams, grads: EncoderParams, opt: OptState) -> None:
     """v <- mu * v + g; theta <- theta - lr * v."""
-    mu = opt.momentum
-    for (name_p, theta), (name_g, g), (_, v) in zip(
-        params.named_arrays(), grads.named_arrays(), opt.velocity.named_arrays()
-    ):
-        if name_p != name_g or theta.shape != g.shape:
-            raise ValueError(f"gradient/parameter mismatch at {name_p} vs {name_g}")
-        v *= mu
-        v += g
-        theta -= opt.lr * v
+    params.check_same_layout(grads)
+    params.check_same_layout(opt.velocity)
+    v = opt.velocity.flat
+    v *= opt.momentum
+    v += grads.flat
+    params.flat -= opt.lr * v
     opt.step += 1
 
 
@@ -61,21 +58,10 @@ _FAMILY_KEYS = (
 )
 
 
-def _encode_batch(params: EncoderParams, dataset: Dataset, spec, cfg: TrainConfig):
-    items = []
-    caches = []
-    for sub, source_id in spec.entries:
-        tracklet = dataset.get(source_id)
-        frames = select_frames(sub.slice_frames(tracklet), cfg.seq_len)
-        emb, cache = encode(params, frames)
-        items.append((emb, source_id))
-        caches.append(cache)
-    return items, caches
-
-
 def train(dataset: Dataset, cfg: TrainConfig, threads: int = 1) -> TrainResult:
-    """Run the full schedule; deterministic given ``cfg.seed`` and any
-    thread count. Raises on non-finite losses, naming epoch and iteration."""
+    """Run the full schedule; deterministic given ``cfg.seed``. ``threads`` is
+    accepted and has no effect. Raises on non-finite losses, naming epoch and
+    iteration."""
     if not dataset.by_modality(Modality.VIS) or not dataset.by_modality(Modality.IR):
         raise ValueError("training requires tracklets in both modalities")
 
@@ -98,7 +84,7 @@ def train(dataset: Dataset, cfg: TrainConfig, threads: int = 1) -> TrainResult:
             t.tracklet_id: partition_tracklet(t, cfg.n_subtracklets) for t in dataset.tracklets
         }
         opt.lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
-        store = build_prototypes(params, dataset, cfg, threads)
+        store = build_prototypes(params, dataset, cfg)
 
         reports: dict[str, MiningReport] = {}
         intra_sets = {}
@@ -115,8 +101,13 @@ def train(dataset: Dataset, cfg: TrainConfig, threads: int = 1) -> TrainResult:
         for it in range(cfg.iters_per_epoch):
             vis_spec = sample_batch(dataset, Modality.VIS, partitions, cfg, rng)
             ir_spec = sample_batch(dataset, Modality.IR, partitions, cfg, rng)
-            vis_items, vis_caches = _encode_batch(params, dataset, vis_spec, cfg)
-            ir_items, ir_caches = _encode_batch(params, dataset, ir_spec, cfg)
+            entries = vis_spec.entries + ir_spec.entries
+            embeddings, cache = encode(params, np.stack([
+                select_frames(sub.slice_frames(dataset.get(source_id)), cfg.seq_len)
+                for sub, source_id in entries
+            ]))
+            items = [(emb, source_id) for emb, (_, source_id) in zip(embeddings, entries)]
+            vis_items, ir_items = items[: len(vis_spec)], items[len(vis_spec) :]
 
             breakdown = total_loss(
                 epoch, vis_items, ir_items, store, intra_sets, cross_sets, cfg
@@ -126,11 +117,9 @@ def train(dataset: Dataset, cfg: TrainConfig, threads: int = 1) -> TrainResult:
                     f"non-finite loss {breakdown.l_total} at epoch {epoch} iteration {it}"
                 )
 
-            grads = params.zeros_like()
-            for cache, g_emb in zip(vis_caches + ir_caches, breakdown.grads):
-                grads.add_scaled(encode_backward(params, cache, g_emb), 1.0)
+            grads = encode_backward(params, cache, np.stack(breakdown.grads))
             sgd_step(params, grads, opt)
-            ema_update(store, vis_items + ir_items, intra_sets, cross_sets, cfg.ema_momentum)
+            ema_update(store, items, intra_sets, cross_sets, cfg.ema_momentum)
             for key in ("l_ic", "l_imcc", "l_cm", "l_total"):
                 sums[key] += getattr(breakdown, key)
 
@@ -155,5 +144,5 @@ def train(dataset: Dataset, cfg: TrainConfig, threads: int = 1) -> TrainResult:
         epochs.append(record)
 
     if store is None:  # no epoch ran: the initial encoder's prototypes
-        store = build_prototypes(params, dataset, cfg, threads)
+        store = build_prototypes(params, dataset, cfg)
     return TrainResult(params=params, store=store, epochs=epochs)

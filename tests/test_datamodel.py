@@ -348,3 +348,21 @@ def test_manifest_bad_modality_rejected(tmp_path):
     data = _manifest_with(tmp_path, lambda e: e.update(modality="UV"))
     with pytest.raises(DatasetError, match="UV"):
         load_dataset(data)
+
+
+@pytest.mark.parametrize("value", ["x", 1.5, True, [1]])
+def test_manifest_non_integer_gt_identity_rejected(tmp_path, value):
+    data = _manifest_with(tmp_path, lambda e: e.update(gt_identity=value))
+    with pytest.raises(DatasetError, match="gt_identity"):
+        load_dataset(data)
+
+
+@pytest.mark.parametrize("key", ["d_in", "n_cameras_vis", "n_cameras_ir"])
+@pytest.mark.parametrize("value", ["3", 3.5, None])
+def test_manifest_non_integer_header_rejected(tmp_path, key, value):
+    data = _manifest_with(tmp_path, lambda e: None)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest[key] = value
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=key):
+        load_dataset(data)

@@ -192,3 +192,91 @@ def test_embedding_unit_norm_property(seed, n_layers, seq_len):
     emb, cache = encode(p, frames)
     assert abs(np.linalg.norm(emb) - 1.0) < 1e-6
     assert abs(cache.alpha.sum() - 1.0) < 1e-9
+
+
+def _loop_encode(p, frames, g):
+    """Per-sample reference: one 2-D call each, gradients summed in order."""
+    embs = []
+    total = p.zeros_like()
+    for sample, g_n in zip(frames, g):
+        emb, cache = encode(p, sample)
+        embs.append(emb)
+        total.add_scaled(encode_backward(p, cache, g_n), 1.0)
+    return np.stack(embs), total
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 5])
+def test_batched_matches_per_sample_loop_bitwise(n_layers, n):
+    p = small_params(n_tte_layers=n_layers, seed=30 + n_layers)
+    rng = np.random.default_rng(40 + n)
+    frames = rng.normal(size=(n, 3, 4))
+    g = rng.normal(size=(n, 8))
+    emb, cache = encode(p, frames)
+    grads = encode_backward(p, cache, g)
+    ref_emb, ref_grads = _loop_encode(p, frames, g)
+    assert emb.shape == (n, 8)
+    np.testing.assert_array_equal(emb, ref_emb)
+    for (name, a), (_, b) in zip(grads.named_arrays(), ref_grads.named_arrays()):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+def test_batched_gradients_match_finite_differences(n_layers):
+    p = small_params(n_tte_layers=n_layers, seed=7 + n_layers)
+    rng = np.random.default_rng(200 + n_layers)
+    frames = rng.normal(size=(3, 3, 4))
+    g = rng.normal(size=(3, 8))
+    _, cache = encode(p, frames)
+    analytic = encode_backward(p, cache, g)
+    numeric = finite_difference_grads(p, frames, g)
+    assert max_relative_error(analytic, numeric) < 1e-4
+
+
+def test_batched_nonfinite_sample_names_stage():
+    p = small_params(n_tte_layers=1)
+    frames = np.random.default_rng(1).normal(size=(4, 3, 4))
+    frames[2, 1, 0] = np.nan
+    with pytest.raises(NumericError) as err:
+        encode(p, frames)
+    assert err.value.stage == "projection"
+    # finite after the projection, overflowing in the attention scores
+    frames = np.random.default_rng(2).normal(size=(4, 3, 4))
+    frames[1] *= 1e200
+    with pytest.raises(NumericError) as err, np.errstate(over="ignore", invalid="ignore"):
+        encode(p, frames)
+    assert err.value.stage == "tte_layer_0"
+
+
+def test_batched_shape_checks():
+    p = small_params()
+    with pytest.raises(ValueError):
+        encode(p, np.zeros((0, 3, 4)))
+    with pytest.raises(ValueError):
+        encode(p, np.zeros((2, 4, 4)))
+    _, cache = encode(p, np.zeros((2, 3, 4)) + 0.5)
+    with pytest.raises(ValueError):
+        encode_backward(p, cache, np.zeros(8))
+    _, cache = encode(p, np.zeros((3, 4)) + 0.5)
+    with pytest.raises(ValueError):
+        encode_backward(p, cache, np.zeros((1, 8)))
+
+
+def test_flat_buffer_backs_named_views():
+    p = small_params(n_tte_layers=2)
+    assert p.flat.flags.c_contiguous and p.flat.dtype == np.float64
+    assert p.flat.size == p.n_parameters()
+    offset = 0
+    for name, arr in p.named_arrays():
+        assert np.shares_memory(arr, p.flat), name
+        np.testing.assert_array_equal(arr.reshape(-1), p.flat[offset : offset + arr.size])
+        offset += arr.size
+    assert offset == p.flat.size
+    p.layers[1].wo[0, 0] = 42.0
+    assert 42.0 in p.flat
+    twin = p.copy()
+    twin.add_scaled(p, -1.0)
+    np.testing.assert_array_equal(twin.flat, np.zeros_like(twin.flat))
+    assert not np.shares_memory(twin.flat, p.flat)
+    with pytest.raises(ValueError):
+        p.add_scaled(small_params(n_tte_layers=1), 1.0)

@@ -4,6 +4,7 @@ import pytest
 from hitpro.datamodel import Modality, PositiveKind, TrainConfig
 from hitpro.encoder import encoder_init
 from hitpro.evaluator import (
+    _PAIR_BLOCK,
     distance_distribution,
     embed_tracklet,
     evaluate_dataset,
@@ -231,3 +232,41 @@ def test_mining_quality_hand_counts():
     precision, recall = mining_quality(report, gt)
     assert precision == pytest.approx(0.5)  # 1 of 2 accepted correct
     assert recall == pytest.approx(0.5)  # t1 accepted, t3 (true candidate) missed
+
+
+def _listed_distance_samples(embeddings, n_pairs, rng):
+    """Reference sampler: every pair enumerated as a Python list."""
+    n = len(embeddings)
+    ids = [identity for _, identity in embeddings]
+    intra = [(i, j) for i in range(n) for j in range(i + 1, n) if ids[i] == ids[j]]
+    inter = [(i, j) for i in range(n) for j in range(i + 1, n) if ids[i] != ids[j]]
+    mat = np.stack([e for e, _ in embeddings])
+    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+    out = []
+    for pairs in (intra, inter):
+        picked = np.array(pairs)[rng.integers(0, len(pairs), size=n_pairs)]
+        out.append(1.0 - np.einsum("ij,ij->i", mat[picked[:, 0]], mat[picked[:, 1]]))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_distance_distribution_matches_enumerated_pairs(seed):
+    rng = np.random.default_rng(seed)
+    n = 60 + seed
+    labels = rng.integers(0, 7, size=n)
+    embeddings = [(rng.normal(size=5), int(label)) for label in labels]
+    out = distance_distribution(embeddings, n_pairs=500, rng=np.random.default_rng(seed + 10))
+    pos, neg = _listed_distance_samples(embeddings, 500, np.random.default_rng(seed + 10))
+    np.testing.assert_array_equal(out["positive_distances"], pos)
+    np.testing.assert_array_equal(out["negative_distances"], neg)
+
+
+def test_distance_distribution_matches_enumerated_pairs_across_blocks():
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 5, size=40)
+    embeddings = [(rng.normal(size=6), int(label)) for label in labels]
+    n_pairs = 2 * _PAIR_BLOCK + 1
+    out = distance_distribution(embeddings, n_pairs=n_pairs, rng=np.random.default_rng(4))
+    pos, neg = _listed_distance_samples(embeddings, n_pairs, np.random.default_rng(4))
+    np.testing.assert_array_equal(out["positive_distances"], pos)
+    np.testing.assert_array_equal(out["negative_distances"], neg)

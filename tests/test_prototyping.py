@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from hitpro.datamodel import Dataset, Modality, TrainConfig, Tracklet
-from hitpro.encoder import encoder_init
-from hitpro.prototyping import build_prototypes, partition_tracklet, tracklet_embedding
+from hitpro import prototyping
+from hitpro.encoder import encode, encoder_init, select_frames
+from hitpro.numerics import l2_normalize
+from hitpro.prototyping import (
+    build_prototypes,
+    embed_tracklets,
+    partition_tracklet,
+    tracklet_embedding,
+)
 
 
 def make_tracklet(n_frames, tid="t0", d_in=4, modality=Modality.VIS, cam=0, seed=0):
@@ -132,3 +139,28 @@ def test_build_deterministic_and_thread_invariant():
         np.testing.assert_array_equal(
             a.get(t.tracklet_id).vector, b.get(t.tracklet_id).vector
         )
+
+
+def _looped_tracklet_embedding(params, t, cfg):
+    """One 2-D encoder call per sub-tracklet, summed in order."""
+    total = np.zeros(cfg.embed_dim)
+    subs = partition_tracklet(t, cfg.n_subtracklets)
+    for sub in subs:
+        total += encode(params, select_frames(sub.slice_frames(t), cfg.seq_len))[0]
+    return l2_normalize(total / len(subs))
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_embed_tracklets_across_chunks_matches_per_tracklet(monkeypatch, chunk):
+    if chunk is not None:  # chunk boundaries inside a tracklet's sub-tracklets
+        monkeypatch.setattr(prototyping, "ENCODE_CHUNK", chunk)
+    cfg = small_cfg(n_subtracklets=3, n_tte_layers=2)
+    ds = make_dataset(n_per_group=12)  # 48 tracklets, 144 sub-tracklets
+    params = params_for(cfg)
+    n_subs = sum(len(partition_tracklet(t, cfg.n_subtracklets)) for t in ds.tracklets)
+    assert n_subs > 2 * prototyping.ENCODE_CHUNK
+    vectors = embed_tracklets(params, ds.tracklets, cfg)
+    assert len(vectors) == len(ds.tracklets)
+    for t, vec in zip(ds.tracklets, vectors):
+        np.testing.assert_array_equal(vec, tracklet_embedding(params, t, cfg))
+        np.testing.assert_array_equal(vec, _looped_tracklet_embedding(params, t, cfg))
