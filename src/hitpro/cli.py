@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,6 +27,10 @@ from .trainer import train
 
 _GEN_FIELDS = {f.name for f in dataclasses.fields(GenConfig)}
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+# declared type name ("bool", "int" or "float") of every config key
+_FIELD_TYPES = {f.name: f.type for c in (GenConfig, TrainConfig) for f in dataclasses.fields(c)}
+# the JSON values each declared type accepts; booleans only where "bool"
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float)}
 
 
 class UsageError(Exception):
@@ -40,65 +43,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_file(path: str | None) -> dict:
+    """A config file's values, each checked against its field's declared type:
+    bool fields take JSON booleans, int fields JSON integers and float fields
+    JSON numbers."""
     if path is None:
         return {}
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    unknown = set(raw) - (_GEN_FIELDS | _TRAIN_FIELDS)
+    if not isinstance(raw, dict):
+        raise ValueError("a config file must hold one JSON object")
+    unknown = set(raw) - _FIELD_TYPES.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        kind = _FIELD_TYPES[key]
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+            raise ValueError(f"config key {key!r} must be a JSON {kind}, got {value!r}")
     return raw
 
 
-def _resolve_configs(args) -> tuple[GenConfig, TrainConfig, dict]:
-    """Merge config file values with CLI overrides into both config types."""
-    values = _load_config_file(getattr(args, "config", None))
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    for flag, key in (
-        ("no_dts", "use_dts"), ("no_swa", "use_swa"), ("no_hls", "use_hls"),
-        ("no_imcc", "use_imcc"), ("no_cm", "use_cm"),
-    ):
-        if getattr(args, flag, False):
-            overrides[key] = False
-    if getattr(args, "fixed_threshold", None) is not None:
-        overrides["fixed_threshold"] = args.fixed_threshold
-    if getattr(args, "tte_layers", None) is not None:
-        overrides["n_tte_layers"] = args.tte_layers
-    if getattr(args, "epochs", None) is not None:
-        overrides["total_epochs"] = args.epochs
-    if getattr(args, "iters", None) is not None:
-        overrides["iters_per_epoch"] = args.iters
-    values = {**values, **overrides}
+def _resolve_configs(args) -> tuple[GenConfig, TrainConfig]:
+    """Lay the CLI overrides (stored under their config keys) over the config file."""
+    values = {
+        **_load_config_file(getattr(args, "config", None)),
+        **{k: v for k, v in vars(args).items() if k in _FIELD_TYPES},
+    }
     gen_cfg = GenConfig(**{k: v for k, v in values.items() if k in _GEN_FIELDS})
     train_cfg = TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_FIELDS})
-    return gen_cfg, train_cfg, values
+    return gen_cfg, train_cfg
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HITPRO_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _numpy_to_list(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(
-        json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_list) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -107,7 +90,6 @@ def _write_effective_config(out_dir: Path, command: str, gen_cfg, train_cfg, arg
         "command": command,
         **dataclasses.asdict(gen_cfg),
         **dataclasses.asdict(train_cfg),
-        "threads": _threads(args),
     }
     for key in ("data", "checkpoint", "out", "max_rank", "n_pairs", "epoch"):
         if getattr(args, key, None) is not None:
@@ -116,7 +98,7 @@ def _write_effective_config(out_dir: Path, command: str, gen_cfg, train_cfg, arg
 
 
 def _cmd_gen(args) -> int:
-    gen_cfg, train_cfg, _ = _resolve_configs(args)
+    gen_cfg, train_cfg = _resolve_configs(args)
     out = Path(args.out)
     dataset = generate_dataset(gen_cfg)
     save_dataset(dataset, out)
@@ -126,7 +108,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    gen_cfg, cfg, _ = _resolve_configs(args)
+    gen_cfg, cfg = _resolve_configs(args)
     dataset = load_dataset(args.data)
     cfg = cfg.with_overrides(d_in=dataset.d_in)
     out = Path(args.out)
@@ -147,7 +129,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    gen_cfg, cfg, _ = _resolve_configs(args)
+    gen_cfg, cfg = _resolve_configs(args)
     params, store, saved_epoch = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     epoch = args.epoch if args.epoch is not None else min(saved_epoch, cfg.total_epochs)
@@ -171,7 +153,7 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    gen_cfg, cfg, _ = _resolve_configs(args)
+    gen_cfg, cfg = _resolve_configs(args)
     params, _store, _epoch = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     out = Path(args.out)
@@ -213,7 +195,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = run_gradcheck(seed=args.seed if args.seed is not None else 7)
+    report = run_gradcheck(seed=getattr(args, "seed", 7))
     for depth, err in sorted(report["per_depth"].items()):
         print(f"tte_layers={depth}: max rel error {err:.3e}")
     print(f"max relative error: {report['max_rel_error']:.3e} "
@@ -222,7 +204,7 @@ def _cmd_gradcheck(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "gradcheck_report.json", report)
-        gen_cfg, train_cfg, _ = _resolve_configs(args)
+        gen_cfg, train_cfg = _resolve_configs(args)
         _write_effective_config(out, "gradcheck", gen_cfg, train_cfg, args)
     if report["max_rel_error"] >= 1e-4:
         raise RuntimeError(
@@ -237,8 +219,8 @@ def build_parser() -> _Parser:
 
     def add_common(p, data=False, checkpoint=False, out_required=True):
         p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--threads", type=int, help="accepted, no effect (env HITPRO_THREADS)")
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override config seed")
+        p.add_argument("--threads", type=int, help="accepted and ignored")
         if data:
             p.add_argument("--data", required=True, help="dataset dir or manifest.json")
         if checkpoint:
@@ -249,17 +231,28 @@ def build_parser() -> _Parser:
     add_common(p_gen)
     p_gen.set_defaults(func=_cmd_gen)
 
+    # overrides store under their config key, and only when given
     p_train = sub.add_parser("train", help="run the training schedule")
     add_common(p_train, data=True)
-    p_train.add_argument("--epochs", type=int, help="override total epochs")
-    p_train.add_argument("--iters", type=int, help="override iterations per epoch")
-    p_train.add_argument("--no-dts", action="store_true", help="fixed threshold instead of dynamic")
-    p_train.add_argument("--no-swa", action="store_true", help="uniform positive weights")
-    p_train.add_argument("--no-hls", action="store_true", help="activate all losses from epoch 0")
-    p_train.add_argument("--no-imcc", action="store_true", help="disable cross-camera loss")
-    p_train.add_argument("--no-cm", action="store_true", help="disable cross-modality loss")
-    p_train.add_argument("--fixed-threshold", type=float, help="threshold used with --no-dts")
-    p_train.add_argument("--tte-layers", type=int, help="temporal transformer depth (0-2)")
+    unset = argparse.SUPPRESS
+    p_train.add_argument("--epochs", dest="total_epochs", type=int, default=unset,
+                         metavar="N", help="override total epochs")
+    p_train.add_argument("--iters", dest="iters_per_epoch", type=int, default=unset,
+                         metavar="N", help="override iterations per epoch")
+    p_train.add_argument("--no-dts", dest="use_dts", action="store_false", default=unset,
+                         help="fixed threshold instead of dynamic")
+    p_train.add_argument("--no-swa", dest="use_swa", action="store_false", default=unset,
+                         help="uniform positive weights")
+    p_train.add_argument("--no-hls", dest="use_hls", action="store_false", default=unset,
+                         help="activate all losses from epoch 0")
+    p_train.add_argument("--no-imcc", dest="use_imcc", action="store_false", default=unset,
+                         help="disable cross-camera loss")
+    p_train.add_argument("--no-cm", dest="use_cm", action="store_false", default=unset,
+                         help="disable cross-modality loss")
+    p_train.add_argument("--fixed-threshold", dest="fixed_threshold", type=float, default=unset,
+                         metavar="H", help="threshold used with --no-dts")
+    p_train.add_argument("--tte-layers", dest="n_tte_layers", type=int, default=unset,
+                         metavar="N", help="temporal transformer depth (0-2)")
     p_train.set_defaults(func=_cmd_train)
 
     p_mine = sub.add_parser("mine", help="dump a mining report for a checkpoint")

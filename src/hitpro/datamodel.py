@@ -372,9 +372,13 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"malformed manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"manifest {manifest_path} is not a JSON object")
     for key in ("d_in", "n_cameras_vis", "n_cameras_ir", "tracklets"):
         if key not in manifest:
             raise DatasetError(f"manifest missing required key {key!r}")
+    if not isinstance(manifest["tracklets"], list):
+        raise DatasetError("manifest 'tracklets' is not a list")
     d_in = _manifest_int(manifest["d_in"], "d_in")
     n_cameras_vis = _manifest_int(manifest["n_cameras_vis"], "n_cameras_vis")
     n_cameras_ir = _manifest_int(manifest["n_cameras_ir"], "n_cameras_ir")
@@ -383,6 +387,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     for i, entry in enumerate(manifest["tracklets"]):
         try:
             tid = entry["tracklet_id"]
+            if not isinstance(tid, str):
+                raise TypeError(f"tracklet_id must be a string, got {tid!r}")
             n_frames = _manifest_int(entry["n_frames"], f"entry {i} n_frames")
             modality = Modality(entry["modality"])
             camera_id = _manifest_int(entry["camera_id"], f"entry {i} camera_id")
@@ -482,7 +488,7 @@ def load_checkpoint(path: str | Path):
         )
     try:
         return _parse_checkpoint(header, raw[4 + header_len :])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise CheckpointError(f"corrupt checkpoint {path}: {exc!r}") from exc
 
 

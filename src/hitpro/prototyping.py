@@ -75,14 +75,8 @@ def embed_tracklets(params: EncoderParams, tracklets, cfg: TrainConfig) -> list[
     return vectors
 
 
-def build_prototypes(
-    params: EncoderParams, dataset: Dataset, cfg: TrainConfig, threads: int = 1
-) -> PrototypeStore:
-    """Encode every tracklet and group prototypes by (modality, camera).
-
-    ``threads`` is accepted and has no effect: the encoder runs batched on
-    the calling thread.
-    """
+def build_prototypes(params: EncoderParams, dataset: Dataset, cfg: TrainConfig) -> PrototypeStore:
+    """Encode every tracklet and group prototypes by (modality, camera)."""
     vectors = embed_tracklets(params, dataset.tracklets, cfg)
     return PrototypeStore([
         Prototype(t.tracklet_id, t.modality, t.camera_id, vec)

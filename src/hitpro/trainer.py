@@ -58,10 +58,9 @@ _FAMILY_KEYS = (
 )
 
 
-def train(dataset: Dataset, cfg: TrainConfig, threads: int = 1) -> TrainResult:
-    """Run the full schedule; deterministic given ``cfg.seed``. ``threads`` is
-    accepted and has no effect. Raises on non-finite losses, naming epoch and
-    iteration."""
+def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
+    """Run the full schedule; deterministic given ``cfg.seed``. Raises on
+    non-finite losses, naming epoch and iteration."""
     if not dataset.by_modality(Modality.VIS) or not dataset.by_modality(Modality.IR):
         raise ValueError("training requires tracklets in both modalities")
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hitpro.cli import main
 
 
@@ -116,15 +118,19 @@ def test_ablation_flags_recorded(tmp_path):
     out = tmp_path / "ablate"
     assert main([
         "train", "--config", cfg, "--data", str(data), "--out", str(out),
-        "--no-dts", "--no-swa", "--fixed-threshold", "0.5", "--tte-layers", "0",
-        "--epochs", "1", "--iters", "2",
+        "--no-dts", "--no-swa", "--no-hls", "--no-imcc", "--no-cm",
+        "--fixed-threshold", "0.5", "--tte-layers", "0", "--epochs", "1", "--iters", "2",
     ]) == 0
     effective = json.loads((out / "effective_config.json").read_text())
     assert effective["use_dts"] is False
     assert effective["use_swa"] is False
+    assert effective["use_hls"] is False
+    assert effective["use_imcc"] is False
+    assert effective["use_cm"] is False
     assert effective["fixed_threshold"] == 0.5
     assert effective["n_tte_layers"] == 0
     assert effective["total_epochs"] == 1
+    assert effective["iters_per_epoch"] == 2
 
 
 def test_gradcheck_exit_codes(tmp_path, capsys):
@@ -136,13 +142,42 @@ def test_gradcheck_exit_codes(tmp_path, capsys):
     assert (tmp_path / "g" / "effective_config.json").exists()
 
 
-def test_env_thread_fallback(tmp_path, monkeypatch):
+def test_thread_env_not_read(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.json", **ZERO_NOISE)
-    monkeypatch.setenv("HITPRO_THREADS", "3")
+    monkeypatch.setenv("HITPRO_THREADS", "abc")
     out = tmp_path / "envtest"
     assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
     effective = json.loads((out / "effective_config.json").read_text())
-    assert effective["threads"] == 3
+    assert "threads" not in effective
+
+
+@pytest.mark.parametrize(
+    "key, value", [("use_dts", "false"), ("use_swa", "no"), ("total_epochs", "2"),
+                   ("total_epochs", 2.0), ("n_tte_layers", True), ("lr", True),
+                   ("frame_noise", "0.1")],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, key: value})
+    data = tmp_path / "data"
+    assert main(["gen", "--config", cfg, "--out", str(data)]) == 2
+    assert key in capsys.readouterr().err
+    assert not data.exists()
+
+
+def test_config_number_types(tmp_path):
+    # float fields (frame_noise, lr) take JSON integers
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, "frame_noise": 0, "lr": 1})
+    out = tmp_path / "d"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+    effective = json.loads((out / "effective_config.json").read_text())
+    assert effective["frame_noise"] == 0 and effective["lr"] == 1
+
+
+def test_config_file_not_an_object_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_seed_override(tmp_path):

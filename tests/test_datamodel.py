@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hitpro.datamodel import (
     CheckpointError,
@@ -366,3 +368,70 @@ def test_manifest_non_integer_header_rejected(tmp_path, key, value):
     (data / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DatasetError, match=key):
         load_dataset(data)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda m: 5, lambda m: {**m, "tracklets": 5}, lambda m: {**m, "tracklets": [5]}],
+    ids=["top_level_int", "tracklets_int", "entry_int"],
+)
+def test_manifest_wrong_shape_rejected(tmp_path, mutate):
+    data = _manifest_with(tmp_path, lambda e: None)
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps(mutate(manifest)))
+    with pytest.raises(DatasetError):
+        load_dataset(data)
+
+
+@pytest.mark.parametrize("value", [["x"], 5, None])
+def test_manifest_non_string_tracklet_id_rejected(tmp_path, value):
+    data = _manifest_with(tmp_path, lambda e: e.update(tracklet_id=value))
+    with pytest.raises(DatasetError, match="tracklet_id"):
+        load_dataset(data)
+
+
+def _set_epoch(header, value):
+    header["epoch"] = value
+
+
+def _set_first_camera(header, value):
+    header["store_groups"][0]["camera_id"] = value
+
+
+@pytest.mark.parametrize("mutate", [_set_epoch, _set_first_camera])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_checkpoint_non_finite_header_number_rejected(tmp_path, mutate, value):
+    path = _saved_checkpoint(tmp_path)
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", lambda h: mutate(h, value))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint_bytes(tmp_path_factory):
+    return _saved_checkpoint(tmp_path_factory.mktemp("fuzz")).read_bytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    damage=st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 10**9), st.just(0)),
+        st.tuples(st.just("xor"), st.integers(0, 10**9), st.integers(1, 255)),
+    )
+)
+def test_damaged_checkpoint_loads_or_raises_checkpoint_error(
+    saved_checkpoint_bytes, tmp_path_factory, damage
+):
+    # any shorter prefix, or any one byte XORed with a nonzero mask
+    raw = bytearray(saved_checkpoint_bytes)
+    how, position, mask = damage
+    if how == "truncate":
+        raw = raw[: position % len(raw)]
+    else:
+        raw[position % len(raw)] ^= mask
+    path = tmp_path_factory.getbasetemp() / "damaged.hpt"
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

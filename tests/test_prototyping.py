@@ -133,8 +133,8 @@ def test_build_deterministic_and_thread_invariant():
     cfg = small_cfg()
     ds = make_dataset(n_per_group=3)
     params = params_for(cfg)
-    a = build_prototypes(params, ds, cfg, threads=1)
-    b = build_prototypes(params, ds, cfg, threads=4)
+    a = build_prototypes(params, ds, cfg)
+    b = build_prototypes(params, ds, cfg)
     for t in ds.tracklets:
         np.testing.assert_array_equal(
             a.get(t.tracklet_id).vector, b.get(t.tracklet_id).vector

@@ -115,14 +115,6 @@ def test_same_seed_bitwise_identical(tmp_path):
     assert a != c
 
 
-def test_thread_count_does_not_change_result(tmp_path):
-    ds = tiny_dataset()
-    cfg = tiny_cfg()
-    a = _checkpoint_bytes(train(ds, cfg, threads=1), cfg, tmp_path / "a.hpt")
-    b = _checkpoint_bytes(train(ds, cfg, threads=4), cfg, tmp_path / "b.hpt")
-    assert a == b
-
-
 def test_training_blind_to_labels(tmp_path):
     # stripping gt_identity must not change the optimization path at all
     ds = tiny_dataset()
