@@ -123,9 +123,10 @@ class PrototypeStore:
 
     Each camera keeps its tracklet ids in dataset order, stable for the
     epoch; row ``i`` of the camera's matrix is the prototype of id ``i``.
-    Losses, mining and the checkpoint read the matrices directly. The store
-    is the one mutable training structure: EMA updates rewrite matrix rows
-    in place.
+    The camera matrices are blocks of rows of one ``(N, d)`` matrix,
+    ``stacked``. Losses, mining and the checkpoint read the matrices
+    directly. The store is the one mutable training structure: EMA updates
+    rewrite matrix rows in place.
     """
 
     def __init__(self, prototypes: list[Prototype]):
@@ -135,20 +136,36 @@ class PrototypeStore:
         self._ids = {key: [p.tracklet_id for p in ps] for key, ps in members.items()}
         self._matrices: dict[tuple[Modality, int], np.ndarray] = {}
         self._index: dict[str, tuple[Modality, int, int]] = {}
+        self._position: dict[str, int] = {}
+        if len({p.vector.shape for p in prototypes}) > 1:
+            raise ValueError("prototypes have mixed dimensions")
+        ordered = [p for protos in members.values() for p in protos]
+        self._stacked = np.stack([p.vector for p in ordered]) if ordered else np.empty((0, 0))
+        start = 0
         for (modality, cam), protos in members.items():
-            if len({p.vector.shape for p in protos}) != 1:
-                raise ValueError(
-                    f"prototypes of {modality.value} camera {cam} have mixed dimensions"
-                )
-            self._matrices[(modality, cam)] = np.stack([p.vector for p in protos])
+            self._matrices[(modality, cam)] = self._stacked[start : start + len(protos)]
             for row, p in enumerate(protos):
                 if p.tracklet_id in self._index:
                     raise ValueError(f"duplicate prototype for tracklet {p.tracklet_id}")
                 self._index[p.tracklet_id] = (modality, cam, row)
+                self._position[p.tracklet_id] = start + row
+            start += len(protos)
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """Every prototype as one live ``(N, d)`` matrix, camera blocks in order."""
+        return self._stacked
 
     def matrix(self, modality: Modality, camera_id: int) -> np.ndarray:
-        """The camera's live ``(n_cam, d)`` prototype matrix."""
+        """The camera's live ``(n_cam, d)`` prototype matrix, a view of ``stacked``."""
         return self._matrices[(modality, camera_id)]
+
+    def position(self, tracklet_id: str) -> int:
+        """Row of a tracklet's prototype in ``stacked``."""
+        try:
+            return self._position[tracklet_id]
+        except KeyError:
+            raise KeyError(f"no prototype for tracklet {tracklet_id!r}") from None
 
     def ids(self, modality: Modality, camera_id: int) -> list[str]:
         """Tracklet ids of the camera's matrix rows, in row order."""
@@ -293,6 +310,7 @@ class Dataset:
 
     def __post_init__(self):
         by_id: dict[str, Tracklet] = {}
+        groups: dict[tuple[Modality, int], list[Tracklet]] = {}
         for t in self.tracklets:
             if t.tracklet_id in by_id:
                 raise DatasetError(f"duplicate tracklet_id {t.tracklet_id!r}")
@@ -307,7 +325,9 @@ class Dataset:
                     f"tracklet {t.tracklet_id}: camera_id {t.camera_id} out of range "
                     f"for {t.modality.value} ({n_cams} cameras)"
                 )
+            groups.setdefault((t.modality, t.camera_id), []).append(t)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_groups", groups)
 
     def n_cameras(self, modality: Modality) -> int:
         return self.n_cameras_vis if modality is Modality.VIS else self.n_cameras_ir
@@ -316,7 +336,8 @@ class Dataset:
         return [t for t in self.tracklets if t.modality is modality]
 
     def group(self, modality: Modality, camera_id: int) -> list[Tracklet]:
-        return [t for t in self.tracklets if t.modality is modality and t.camera_id == camera_id]
+        """The camera's tracklets in dataset order."""
+        return list(self._groups.get((modality, camera_id), ()))
 
     def get(self, tracklet_id: str) -> Tracklet:
         return self._by_id[tracklet_id]
@@ -356,10 +377,13 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     return manifest_path
 
 
-def _manifest_int(value, what: str) -> int:
-    """A JSON integer from a manifest; floats, strings and booleans are rejected."""
+def _json_int(value, what: str, error: type[Exception], minimum: Optional[int] = None) -> int:
+    """A JSON integer read from a file; floats, strings, booleans and values
+    below ``minimum`` raise ``error``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DatasetError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{what} must be at least {minimum}, got {value}")
     return value
 
 
@@ -379,9 +403,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             raise DatasetError(f"manifest missing required key {key!r}")
     if not isinstance(manifest["tracklets"], list):
         raise DatasetError("manifest 'tracklets' is not a list")
-    d_in = _manifest_int(manifest["d_in"], "d_in")
-    n_cameras_vis = _manifest_int(manifest["n_cameras_vis"], "n_cameras_vis")
-    n_cameras_ir = _manifest_int(manifest["n_cameras_ir"], "n_cameras_ir")
+    d_in = _json_int(manifest["d_in"], "d_in", DatasetError)
+    n_cameras_vis = _json_int(manifest["n_cameras_vis"], "n_cameras_vis", DatasetError)
+    n_cameras_ir = _json_int(manifest["n_cameras_ir"], "n_cameras_ir", DatasetError)
     base = manifest_path.parent
     tracklets = []
     for i, entry in enumerate(manifest["tracklets"]):
@@ -389,13 +413,13 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             tid = entry["tracklet_id"]
             if not isinstance(tid, str):
                 raise TypeError(f"tracklet_id must be a string, got {tid!r}")
-            n_frames = _manifest_int(entry["n_frames"], f"entry {i} n_frames")
+            n_frames = _json_int(entry["n_frames"], f"entry {i} n_frames", DatasetError)
             modality = Modality(entry["modality"])
-            camera_id = _manifest_int(entry["camera_id"], f"entry {i} camera_id")
+            camera_id = _json_int(entry["camera_id"], f"entry {i} camera_id", DatasetError)
             feature_file = Path(entry["feature_file"])
             gt_identity = entry.get("gt_identity")
             if gt_identity is not None:
-                gt_identity = _manifest_int(gt_identity, f"entry {i} gt_identity")
+                gt_identity = _json_int(gt_identity, f"entry {i} gt_identity", DatasetError)
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"manifest entry {i} is malformed: {exc!r}") from exc
         if feature_file.is_absolute() or ".." in feature_file.parts:
@@ -488,7 +512,7 @@ def load_checkpoint(path: str | Path):
         )
     try:
         return _parse_checkpoint(header, raw[4 + header_len :])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc!r}") from exc
 
 
@@ -497,14 +521,19 @@ def _parse_checkpoint(header: dict, blob: bytes):
 
     arrays: dict[str, np.ndarray] = {}
     for sec in header["sections"]:
-        shape = tuple(sec["shape"])
+        name = sec["name"]
+        shape = tuple(
+            _json_int(n, f"section {name!r} shape entry", ValueError, 0) for n in sec["shape"]
+        )
         count = int(np.prod(shape)) if shape else 1
-        start = sec["offset"]
+        start = _json_int(sec["offset"], f"section {name!r} offset", ValueError, 0)
         end = start + 4 * count
         if end > len(blob):
-            raise ValueError(f"truncated section {sec['name']}")
-        arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape).astype(np.float64)
-        arrays[sec["name"]] = arr
+            raise ValueError(f"truncated section {name}")
+        arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"section {name!r} holds non-finite values")
+        arrays[name] = arr.astype(np.float64)
 
     encoder_arrays = {
         name[len("encoder.") :]: arr for name, arr in arrays.items() if name.startswith("encoder.")
@@ -514,7 +543,7 @@ def _parse_checkpoint(header: dict, blob: bytes):
     prototypes: list[Prototype] = []
     for group in header["store_groups"]:
         modality = Modality(group["modality"])
-        cam = int(group["camera_id"])
+        cam = _json_int(group["camera_id"], "store group camera_id", ValueError)
         ids = group["tracklet_ids"]
         name = f"store.{modality.value}.{cam}"
         if name not in arrays:
@@ -523,4 +552,4 @@ def _parse_checkpoint(header: dict, blob: bytes):
         if mat.ndim != 2 or mat.shape[0] != len(ids):
             raise ValueError(f"{len(ids)} tracklet ids for section {name!r} of shape {mat.shape}")
         prototypes.extend(Prototype(tid, modality, cam, vec) for tid, vec in zip(ids, mat))
-    return params, PrototypeStore(prototypes), int(header["epoch"])
+    return params, PrototypeStore(prototypes), _json_int(header["epoch"], "epoch", ValueError)

@@ -178,20 +178,12 @@ def mining_quality(
     """Precision of accepted pairs and recall against the true per-camera-best
     candidates. Precision is None when nothing was accepted; recall is 0 when
     no true candidate exists."""
-    n_accepted = 0
-    n_accepted_correct = 0
-    n_true_accepted = 0
-    n_true_candidates = 0
-    for row in report.rows:
-        src_id = gt[row.source]
-        accepted_targets = {tid for tid, _, _ in row.accepted}
-        n_accepted += len(row.accepted)
-        n_accepted_correct += sum(1 for tid in accepted_targets if gt[tid] == src_id)
-        for _, target, _ in row.candidates:
-            if gt[target] == src_id:
-                n_true_candidates += 1
-                if target in accepted_targets:
-                    n_true_accepted += 1
-    precision = n_accepted_correct / n_accepted if n_accepted else None
+    src = np.array([gt[s] for s in report.sources])
+    true = np.array([gt[t] for t in report.targets.ravel()]).reshape(report.targets.shape)
+    true = true == src[:, None]  # accepted targets are distinct candidates
+    n_accepted = int(report.accepted.sum())
+    n_true_accepted = int((true & report.accepted).sum())
+    n_true_candidates = int(true.sum())
+    precision = n_true_accepted / n_accepted if n_accepted else None
     recall = n_true_accepted / n_true_candidates if n_true_candidates else 0.0
     return precision, recall

@@ -9,7 +9,7 @@ weights. Exact search everywhere; store sizes are small by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,25 +63,66 @@ class MiningRow:
 
 @dataclass
 class MiningReport:
+    """One mining pass over a (source modality, direction) family, as arrays.
+
+    Row ``i`` is source ``sources[i]``; column ``j`` is its best match in
+    candidate camera ``cameras[i, j]``: tracklet ``targets[i, j]`` at
+    cosine ``sims[i, j]``, accepted where ``accepted[i, j]`` with weight
+    ``weights[i, j]`` (0 elsewhere). ``thresholds[i]`` is the source's
+    threshold, None when there is no candidate camera. Every source has
+    the same number of candidate cameras.
+    """
+
     source_modality: Modality
     kind: PositiveKind
     epoch: int
-    rows: list[MiningRow] = field(default_factory=list)
+    sources: list[str]
+    cameras: np.ndarray  # (n, c) int
+    targets: np.ndarray  # (n, c) object: target tracklet ids
+    sims: np.ndarray  # (n, c) float64
+    thresholds: list[Optional[float]]
+    accepted: np.ndarray  # (n, c) bool
+    weights: np.ndarray  # (n, c) float64
 
     @property
     def mean_positive_set_size(self) -> float:
-        if not self.rows:
+        if not self.sources:
             return 0.0
-        return sum(len(r.accepted) for r in self.rows) / len(self.rows)
+        return int(self.accepted.sum()) / len(self.sources)
+
+    def _accepted_lists(self) -> list[list[tuple[str, float, float]]]:
+        """Per source, the accepted ``(target id, sim, weight)`` in camera order."""
+        return [
+            [(t, s, w) for t, s, w, a in zip(*row) if a]
+            for row in zip(self.targets.tolist(), self.sims.tolist(),
+                           self.weights.tolist(), self.accepted.tolist())
+        ]
 
     def positive_sets(self) -> list[WeightedPositiveSet]:
         return [
             WeightedPositiveSet(
-                source=r.source,
+                source=source,
                 kind=self.kind,
-                entries=tuple((tid, w) for tid, _, w in r.accepted),
+                entries=tuple((tid, w) for tid, _, w in accepted),
             )
-            for r in self.rows
+            for source, accepted in zip(self.sources, self._accepted_lists())
+        ]
+
+    @property
+    def rows(self) -> list[MiningRow]:
+        """Per-source diagnostics, built on each access."""
+        return [
+            MiningRow(
+                source=source,
+                s_max=max(sims) if sims else None,
+                threshold=threshold,
+                candidates=list(zip(cams, targets, sims)),
+                accepted=accepted,
+            )
+            for source, cams, targets, sims, threshold, accepted in zip(
+                self.sources, self.cameras.tolist(), self.targets.tolist(),
+                self.sims.tolist(), self.thresholds, self._accepted_lists(),
+            )
         ]
 
     def to_json(self) -> dict:
@@ -114,63 +155,85 @@ def build_mining_report(
     epoch: int,
     cfg: TrainConfig,
 ) -> MiningReport:
-    """Mine one (source modality, direction) family with full diagnostics.
+    """Mine one (source modality, direction) family.
 
-    Each source row meets each target camera's prototype matrix in one
-    matrix-vector product; row norms are taken once per camera.
+    Exact flat inner-product search: each candidate camera's prototype
+    matrix meets all rows of a source camera in one stacked matrix-vector
+    product (per row the same BLAS call as ``mat @ src``), and a row-wise
+    argmax keeps each row's best match, the first maximum winning ties.
+    Thresholds and weights are then set for all sources at once.
     """
-    report = MiningReport(source_modality=source_modality, kind=kind, epoch=epoch)
     rho = rho_schedule(epoch, cfg)
     target_modality = (
         source_modality if kind is PositiveKind.INTRA_MODAL else source_modality.other
     )
-    targets = []
+    targets = {}
     for cam in store.cameras(target_modality):
         mat = store.matrix(target_modality, cam)
-        targets.append((cam, store.ids(target_modality, cam), mat, np.linalg.norm(mat, axis=1)))
-    for source_camera in store.cameras(source_modality):
-        source_ids = store.ids(source_modality, source_camera)
-        for source_id, src in zip(source_ids, store.matrix(source_modality, source_camera)):
-            src_norm = float(np.linalg.norm(src))
-            candidates: list[tuple[int, str, float]] = []
-            for cam, ids, mat, norms in targets:
-                if kind is PositiveKind.INTRA_MODAL and cam == source_camera:
-                    continue
-                sims = (mat @ src) / (norms * src_norm)
-                best = int(np.argmax(sims))  # first max wins: lowest index tie-break
-                candidates.append((cam, ids[best], float(sims[best])))
-            report.rows.append(_mining_row(source_id, candidates, rho, cfg))
-    return report
+        ids = np.array(store.ids(target_modality, cam), dtype=object)
+        targets[cam] = (ids, mat, np.linalg.norm(mat, axis=1))
+
+    intra = kind is PositiveKind.INTRA_MODAL
+    source_cams = store.cameras(source_modality)
+    sources = [tid for cam in source_cams for tid in store.ids(source_modality, cam)]
+    n_candidates = max(len(targets) - 1, 0) if intra else len(targets)
+    shape = (len(sources), n_candidates)
+    cameras = np.empty(shape, dtype=np.int64)
+    best_ids = np.empty(shape, dtype=object)
+    sims = np.empty(shape)
+    start = 0
+    for source_camera in source_cams:
+        src = store.matrix(source_modality, source_camera)
+        stop = start + len(src)
+        # the dot np.linalg.norm takes, one row at a time
+        src_norms = np.sqrt(src[:, None, :] @ src[:, :, None])[:, :, 0]
+        cams = [c for c in targets if not (intra and c == source_camera)]
+        for j, cam in enumerate(cams):
+            ids, mat, norms = targets[cam]
+            cam_sims = (mat @ src[:, :, None])[:, :, 0] / (norms * src_norms)
+            best = np.argmax(cam_sims, axis=1)  # first max wins: lowest index tie-break
+            cameras[start:stop, j] = cam
+            best_ids[start:stop, j] = ids[best]
+            sims[start:stop, j] = cam_sims[np.arange(len(best)), best]
+        start = stop
+
+    accepted, thresholds, weights = _accept(sims, rho, cfg)
+    return MiningReport(
+        source_modality=source_modality, kind=kind, epoch=epoch, sources=sources,
+        cameras=cameras, targets=best_ids, sims=sims,
+        thresholds=thresholds, accepted=accepted, weights=weights,
+    )
 
 
-def _mining_row(source_id: str, candidates: list[tuple[int, str, float]],
-                rho: float, cfg: TrainConfig) -> MiningRow:
-    """Threshold one source's per-camera candidates and weight the survivors."""
-    if not candidates:
-        return MiningRow(source=source_id, s_max=None, threshold=None,
-                         candidates=[], accepted=[])
-
-    s_max = max(sim for _, _, sim in candidates)
+def _accept(sims: np.ndarray, rho: float, cfg: TrainConfig):
+    """Threshold every source's candidates and weight the survivors:
+    ``(accepted, thresholds, weights)``."""
+    n, n_cand = sims.shape
+    if n_cand == 0:
+        return np.zeros((n, 0), dtype=bool), [None] * n, np.zeros((n, 0))
     if cfg.use_dts:
-        # a non-positive best would invert the meaning of rho * s_max
+        s_max = sims.max(axis=1)
         threshold = rho * s_max
-        if s_max > 0.0:
-            survivors = [(tid, sim) for _, tid, sim in candidates if sim >= threshold]
-        else:
-            survivors = []
+        # a non-positive best would invert the meaning of rho * s_max
+        accepted = (sims >= threshold[:, None]) & (s_max > 0.0)[:, None]
+        thresholds = threshold.tolist()
     else:
-        threshold = cfg.fixed_threshold
-        survivors = [(tid, sim) for _, tid, sim in candidates if sim >= threshold]
+        accepted = sims >= cfg.fixed_threshold
+        thresholds = [cfg.fixed_threshold] * n
 
-    accepted = []
-    if survivors:
+    # sources with k survivors share one (n_k, k) softmax
+    weights = np.zeros_like(sims)
+    counts = accepted.sum(axis=1)
+    for k in sorted(set(counts.tolist()) - {0}):
+        rows = np.flatnonzero(counts == k)
+        mask = accepted[rows]
+        block = weights[rows]
         if cfg.use_swa:
-            weights = soft_weights([sim for _, sim in survivors], cfg.weight_temp)
+            block[mask] = soft_weights(sims[rows][mask].reshape(-1, k), cfg.weight_temp).ravel()
         else:
-            weights = np.full(len(survivors), 1.0 / len(survivors))
-        accepted = [(tid, sim, float(w)) for (tid, sim), w in zip(survivors, weights)]
-    return MiningRow(source=source_id, s_max=s_max, threshold=threshold,
-                     candidates=candidates, accepted=accepted)
+            block[mask] = 1.0 / k
+        weights[rows] = block
+    return accepted, thresholds, weights
 
 
 def mine_positive_sets(

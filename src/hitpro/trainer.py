@@ -60,7 +60,7 @@ _FAMILY_KEYS = (
 
 def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Run the full schedule; deterministic given ``cfg.seed``. Raises on
-    non-finite losses, naming epoch and iteration."""
+    non-finite losses or gradients, naming epoch and iteration."""
     if not dataset.by_modality(Modality.VIS) or not dataset.by_modality(Modality.IR):
         raise ValueError("training requires tracklets in both modalities")
 
@@ -116,7 +116,9 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     f"non-finite loss {breakdown.l_total} at epoch {epoch} iteration {it}"
                 )
 
-            grads = encode_backward(params, cache, np.stack(breakdown.grads))
+            grads = encode_backward(params, cache, breakdown.grads)
+            if not np.isfinite(grads.flat).all():
+                raise RuntimeError(f"non-finite gradient at epoch {epoch} iteration {it}")
             sgd_step(params, grads, opt)
             ema_update(store, items, intra_sets, cross_sets, cfg.ema_momentum)
             for key in ("l_ic", "l_imcc", "l_cm", "l_total"):

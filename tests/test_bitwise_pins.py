@@ -1,0 +1,207 @@
+"""The stacked loss, EMA update and mining against the per-row loops they
+replaced (``reference_loops``): equal to the last bit, not within a
+tolerance."""
+
+import numpy as np
+import pytest
+
+from hitpro.datamodel import (
+    Modality,
+    PositiveKind,
+    Prototype,
+    PrototypeStore,
+    TrainConfig,
+    WeightedPositiveSet,
+)
+from hitpro.evaluator import mining_quality
+from hitpro.mining import build_mining_report
+from hitpro.objective import ema_update, loss_cross_modal, loss_imcc, loss_intra_camera, total_loss
+
+from conftest import random_store
+from reference_loops import (
+    loop_alignment_loss,
+    loop_ema_update,
+    loop_mining_quality,
+    loop_mining_rows,
+    loop_total_loss,
+)
+
+FAMILIES = [(m, k) for m in (Modality.VIS, Modality.IR) for k in PositiveKind]
+
+
+def cfg_with(**kw):
+    base = dict(total_epochs=4, intra_start_epoch=1, cross_start_epoch=2,
+                thresh_init=0.9, thresh_final=0.5)
+    base.update(kw)
+    return TrainConfig(**base)
+
+
+def mined_sets(store, cfg, epoch):
+    intra, cross = {}, {}
+    for modality, kind in FAMILIES:
+        dest = intra if kind is PositiveKind.INTRA_MODAL else cross
+        for wps in build_mining_report(store, modality, kind, epoch, cfg).positive_sets():
+            dest[wps.source] = wps
+    return intra, cross
+
+
+def sampled_batch(rng, store, modality, n_sources, repeats, d):
+    """``repeats`` embeddings per sampled source, like S sub-tracklets."""
+    ids = [p.tracklet_id for p in store.modality_prototypes(modality)]
+    picked = rng.choice(len(ids), size=n_sources, replace=len(ids) < n_sources)
+    return [(rng.normal(size=d), ids[int(i)]) for i in picked for _ in range(repeats)]
+
+
+STORE_SHAPES = [
+    # (cams_vis, cams_ir, max_per_cam): several entries per item
+    (3, 3, 5),
+    # singleton cameras
+    (2, 3, 1),
+    # one camera per modality: every intra-modal positive set is empty
+    (1, 1, 4),
+    # many cross-modal cameras: positive sets of up to 9 entries
+    (2, 9, 3),
+]
+
+
+@pytest.mark.parametrize("shape", STORE_SHAPES)
+@pytest.mark.parametrize("seed", range(3))
+def test_total_loss_matches_entry_loop(shape, seed):
+    cams_vis, cams_ir, max_per_cam = shape
+    rng = np.random.default_rng(seed)
+    store, _ = random_store(rng, cams_vis=cams_vis, cams_ir=cams_ir,
+                            max_per_cam=max_per_cam, d=6)
+    for cfg in (cfg_with(), cfg_with(use_hls=False, use_dts=False, fixed_threshold=-1.0),
+                cfg_with(use_swa=False, use_imcc=False)):
+        for epoch in range(cfg.total_epochs):
+            intra, cross = mined_sets(store, cfg, epoch)
+            vis = sampled_batch(rng, store, Modality.VIS, 4, 2, 6)
+            ir = sampled_batch(rng, store, Modality.IR, 3, 2, 6)  # another inv_b
+            got = total_loss(epoch, vis, ir, store, intra, cross, cfg)
+            l_ic, l_imcc, l_cm, l_total, grads = loop_total_loss(
+                epoch, vis, ir, store, intra, cross, cfg
+            )
+            assert (got.l_ic, got.l_imcc, got.l_cm, got.l_total) == (l_ic, l_imcc, l_cm, l_total)
+            assert np.array_equal(got.grads, np.stack(grads))
+
+
+def test_loss_wrappers_match_entry_loop_with_empty_and_missing_sets():
+    rng = np.random.default_rng(11)
+    store, _ = random_store(rng, cams_vis=3, cams_ir=2, max_per_cam=4, d=6)
+    cfg = cfg_with(thresh_init=0.5, thresh_final=0.5)
+    intra, cross = mined_sets(store, cfg, 0)
+    batch = sampled_batch(rng, store, Modality.VIS, 5, 2, 6)
+    # one source with an explicitly empty set, one absent from the sets
+    intra[batch[0][1]] = WeightedPositiveSet(batch[0][1], PositiveKind.INTRA_MODAL, ())
+    cross.pop(batch[-1][1], None)
+    for fn, sets in ((loss_imcc, intra), (loss_cross_modal, cross)):
+        value, grads = fn(batch, store, sets, cfg.loss_temp)
+        ref_value, ref_grads = loop_alignment_loss(batch, store, sets, cfg.loss_temp)
+        assert value == ref_value
+        assert np.array_equal(grads, np.stack(ref_grads))
+    value, grads = loss_intra_camera(batch, store, cfg.loss_temp)
+    ref_value, ref_grads = loop_alignment_loss(batch, store, None, cfg.loss_temp)
+    assert value == ref_value
+    assert np.array_equal(grads, np.stack(ref_grads))
+
+
+@pytest.mark.parametrize("shape", STORE_SHAPES)
+@pytest.mark.parametrize("seed", range(3))
+def test_ema_update_matches_sequential_loop(shape, seed):
+    cams_vis, cams_ir, max_per_cam = shape
+    store, _ = random_store(np.random.default_rng(seed), cams_vis=cams_vis,
+                            cams_ir=cams_ir, max_per_cam=max_per_cam, d=6)
+    reference, _ = random_store(np.random.default_rng(seed), cams_vis=cams_vis,
+                                cams_ir=cams_ir, max_per_cam=max_per_cam, d=6)
+    rng = np.random.default_rng(100 + seed)
+    cfg = cfg_with(thresh_init=0.3, thresh_final=0.3)
+    max_hits = 0
+    for _ in range(3):
+        intra, cross = mined_sets(store, cfg, 0)
+        # S=2 sub-tracklets per source, and low thresholds: sources share targets
+        batch = (sampled_batch(rng, store, Modality.VIS, 4, 2, 6)
+                 + sampled_batch(rng, store, Modality.IR, 4, 2, 6))
+        hits = {}
+        for _, source_id in batch:
+            for tid in (source_id, *[t for sets in (intra, cross) if source_id in sets
+                                     for t in sets[source_id].target_ids]):
+                hits[tid] = hits.get(tid, 0) + 1
+        max_hits = max(max_hits, *hits.values())
+        ema_update(store, batch, intra, cross, momentum=0.3)
+        loop_ema_update(reference, batch, intra, cross, momentum=0.3)
+        for modality in Modality:
+            for cam in store.cameras(modality):
+                assert np.array_equal(store.matrix(modality, cam),
+                                      reference.matrix(modality, cam))
+    assert max_hits >= 3  # a prototype blended several times in one batch
+
+
+def _tied_store():
+    """Duplicate rows and equal cosines across cameras: argmax ties."""
+    u = np.array([0.6, 0.8, 0.0])
+    w = np.array([0.0, 0.6, 0.8])
+    protos = [
+        Prototype("v0", Modality.VIS, 0, u),
+        Prototype("v1", Modality.VIS, 0, -u),  # every cosine <= 0
+        Prototype("a0", Modality.VIS, 1, w),
+        Prototype("a1", Modality.VIS, 1, u),
+        Prototype("a2", Modality.VIS, 1, u),
+        Prototype("b0", Modality.VIS, 2, u * 3.0),
+        Prototype("b1", Modality.VIS, 2, w),
+        Prototype("i0", Modality.IR, 0, w),
+        Prototype("i1", Modality.IR, 0, w),
+        Prototype("j0", Modality.IR, 1, u),
+        Prototype("j1", Modality.IR, 1, -w),
+    ]
+    return PrototypeStore(protos)
+
+
+MINING_CFGS = [
+    cfg_with(),
+    cfg_with(thresh_init=1.0, thresh_final=1.0),
+    cfg_with(use_dts=False, fixed_threshold=0.6),
+    cfg_with(use_dts=False, fixed_threshold=-1.0),
+    cfg_with(use_swa=False),
+    cfg_with(use_swa=False, use_dts=False, fixed_threshold=0.0),
+]
+
+
+def _check_report(store, modality, kind, epoch, cfg, gt):
+    report = build_mining_report(store, modality, kind, epoch, cfg)
+    rows = loop_mining_rows(store, modality, kind, epoch, cfg)
+    assert report.rows == rows
+    assert [(s.source, s.entries) for s in report.positive_sets()] == [
+        (r.source, tuple((t, w) for t, _, w in r.accepted)) for r in rows
+    ]
+    expected_size = sum(len(r.accepted) for r in rows) / len(rows) if rows else 0.0
+    assert report.mean_positive_set_size == expected_size
+    assert mining_quality(report, gt) == loop_mining_quality(rows, gt)
+
+
+@pytest.mark.parametrize("cfg", MINING_CFGS)
+@pytest.mark.parametrize("shape", STORE_SHAPES)
+def test_mining_matches_row_loop_on_random_stores(cfg, shape):
+    cams_vis, cams_ir, max_per_cam = shape
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        store, _ = random_store(rng, cams_vis=cams_vis, cams_ir=cams_ir,
+                                max_per_cam=max_per_cam, d=4)
+        gt = {p.tracklet_id: int(rng.integers(0, 3))
+              for m in Modality for p in store.modality_prototypes(m)}
+        for epoch in (0, 2, cfg.total_epochs):
+            for modality, kind in FAMILIES:
+                _check_report(store, modality, kind, epoch, cfg, gt)
+
+
+@pytest.mark.parametrize("cfg", MINING_CFGS)
+def test_mining_matches_row_loop_on_ties_and_non_positive_best(cfg):
+    store = _tied_store()
+    gt = {tid: i % 2 for i, tid in enumerate(
+        p.tracklet_id for m in Modality for p in store.modality_prototypes(m))}
+    for modality, kind in FAMILIES:
+        _check_report(store, modality, kind, 0, cfg, gt)
+    rows = {r.source: r for r in
+            build_mining_report(store, Modality.VIS, PositiveKind.INTRA_MODAL, 0, cfg).rows}
+    assert [t for _, t, _ in rows["v0"].candidates] == ["a1", "b0"]  # first max wins
+    if cfg.use_dts:
+        assert rows["v1"].s_max <= 0 and rows["v1"].accepted == []

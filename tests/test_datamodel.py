@@ -110,6 +110,17 @@ def test_modality_keys_partition_dataset():
     assert sorted(groups) == sorted(t.tracklet_id for t in ds.tracklets)
 
 
+def test_group_index_matches_tracklet_scan():
+    ds = make_dataset(n=9)
+    for m in (Modality.VIS, Modality.IR):
+        for c in range(ds.n_cameras(m) + 1):  # one past the last camera: empty
+            scan = [t for t in ds.tracklets if t.modality is m and t.camera_id == c]
+            group = ds.group(m, c)
+            assert [t.tracklet_id for t in group] == [t.tracklet_id for t in scan]
+            group.append(None)  # a caller's list: the index is not touched
+            assert len(ds.group(m, c)) == len(scan)
+
+
 def test_subtracklet_validation():
     with pytest.raises(ValueError):
         SubTracklet(parent="t0", k=0, start=3, end=3)
@@ -306,6 +317,30 @@ def test_store_rejects_mixed_dimensions_in_a_camera():
         ])
 
 
+def test_store_rejects_mixed_dimensions_across_cameras():
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        PrototypeStore([
+            Prototype("a", Modality.VIS, 0, np.ones(4)),
+            Prototype("b", Modality.IR, 0, np.ones(5)),
+        ])
+
+
+def test_camera_matrices_are_blocks_of_stacked():
+    store = make_store()
+    store.stacked[store.position("IR_1_2")] = 7.0
+    _, cam, row = store.locate("IR_1_2")
+    assert (store.matrix(Modality.IR, cam)[row] == 7.0).all()
+    assert store.stacked.shape == (len(store), 4)
+    for modality in (Modality.VIS, Modality.IR):
+        for cam in store.cameras(modality):
+            for row, tid in enumerate(store.ids(modality, cam)):
+                np.testing.assert_array_equal(
+                    store.stacked[store.position(tid)], store.matrix(modality, cam)[row]
+                )
+    with pytest.raises(KeyError, match="nope"):
+        store.position("nope")
+
+
 def test_prototype_vector_writes_through_to_camera_matrix():
     store = make_store()
     modality, cam, row = store.locate("IR_1_2")
@@ -404,6 +439,75 @@ def test_checkpoint_non_finite_header_number_rejected(tmp_path, mutate, value):
     path = _saved_checkpoint(tmp_path)
     bad = _rewrite_header(path, tmp_path / "bad.hpt", lambda h: mutate(h, value))
     with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+
+
+def _set_first_shape_entry(header, value):
+    header["sections"][0]["shape"][0] = value
+
+
+def _set_first_offset(header, value):
+    header["sections"][0]["offset"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, value",
+    [
+        (_set_epoch, 2.9),
+        (_set_epoch, "3"),
+        (_set_epoch, True),
+        (_set_first_camera, True),
+        (_set_first_camera, "0"),
+        (_set_first_camera, 0.0),
+        (_set_first_shape_entry, True),
+        (_set_first_offset, 0.0),
+        (_set_first_offset, False),
+    ],
+    ids=["epoch_float", "epoch_str", "epoch_bool", "camera_bool", "camera_str",
+         "camera_float", "shape_bool", "offset_float", "offset_bool"],
+)
+def test_checkpoint_non_integer_header_number_rejected(tmp_path, mutate, value):
+    path = _saved_checkpoint(tmp_path)
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", lambda h: mutate(h, value))
+    with pytest.raises(CheckpointError, match="must be an integer"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_negative_offset_rejected(tmp_path):
+    # a negative offset of the last section still slices the right number
+    # of bytes, from the wrong place
+    path = _saved_checkpoint(tmp_path)
+
+    def shift_last(header):
+        last = header["sections"][-1]
+        assert last["name"].startswith("store.IR.")
+        last["offset"] = -(4 * int(np.prod(last["shape"])) + 4)
+
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", shift_last)
+    with pytest.raises(CheckpointError, match="offset"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_negative_shape_entry_rejected(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", lambda h: _set_first_shape_entry(h, -1))
+    with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("section", ["encoder.proj", "store.VIS.0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_weight_rejected(tmp_path, section, value):
+    path = _saved_checkpoint(tmp_path)
+    raw = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4 : 4 + header_len])
+    [offset] = [s["offset"] for s in header["sections"] if s["name"] == section]
+    at = 4 + header_len + offset + 4  # the section's second float
+    raw[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+    bad = tmp_path / "bad.hpt"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=section):
         load_checkpoint(bad)
 
 

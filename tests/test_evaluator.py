@@ -205,12 +205,24 @@ def test_mining_quality_all_correct():
         assert 0.0 < recall <= 1.0
 
 
-def test_mining_quality_empty_accepted():
-    report = MiningReport(
+def _one_row_report(source, candidates, threshold, weights):
+    """A one-source report; ``weights`` maps each accepted target to its weight."""
+    return MiningReport(
         source_modality=Modality.VIS, kind=PositiveKind.INTRA_MODAL, epoch=0,
-        rows=[MiningRow(source="a", s_max=0.5, threshold=0.9,
-                        candidates=[(1, "b", 0.5)], accepted=[])],
+        sources=[source],
+        cameras=np.array([[c for c, _, _ in candidates]]),
+        targets=np.array([[t for _, t, _ in candidates]], dtype=object),
+        sims=np.array([[s for _, _, s in candidates]]),
+        thresholds=[threshold],
+        accepted=np.array([[t in weights for _, t, _ in candidates]]),
+        weights=np.array([[weights.get(t, 0.0) for _, t, _ in candidates]]),
     )
+
+
+def test_mining_quality_empty_accepted():
+    report = _one_row_report("a", [(1, "b", 0.5)], 0.9, {})
+    assert report.rows == [MiningRow(source="a", s_max=0.5, threshold=0.9,
+                                     candidates=[(1, "b", 0.5)], accepted=[])]
     precision, recall = mining_quality(report, {"a": 0, "b": 0})
     assert precision is None
     assert recall == 0.0
@@ -219,15 +231,15 @@ def test_mining_quality_empty_accepted():
 def test_mining_quality_hand_counts():
     # six prototypes; source s0 accepts one true and one false target,
     # and skips a true candidate in a third camera
-    rows = [
-        MiningRow(
-            source="s0", s_max=0.9, threshold=0.6,
-            candidates=[(1, "t1", 0.9), (2, "t2", 0.7), (3, "t3", 0.5)],
-            accepted=[("t1", 0.9, 0.6), ("t2", 0.7, 0.4)],
-        ),
-    ]
-    report = MiningReport(source_modality=Modality.VIS,
-                          kind=PositiveKind.INTRA_MODAL, epoch=0, rows=rows)
+    report = _one_row_report(
+        "s0", [(1, "t1", 0.9), (2, "t2", 0.7), (3, "t3", 0.5)], 0.6,
+        {"t1": 0.6, "t2": 0.4},
+    )
+    assert report.rows == [MiningRow(
+        source="s0", s_max=0.9, threshold=0.6,
+        candidates=[(1, "t1", 0.9), (2, "t2", 0.7), (3, "t3", 0.5)],
+        accepted=[("t1", 0.9, 0.6), ("t2", 0.7, 0.4)],
+    )]
     gt = {"s0": 1, "t1": 1, "t2": 2, "t3": 1}
     precision, recall = mining_quality(report, gt)
     assert precision == pytest.approx(0.5)  # 1 of 2 accepted correct

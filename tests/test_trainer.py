@@ -203,6 +203,26 @@ def test_nan_loss_aborts_with_location(monkeypatch):
         train(ds, cfg)
 
 
+def test_nan_gradient_aborts_with_location(monkeypatch):
+    ds = tiny_dataset()
+    cfg = tiny_cfg(total_epochs=2, intra_start_epoch=0, cross_start_epoch=0)
+    calls = []
+
+    def nan_grad_total_loss(epoch, vis, ir, store, intra, cross, cfg_):
+        grads = np.zeros((len(vis) + len(ir), cfg_.embed_dim))
+        if len(calls) == cfg_.iters_per_epoch + 1:  # epoch 1, iteration 1
+            grads[0, 0] = math.nan
+        calls.append(epoch)
+        return LossBreakdown(
+            l_ic=1.0, l_imcc=0.0, l_cm=0.0, l_total=1.0,
+            active_imcc=False, active_cm=False, grads=grads,
+        )
+
+    monkeypatch.setattr(trainer_mod, "total_loss", nan_grad_total_loss)
+    with pytest.raises(RuntimeError, match="non-finite gradient at epoch 1 iteration 1"):
+        train(ds, cfg)
+
+
 def test_zero_noise_mining_precision_every_epoch():
     ds = tiny_dataset(noise=False)
     cfg = tiny_cfg(total_epochs=2, intra_start_epoch=0, cross_start_epoch=1)
