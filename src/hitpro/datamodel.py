@@ -142,19 +142,27 @@ class PrototypeStore:
         ordered = [p for protos in members.values() for p in protos]
         self._stacked = np.stack([p.vector for p in ordered]) if ordered else np.empty((0, 0))
         start = 0
+        bounds = [0]
         for (modality, cam), protos in members.items():
             self._matrices[(modality, cam)] = self._stacked[start : start + len(protos)]
+            bounds.append(start + len(protos))
             for row, p in enumerate(protos):
                 if p.tracklet_id in self._index:
                     raise ValueError(f"duplicate prototype for tracklet {p.tracklet_id}")
                 self._index[p.tracklet_id] = (modality, cam, row)
                 self._position[p.tracklet_id] = start + row
             start += len(protos)
+        self._bounds = np.array(bounds, dtype=np.intp)
 
     @property
     def stacked(self) -> np.ndarray:
         """Every prototype as one live ``(N, d)`` matrix, camera blocks in order."""
         return self._stacked
+
+    @property
+    def block_bounds(self) -> np.ndarray:
+        """Camera block ``b`` is rows ``bounds[b]:bounds[b + 1]`` of ``stacked``."""
+        return self._bounds
 
     def matrix(self, modality: Modality, camera_id: int) -> np.ndarray:
         """The camera's live ``(n_cam, d)`` prototype matrix, a view of ``stacked``."""

@@ -230,9 +230,15 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0]
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` to the last bit, without its
+    dispatch overhead."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    mu = _mean_last(x)
+    var = _mean_last((x - mu) ** 2)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv_std
     return gain * xhat + bias, xhat, inv_std
@@ -244,8 +250,8 @@ def _layer_norm_backward(dy, xhat, inv_std, gain):
     dgain = (dy * xhat).sum(axis=1).sum(axis=0)
     dbias = dy.sum(axis=1).sum(axis=0)
     dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = _mean_last(dxhat)
+    m2 = _mean_last(dxhat * xhat)
     dx = inv_std * (dxhat - m1 - xhat * m2)
     return dx, dgain, dbias
 

@@ -1,4 +1,4 @@
-"""Small shared numeric helpers (stable softmax, L2 normalization)."""
+"""Small shared numeric helpers (stable softmax and log-softmax, L2 normalization)."""
 
 from __future__ import annotations
 
@@ -15,6 +15,15 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
+def softmax_and_log(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """``(stable_softmax(x), log_softmax(x))``, bit for bit, sharing their
+    steps; the ufunc reductions are the ones ``np.max`` and ``np.sum`` run."""
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    total = np.add.reduce(e, axis=axis, keepdims=True)
+    return e / total, shifted - np.log(total)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -1,18 +1,23 @@
-"""Sub-tracklet partitioning and per-camera prototype construction.
+"""Sub-tracklet partitioning, the frame table, and per-camera prototypes.
 
-Prototypes are built once per epoch from a frozen encoder: each tracklet is
-split into K contiguous sub-tracklets, each sub-tracklet is encoded, and the
-(re-normalized) mean becomes the tracklet's identity anchor. No clustering
-is involved anywhere.
+Each tracklet is split into K contiguous sub-tracklets (the paper's fixed
+temporal partition), and ``select_frames`` picks each one's encoder input.
+Both depend only on the tracklet's length, K and ``seq_len``, so a run
+builds them once, as a :class:`FrameTable`: one float64 row of frames per
+sub-tracklet. Prototypes are built once per epoch from a frozen encoder by
+encoding the table and taking, per tracklet, the (re-normalized) mean of its
+sub-tracklet embeddings as its identity anchor; training batches are rows of
+the same table. No clustering is involved anywhere.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import Dataset, Prototype, PrototypeStore, SubTracklet, TrainConfig, Tracklet
 from .encoder import EncoderParams, encode, select_frames
-from .numerics import l2_normalize
 
 # Sub-tracklets per encoder call when embedding many tracklets: large enough
 # that per-call overhead is small, small enough that the forward activations
@@ -39,46 +44,87 @@ def partition_tracklet(tracklet: Tracklet, k: int) -> list[SubTracklet]:
     return subs
 
 
+@dataclass(frozen=True)
+class FrameTable:
+    """The encoder input of every sub-tracklet of a tracklet sequence.
+
+    Tracklet ``i`` owns rows ``starts[i] : starts[i] + k_eff[i]`` of
+    ``frames``, its ``partition_tracklet`` sub-tracklets in order, each row
+    the sub-tracklet's ``select_frames``. Rows are float64, the dtype
+    ``encode`` casts its input to, so encoding a slice of the table gives
+    what encoding the selected frames gives.
+    """
+
+    frames: np.ndarray  # (n_rows, seq_len, d_in) float64
+    starts: np.ndarray  # (n_tracklets,) first row of each tracklet
+    k_eff: np.ndarray  # (n_tracklets,) sub-tracklets of each tracklet
+
+    @property
+    def owners(self) -> np.ndarray:
+        """``(n_rows,)``: the tracklet index of each row."""
+        return np.repeat(np.arange(len(self.k_eff)), self.k_eff)
+
+
+def frame_table(tracklets, cfg: TrainConfig) -> FrameTable:
+    """The :class:`FrameTable` of ``tracklets`` under ``cfg``'s K and ``seq_len``."""
+    parts = [partition_tracklet(t, cfg.n_subtracklets) for t in tracklets]
+    k_eff = np.array([len(part) for part in parts], dtype=np.intp)
+    rows = [select_frames(sub.slice_frames(t), cfg.seq_len)
+            for t, part in zip(tracklets, parts) for sub in part]
+    frames = np.array(rows, dtype=np.float64) if rows else np.empty((0, cfg.seq_len, cfg.d_in))
+    return FrameTable(frames=frames, starts=np.cumsum(k_eff) - k_eff, k_eff=k_eff)
+
+
+def embed_table(params: EncoderParams, table: FrameTable) -> np.ndarray:
+    """``(n_tracklets, d)``: each tracklet's normalized mean sub-tracklet
+    embedding, the one recipe of prototype construction and test-time
+    feature extraction.
+
+    The table goes through the encoder in slices of ``ENCODE_CHUNK`` rows,
+    which bounds the forward activations held at once. Wave ``k`` of the
+    mean adds every tracklet's ``k``-th sub-tracklet embedding, so each sum
+    runs in sub-tracklet order, as a loop over one tracklet's would.
+    """
+    n_rows = len(table.frames)
+    embeddings = np.empty((n_rows, params.embed_dim))
+    for start in range(0, n_rows, ENCODE_CHUNK):
+        embeddings[start : start + ENCODE_CHUNK] = encode(
+            params, table.frames[start : start + ENCODE_CHUNK]
+        )[0]
+    total = np.zeros((len(table.k_eff), params.embed_dim))
+    for k in range(int(table.k_eff.max(initial=0))):
+        has_k = np.flatnonzero(table.k_eff > k)
+        total[has_k] += embeddings[table.starts[has_k] + k]
+    mean = total / table.k_eff[:, None]
+    # the dot np.linalg.norm takes, one row at a time
+    norms = np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, :, 0]
+    if not norms.all():
+        raise ValueError("cannot normalize a zero vector")
+    return mean / norms
+
+
 def tracklet_embedding(
     params: EncoderParams, tracklet: Tracklet, cfg: TrainConfig
 ) -> np.ndarray:
-    """Normalized mean of the tracklet's sub-tracklet embeddings.
-
-    The single recipe shared by prototype construction and test-time
-    feature extraction; :func:`embed_tracklets` applies it to many tracklets.
-    """
+    """Normalized mean of the tracklet's sub-tracklet embeddings."""
     return embed_tracklets(params, [tracklet], cfg)[0]
 
 
 def embed_tracklets(params: EncoderParams, tracklets, cfg: TrainConfig) -> list[np.ndarray]:
-    """:func:`tracklet_embedding` of each tracklet, in input order.
+    """:func:`tracklet_embedding` of each tracklet, in input order."""
+    return list(embed_table(params, frame_table(tracklets, cfg)))
 
-    All sub-tracklets of all tracklets go through the encoder as stacks of
-    ``ENCODE_CHUNK`` sub-tracklets, which bounds the forward activations held
-    at once.
+
+def build_prototypes(
+    params: EncoderParams, dataset: Dataset, cfg: TrainConfig, table: FrameTable | None = None
+) -> PrototypeStore:
+    """Encode every tracklet and group prototypes by (modality, camera).
+
+    ``table`` is the dataset's frame table when the caller already has it.
     """
-    parts = [partition_tracklet(t, cfg.n_subtracklets) for t in tracklets]
-    subs = [(t, sub) for t, part in zip(tracklets, parts) for sub in part]
-    embeddings = np.empty((len(subs), cfg.embed_dim))
-    for start in range(0, len(subs), ENCODE_CHUNK):
-        chunk = subs[start : start + ENCODE_CHUNK]
-        frames = np.stack([select_frames(sub.slice_frames(t), cfg.seq_len) for t, sub in chunk])
-        embeddings[start : start + len(chunk)] = encode(params, frames)[0]
-    vectors = []
-    row = 0
-    for part in parts:
-        total = np.zeros(cfg.embed_dim)
-        for emb in embeddings[row : row + len(part)]:
-            total += emb
-        vectors.append(l2_normalize(total / len(part)))
-        row += len(part)
-    return vectors
-
-
-def build_prototypes(params: EncoderParams, dataset: Dataset, cfg: TrainConfig) -> PrototypeStore:
-    """Encode every tracklet and group prototypes by (modality, camera)."""
-    vectors = embed_tracklets(params, dataset.tracklets, cfg)
+    if table is None:
+        table = frame_table(dataset.tracklets, cfg)
     return PrototypeStore([
         Prototype(t.tracklet_id, t.modality, t.camera_id, vec)
-        for t, vec in zip(dataset.tracklets, vectors)
+        for t, vec in zip(dataset.tracklets, embed_table(params, table))
     ])

@@ -1,5 +1,6 @@
 """Training batch construction: C cameras x P tracklets x S sub-tracklets.
 
+A batch is a set of frame-table rows (see :class:`~hitpro.prototyping.FrameTable`).
 Small synthetic datasets may not contain C cameras or P tracklets per
 camera; sampling then falls back to replacement instead of erroring.
 """
@@ -12,6 +13,9 @@ import numpy as np
 
 from .datamodel import Dataset, Modality, SubTracklet, TrainConfig
 
+# One camera's tracklets, in dataset order: (first table row, K_eff) of each.
+CameraRows = tuple[np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class BatchSpec:
@@ -22,6 +26,42 @@ class BatchSpec:
         return len(self.entries)
 
 
+def camera_rows(
+    dataset: Dataset, modality: Modality, starts: np.ndarray, k_eff: np.ndarray
+) -> list[CameraRows]:
+    """The table rows of each camera of ``modality`` that holds tracklets, in
+    camera order. ``starts`` and ``k_eff`` are indexed like
+    ``dataset.tracklets``."""
+    members: dict[int, list[int]] = {}
+    for i, t in enumerate(dataset.tracklets):
+        if t.modality is modality:
+            members.setdefault(t.camera_id, []).append(i)
+    if not members:
+        raise ValueError(f"no tracklets in modality {modality.value}")
+    return [(starts[idx], k_eff[idx]) for idx in (members[cam] for cam in sorted(members))]
+
+
+def sample_rows(cameras: list[CameraRows], cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw one batch's ``C * P * S`` table rows; deterministic given the
+    generator state.
+
+    Cameras and tracklets are drawn without replacement where counts allow,
+    with replacement otherwise; likewise sub-tracklet indices against K_eff.
+    """
+    cam_choice = rng.choice(
+        len(cameras), size=cfg.batch_cameras, replace=len(cameras) < cfg.batch_cameras
+    )
+    rows = []
+    for cam in cam_choice:
+        starts, k_eff = cameras[cam]
+        t_idx = rng.choice(
+            len(starts), size=cfg.batch_tracklets, replace=len(starts) < cfg.batch_tracklets
+        )
+        for start, k in zip(starts[t_idx].tolist(), k_eff[t_idx].tolist()):
+            rows.append(start + rng.choice(k, size=cfg.batch_subs, replace=k < cfg.batch_subs))
+    return np.array(rows, dtype=np.intp).reshape(-1)
+
+
 def sample_batch(
     dataset: Dataset,
     modality: Modality,
@@ -29,33 +69,14 @@ def sample_batch(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> BatchSpec:
-    """Draw one batch; deterministic given the generator state.
-
-    Cameras and tracklets are drawn without replacement where counts allow,
-    with replacement otherwise; likewise sub-tracklet indices against K_eff.
-    """
-    cameras = [
-        cam for cam in range(dataset.n_cameras(modality))
-        if dataset.group(modality, cam)
-    ]
-    if not cameras:
-        raise ValueError(f"no tracklets in modality {modality.value}")
-    cam_choice = rng.choice(
-        cameras, size=cfg.batch_cameras, replace=len(cameras) < cfg.batch_cameras
-    )
-    entries: list[tuple[SubTracklet, str]] = []
-    for cam in cam_choice:
-        tracklets = dataset.group(modality, int(cam))
-        t_idx = rng.choice(
-            len(tracklets), size=cfg.batch_tracklets,
-            replace=len(tracklets) < cfg.batch_tracklets,
-        )
-        for ti in t_idx:
-            tracklet = tracklets[int(ti)]
-            subs = partitions[tracklet.tracklet_id]
-            s_idx = rng.choice(
-                len(subs), size=cfg.batch_subs, replace=len(subs) < cfg.batch_subs
-            )
-            for si in s_idx:
-                entries.append((subs[int(si)], tracklet.tracklet_id))
-    return BatchSpec(modality=modality, entries=tuple(entries))
+    """:func:`sample_rows` over the sub-tracklets of ``partitions``, as
+    ``(sub-tracklet, source tracklet_id)`` entries."""
+    subs: list[tuple[SubTracklet, str]] = []
+    starts = np.zeros(len(dataset.tracklets), dtype=np.intp)
+    k_eff = np.zeros(len(dataset.tracklets), dtype=np.intp)
+    for i, t in enumerate(dataset.tracklets):
+        if t.modality is modality:
+            starts[i], k_eff[i] = len(subs), len(partitions[t.tracklet_id])
+            subs.extend((sub, t.tracklet_id) for sub in partitions[t.tracklet_id])
+    rows = sample_rows(camera_rows(dataset, modality, starts, k_eff), cfg, rng)
+    return BatchSpec(modality=modality, entries=tuple(subs[r] for r in rows.tolist()))

@@ -1,5 +1,6 @@
 """Training loop: per epoch, freeze the encoder, rebuild prototypes, mine
-positives once, then iterate batches with SGD and EMA memory updates.
+positives once, draw and plan the epoch's batches, then iterate them with
+SGD and EMA memory updates. The frame table is built once per run.
 
 Stores are rebuilt from scratch every epoch; nothing leaks across epochs
 except the encoder parameters. Ground-truth labels never influence the
@@ -14,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import Dataset, Modality, PositiveKind, PrototypeStore, TrainConfig
-from .encoder import EncoderParams, encode, encode_backward, encoder_init, select_frames
+from .encoder import EncoderParams, encode, encode_backward, encoder_init
 from .evaluator import dataset_labels, mining_quality
 from .mining import MiningReport, build_mining_report, rho_schedule
-from .objective import ema_update, total_loss
-from .prototyping import build_prototypes, partition_tracklet
-from .sampler import sample_batch
+from .objective import apply_ema, batch_loss, loss_schedule, plan_batches, positive_targets
+from .prototyping import build_prototypes, frame_table
+from .sampler import camera_rows, sample_rows
 
 
 @dataclass
@@ -77,13 +78,15 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     gt = dataset_labels(dataset)
     epochs: list[dict] = []
     store = None
+    table = frame_table(dataset.tracklets, cfg)
+    owners = table.owners
+    cameras = [camera_rows(dataset, m, table.starts, table.k_eff)
+               for m in (Modality.VIS, Modality.IR)]
+    source_ids = [t.tracklet_id for t in dataset.tracklets]
 
     for epoch in range(cfg.total_epochs):
-        partitions = {
-            t.tracklet_id: partition_tracklet(t, cfg.n_subtracklets) for t in dataset.tracklets
-        }
         opt.lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
-        store = build_prototypes(params, dataset, cfg)
+        store = build_prototypes(params, dataset, cfg, table)
 
         reports: dict[str, MiningReport] = {}
         intra_sets = {}
@@ -95,22 +98,26 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             for wps in report.positive_sets():
                 dest[wps.source] = wps
 
+        # the epoch's batches (a VIS then an IR batch per iteration, as table
+        # rows) and, from their source tracklets, every iteration's plan
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2, epoch)))
-        sums = {"l_ic": 0.0, "l_imcc": 0.0, "l_cm": 0.0, "l_total": 0.0}
-        for it in range(cfg.iters_per_epoch):
-            vis_spec = sample_batch(dataset, Modality.VIS, partitions, cfg, rng)
-            ir_spec = sample_batch(dataset, Modality.IR, partitions, cfg, rng)
-            entries = vis_spec.entries + ir_spec.entries
-            embeddings, cache = encode(params, np.stack([
-                select_frames(sub.slice_frames(dataset.get(source_id)), cfg.seq_len)
-                for sub, source_id in entries
-            ]))
-            items = [(emb, source_id) for emb, (_, source_id) in zip(embeddings, entries)]
-            vis_items, ir_items = items[: len(vis_spec)], items[len(vis_spec) :]
+        batches = np.array(
+            [sample_rows(rows, cfg, rng) for _ in range(cfg.iters_per_epoch) for rows in cameras],
+            dtype=np.intp,
+        ).reshape(cfg.iters_per_epoch, 2 * cfg.batch_size)
+        own, intra, cross = (positive_targets(store, source_ids, sets)
+                             for sets in (None, intra_sets, cross_sets))
+        active_imcc, active_cm = loss_schedule(epoch, cfg)
+        plans = plan_batches(
+            store, owners[batches], [cfg.batch_size, cfg.batch_size],
+            [own, intra if active_imcc else None, cross if active_cm else None],
+            [own, intra, cross],
+        )
 
-            breakdown = total_loss(
-                epoch, vis_items, ir_items, store, intra_sets, cross_sets, cfg
-            )
+        sums = {"l_ic": 0.0, "l_imcc": 0.0, "l_cm": 0.0, "l_total": 0.0}
+        for it, (rows, plan) in enumerate(zip(batches, plans)):
+            embeddings, cache = encode(params, table.frames[rows])
+            breakdown = batch_loss(embeddings, store, plan, cfg.loss_temp)
             if not math.isfinite(breakdown.l_total):
                 raise RuntimeError(
                     f"non-finite loss {breakdown.l_total} at epoch {epoch} iteration {it}"
@@ -120,7 +127,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             if not np.isfinite(grads.flat).all():
                 raise RuntimeError(f"non-finite gradient at epoch {epoch} iteration {it}")
             sgd_step(params, grads, opt)
-            ema_update(store, items, intra_sets, cross_sets, cfg.ema_momentum)
+            apply_ema(store, embeddings, plan, cfg.ema_momentum)
             for key in ("l_ic", "l_imcc", "l_cm", "l_total"):
                 sums[key] += getattr(breakdown, key)
 
@@ -145,5 +152,5 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         epochs.append(record)
 
     if store is None:  # no epoch ran: the initial encoder's prototypes
-        store = build_prototypes(params, dataset, cfg)
+        store = build_prototypes(params, dataset, cfg, table)
     return TrainResult(params=params, store=store, epochs=epochs)

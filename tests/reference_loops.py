@@ -1,4 +1,5 @@
-"""The per-row loops that the stacked loss, EMA update and mining replaced.
+"""The per-row loops that the stacked loss, EMA update and mining replaced,
+and the training loop that re-sampled and re-stacked frames every iteration.
 
 Kept as bitwise references: each runs one matrix-vector product per batch
 entry or source row, the arithmetic the array paths must reproduce to the
@@ -7,9 +8,13 @@ last bit.
 
 import numpy as np
 
-from hitpro.datamodel import PositiveKind
-from hitpro.mining import MiningRow, rho_schedule, soft_weights
+from hitpro.datamodel import Modality, PositiveKind, Prototype, PrototypeStore
+from hitpro.encoder import encode, encode_backward, encoder_init, select_frames
+from hitpro.evaluator import dataset_labels, mining_quality
+from hitpro.mining import MiningRow, build_mining_report, rho_schedule, soft_weights
 from hitpro.numerics import l2_normalize, log_softmax, stable_softmax
+from hitpro.prototyping import partition_tracklet
+from hitpro.trainer import OptState, sgd_step
 
 
 def loop_alignment_loss(batch, store, positive_sets, loss_temp):
@@ -137,3 +142,118 @@ def loop_mining_quality(rows, gt):
     precision = n_accepted_correct / n_accepted if n_accepted else None
     recall = n_true_accepted / n_true_candidates if n_true_candidates else 0.0
     return precision, recall
+
+
+def loop_sample_batch(dataset, modality, partitions, cfg, rng):
+    """One batch's ``(sub-tracklet, source id)`` entries, drawn camera by
+    camera, tracklet by tracklet."""
+    cameras = [
+        cam for cam in range(dataset.n_cameras(modality))
+        if dataset.group(modality, cam)
+    ]
+    cam_choice = rng.choice(
+        cameras, size=cfg.batch_cameras, replace=len(cameras) < cfg.batch_cameras
+    )
+    entries = []
+    for cam in cam_choice:
+        tracklets = dataset.group(modality, int(cam))
+        t_idx = rng.choice(
+            len(tracklets), size=cfg.batch_tracklets,
+            replace=len(tracklets) < cfg.batch_tracklets,
+        )
+        for ti in t_idx:
+            tracklet = tracklets[int(ti)]
+            subs = partitions[tracklet.tracklet_id]
+            s_idx = rng.choice(
+                len(subs), size=cfg.batch_subs, replace=len(subs) < cfg.batch_subs
+            )
+            for si in s_idx:
+                entries.append((subs[int(si)], tracklet.tracklet_id))
+    return entries
+
+
+def loop_tracklet_embedding(params, tracklet, cfg):
+    """One 2-D encoder call per sub-tracklet, summed in order."""
+    total = np.zeros(cfg.embed_dim)
+    subs = partition_tracklet(tracklet, cfg.n_subtracklets)
+    for sub in subs:
+        total += encode(params, select_frames(sub.slice_frames(tracklet), cfg.seq_len))[0]
+    return l2_normalize(total / len(subs))
+
+
+_FAMILY_KEYS = (
+    (Modality.VIS, PositiveKind.INTRA_MODAL, "vis_intra"),
+    (Modality.IR, PositiveKind.INTRA_MODAL, "ir_intra"),
+    (Modality.VIS, PositiveKind.CROSS_MODAL, "vis_cross"),
+    (Modality.IR, PositiveKind.CROSS_MODAL, "ir_cross"),
+)
+
+
+def loop_train(dataset, cfg):
+    """``(params, store, epoch records)`` of a training run that partitions
+    every tracklet each epoch, samples ``(sub-tracklet, id)`` entries, stacks
+    their selected frames each iteration and runs the per-entry loss and EMA
+    loops."""
+    params = encoder_init(
+        d_in=dataset.d_in, embed_dim=cfg.embed_dim, ffn_dim=cfg.ffn_dim,
+        pool_hidden_dim=cfg.pool_hidden_dim, n_tte_layers=cfg.n_tte_layers,
+        seq_len=cfg.seq_len, seed=cfg.seed,
+    )
+    opt = OptState(velocity=params.zeros_like(), lr=cfg.lr, momentum=cfg.sgd_momentum)
+    gt = dataset_labels(dataset)
+    epochs = []
+    store = None
+    for epoch in range(cfg.total_epochs):
+        partitions = {
+            t.tracklet_id: partition_tracklet(t, cfg.n_subtracklets) for t in dataset.tracklets
+        }
+        opt.lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+        store = PrototypeStore([
+            Prototype(t.tracklet_id, t.modality, t.camera_id,
+                      loop_tracklet_embedding(params, t, cfg))
+            for t in dataset.tracklets
+        ])
+        reports = {}
+        intra_sets, cross_sets = {}, {}
+        for modality, kind, key in _FAMILY_KEYS:
+            reports[key] = build_mining_report(store, modality, kind, epoch, cfg)
+            dest = intra_sets if kind is PositiveKind.INTRA_MODAL else cross_sets
+            for wps in reports[key].positive_sets():
+                dest[wps.source] = wps
+
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2, epoch)))
+        sums = {"l_ic": 0.0, "l_imcc": 0.0, "l_cm": 0.0, "l_total": 0.0}
+        for _ in range(cfg.iters_per_epoch):
+            vis = loop_sample_batch(dataset, Modality.VIS, partitions, cfg, rng)
+            ir = loop_sample_batch(dataset, Modality.IR, partitions, cfg, rng)
+            entries = vis + ir
+            embeddings, cache = encode(params, np.stack([
+                select_frames(sub.slice_frames(dataset.get(source_id)), cfg.seq_len)
+                for sub, source_id in entries
+            ]))
+            items = [(emb, source_id) for emb, (_, source_id) in zip(embeddings, entries)]
+            *values, grads = loop_total_loss(
+                epoch, items[: len(vis)], items[len(vis):], store, intra_sets, cross_sets, cfg
+            )
+            sgd_step(params, encode_backward(params, cache, np.stack(grads)), opt)
+            loop_ema_update(store, items, intra_sets, cross_sets, cfg.ema_momentum)
+            for key, value in zip(("l_ic", "l_imcc", "l_cm", "l_total"), values):
+                sums[key] += value
+
+        n_it = max(cfg.iters_per_epoch, 1)
+        record = {
+            "epoch": epoch,
+            "lr": opt.lr,
+            "rho": rho_schedule(epoch, cfg),
+            **{f"mean_{key}": value / n_it for key, value in sums.items()},
+            "positive_set_sizes": {
+                key: reports[key].mean_positive_set_size for _, _, key in _FAMILY_KEYS
+            },
+        }
+        if gt is not None:
+            record["mining"] = {}
+            for _, _, key in _FAMILY_KEYS:
+                precision, recall = mining_quality(reports[key], gt)
+                record["mining"][key] = {"precision": precision, "recall": recall}
+        epochs.append(record)
+    return params, store, epochs

@@ -1,6 +1,6 @@
-"""The stacked loss, EMA update and mining against the per-row loops they
-replaced (``reference_loops``): equal to the last bit, not within a
-tolerance."""
+"""The stacked loss, EMA update, mining and training loop against the
+per-row loops they replaced (``reference_loops``): equal to the last bit,
+not within a tolerance."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,10 @@ from hitpro.datamodel import (
 from hitpro.evaluator import mining_quality
 from hitpro.mining import build_mining_report
 from hitpro.objective import ema_update, loss_cross_modal, loss_imcc, loss_intra_camera, total_loss
+from hitpro.prototyping import frame_table, partition_tracklet
+from hitpro.sampler import camera_rows, sample_batch, sample_rows
+from hitpro.synthgen import GenConfig, generate_dataset
+from hitpro.trainer import train
 
 from conftest import random_store
 from reference_loops import (
@@ -23,7 +27,9 @@ from reference_loops import (
     loop_ema_update,
     loop_mining_quality,
     loop_mining_rows,
+    loop_sample_batch,
     loop_total_loss,
+    loop_train,
 )
 
 FAMILIES = [(m, k) for m in (Modality.VIS, Modality.IR) for k in PositiveKind]
@@ -205,3 +211,64 @@ def test_mining_matches_row_loop_on_ties_and_non_positive_best(cfg):
     assert [t for _, t, _ in rows["v0"].candidates] == ["a1", "b0"]  # first max wins
     if cfg.use_dts:
         assert rows["v1"].s_max <= 0 and rows["v1"].accepted == []
+
+
+def _two_modality_dataset(cams_vis, cams_ir, n_identities, len_min, len_max, seed):
+    return generate_dataset(GenConfig(
+        n_identities=n_identities, cams_vis=cams_vis, cams_ir=cams_ir, d_in=5, d_latent=3,
+        tracklets_per_identity_per_camera=1, frame_len_min=len_min, frame_len_max=len_max,
+        camera_offset_scale=0.3, modality_transform_scale=0.3, frame_noise=0.2,
+        walk_step=0.05, seed=seed,
+    ))
+
+
+def _train_cfg(**kw):
+    base = dict(
+        d_in=5, embed_dim=6, ffn_dim=8, pool_hidden_dim=4, n_tte_layers=1, seq_len=3,
+        n_subtracklets=4, total_epochs=3, iters_per_epoch=3, intra_start_epoch=0,
+        cross_start_epoch=0, lr=0.05, batch_cameras=2, batch_tracklets=2, batch_subs=3,
+    )
+    base.update(kw)
+    return TrainConfig(**base)
+
+
+TRAINING_CASES = [
+    # uneven lengths, many shorter than K (sub-tracklet replacement), all
+    # three loss terms from epoch 0
+    ((2, 2, 5, 2, 9, 0), _train_cfg()),
+    # one VIS camera (camera replacement), three identities against P = 4
+    # (tracklet replacement), depth 2 and the ablated mining
+    ((1, 3, 3, 3, 7, 1), _train_cfg(batch_tracklets=4, batch_subs=2, n_tte_layers=2,
+                                    use_swa=False, use_dts=False, fixed_threshold=0.0)),
+    # the loss schedule switching terms on mid-run, L < seq_len
+    ((2, 2, 4, 1, 4, 2), _train_cfg(seq_len=5, n_subtracklets=2, intra_start_epoch=1,
+                                    cross_start_epoch=2, batch_subs=1, seed=3)),
+]
+
+
+@pytest.mark.parametrize("data,cfg", TRAINING_CASES)
+def test_train_matches_reference_training_loop(data, cfg):
+    dataset = _two_modality_dataset(*data)
+    result = train(dataset, cfg)
+    params, store, epochs = loop_train(dataset, cfg)
+    assert np.array_equal(result.params.flat, params.flat)
+    assert np.array_equal(result.store.stacked, store.stacked)
+    assert result.epochs == epochs
+    assert all(r["mean_l_imcc"] > 0 and r["mean_l_cm"] > 0 for r in epochs[cfg.cross_start_epoch:])
+
+
+@pytest.mark.parametrize("data,cfg", TRAINING_CASES)
+def test_row_sampler_draws_the_reference_entries(data, cfg):
+    dataset = _two_modality_dataset(*data)
+    table = frame_table(dataset.tracklets, cfg)
+    partitions = {t.tracklet_id: partition_tracklet(t, cfg.n_subtracklets)
+                  for t in dataset.tracklets}
+    by_row = [(sub, t.tracklet_id) for t in dataset.tracklets for sub in partitions[t.tracklet_id]]
+    for modality in Modality:
+        cameras = camera_rows(dataset, modality, table.starts, table.k_eff)
+        rngs = [np.random.default_rng(7) for _ in range(3)]
+        for _ in range(40):
+            expected = loop_sample_batch(dataset, modality, partitions, cfg, rngs[0])
+            rows = sample_rows(cameras, cfg, rngs[1])
+            assert [by_row[r] for r in rows] == expected
+            assert list(sample_batch(dataset, modality, partitions, cfg, rngs[2]).entries) == expected

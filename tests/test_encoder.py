@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hitpro.encoder as encoder_mod
 from hitpro.encoder import (
     NumericError,
     encode,
@@ -280,3 +281,34 @@ def test_flat_buffer_backs_named_views():
     assert not np.shares_memory(twin.flat, p.flat)
     with pytest.raises(ValueError):
         p.add_scaled(small_params(n_tte_layers=1), 1.0)
+
+
+def _mean_layer_norm(x, gain, bias):
+    """The layer norm written with ``np.mean``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + encoder_mod.LN_EPS)
+    xhat = (x - mu) * inv_std
+    return gain * xhat + bias, xhat, inv_std
+
+
+def _mean_layer_norm_backward(dy, xhat, inv_std, gain):
+    dxhat = dy * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv_std * (dxhat - m1 - xhat * m2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_layer_norm_reductions_match_np_mean_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n, t, d = (int(v) for v in rng.integers(1, 40, size=3))
+        x = rng.normal(size=(n, t, d)) * rng.uniform(1e-3, 1e3)
+        gain, bias = rng.normal(size=d), rng.normal(size=d)
+        got = encoder_mod._layer_norm(x, gain, bias)
+        for a, b in zip(got, _mean_layer_norm(x, gain, bias)):
+            assert np.array_equal(a, b)
+        dy = rng.normal(size=(n, t, d))
+        dx, _, _ = encoder_mod._layer_norm_backward(dy, got[1], got[2], gain)
+        assert np.array_equal(dx, _mean_layer_norm_backward(dy, got[1], got[2], gain))

@@ -164,3 +164,52 @@ def test_embed_tracklets_across_chunks_matches_per_tracklet(monkeypatch, chunk):
     for t, vec in zip(ds.tracklets, vectors):
         np.testing.assert_array_equal(vec, tracklet_embedding(params, t, cfg))
         np.testing.assert_array_equal(vec, _looped_tracklet_embedding(params, t, cfg))
+
+
+@pytest.mark.parametrize(
+    "lengths,k,seq_len",
+    [
+        ([12, 10, 7], 4, 3),  # uneven partitions, L >= seq_len
+        ([3, 2, 9], 4, 3),  # L < K: K_eff = L
+        ([2, 5, 4], 2, 6),  # L < seq_len: frames repeat cyclically
+        ([1, 6, 1], 3, 4),  # L == 1: one sub-tracklet of one frame
+        ([9, 1, 4], 4, 1),  # seq_len == 1
+    ],
+)
+def test_frame_table_rows_are_selected_partition_frames(lengths, k, seq_len):
+    tracklets = [make_tracklet(n, tid=f"t{i}", seed=i) for i, n in enumerate(lengths)]
+    cfg = small_cfg(n_subtracklets=k, seq_len=seq_len)
+    table = prototyping.frame_table(tracklets, cfg)
+    assert table.frames.dtype == np.float64
+    assert table.frames.shape[1:] == (seq_len, 4)
+    row = 0
+    for i, t in enumerate(tracklets):
+        subs = partition_tracklet(t, k)
+        assert table.k_eff[i] == len(subs) == min(k, t.n_frames)
+        assert table.starts[i] == row
+        expected = np.stack([select_frames(s.slice_frames(t), seq_len) for s in subs])
+        assert np.array_equal(table.frames[row : row + len(subs)], expected)
+        row += len(subs)
+    assert len(table.frames) == row
+    assert table.owners.tolist() == [i for i, n in enumerate(table.k_eff) for _ in range(n)]
+
+
+def test_frame_table_of_no_tracklets_is_empty():
+    table = prototyping.frame_table([], small_cfg())
+    assert table.frames.shape == (0, 3, 4)
+    assert embed_tracklets(params_for(small_cfg()), [], small_cfg()) == []
+
+
+def test_zero_mean_embedding_raises(monkeypatch):
+    # two sub-tracklets whose embeddings cancel: the mean has no direction
+    cfg = small_cfg(n_subtracklets=2)
+    t = make_tracklet(6)
+
+    def opposite_encode(params, frames):
+        emb = np.zeros((len(frames), cfg.embed_dim))
+        emb[:, 0] = [(-1.0) ** i for i in range(len(frames))]
+        return emb, None
+
+    monkeypatch.setattr(prototyping, "encode", opposite_encode)
+    with pytest.raises(ValueError, match="zero vector"):
+        embed_tracklets(params_for(cfg), [t], cfg)

@@ -191,14 +191,13 @@ def test_nan_loss_aborts_with_location(monkeypatch):
     ds = tiny_dataset()
     cfg = tiny_cfg(total_epochs=1, intra_start_epoch=0, cross_start_epoch=0)
 
-    def bad_total_loss(epoch, vis, ir, store, intra, cross, cfg_):
+    def bad_batch_loss(queries, store, plan, loss_temp):
         return LossBreakdown(
             l_ic=math.nan, l_imcc=0.0, l_cm=0.0, l_total=math.nan,
-            active_imcc=False, active_cm=False,
-            grads=[np.zeros(cfg_.embed_dim) for _ in range(len(vis) + len(ir))],
+            active_imcc=False, active_cm=False, grads=np.zeros_like(queries),
         )
 
-    monkeypatch.setattr(trainer_mod, "total_loss", bad_total_loss)
+    monkeypatch.setattr(trainer_mod, "batch_loss", bad_batch_loss)
     with pytest.raises(RuntimeError, match="epoch 0 iteration 0"):
         train(ds, cfg)
 
@@ -208,17 +207,17 @@ def test_nan_gradient_aborts_with_location(monkeypatch):
     cfg = tiny_cfg(total_epochs=2, intra_start_epoch=0, cross_start_epoch=0)
     calls = []
 
-    def nan_grad_total_loss(epoch, vis, ir, store, intra, cross, cfg_):
-        grads = np.zeros((len(vis) + len(ir), cfg_.embed_dim))
-        if len(calls) == cfg_.iters_per_epoch + 1:  # epoch 1, iteration 1
+    def nan_grad_batch_loss(queries, store, plan, loss_temp):
+        grads = np.zeros((len(queries), cfg.embed_dim))
+        if len(calls) == cfg.iters_per_epoch + 1:  # epoch 1, iteration 1
             grads[0, 0] = math.nan
-        calls.append(epoch)
+        calls.append(plan)
         return LossBreakdown(
             l_ic=1.0, l_imcc=0.0, l_cm=0.0, l_total=1.0,
             active_imcc=False, active_cm=False, grads=grads,
         )
 
-    monkeypatch.setattr(trainer_mod, "total_loss", nan_grad_total_loss)
+    monkeypatch.setattr(trainer_mod, "batch_loss", nan_grad_batch_loss)
     with pytest.raises(RuntimeError, match="non-finite gradient at epoch 1 iteration 1"):
         train(ds, cfg)
 
