@@ -10,6 +10,7 @@ from .datamodel import (
     CheckpointError,
     Dataset,
     DatasetError,
+    Manifest,
     Modality,
     PositiveKind,
     Prototype,
@@ -20,6 +21,7 @@ from .datamodel import (
     WeightedPositiveSet,
     load_checkpoint,
     load_dataset,
+    read_manifest,
     save_checkpoint,
     save_dataset,
 )
@@ -49,6 +51,7 @@ __all__ = [
     "EncoderParams",
     "GenConfig",
     "LossBreakdown",
+    "Manifest",
     "MiningReport",
     "Modality",
     "NumericError",
@@ -85,6 +88,7 @@ __all__ = [
     "mine_positive_sets",
     "mining_quality",
     "partition_tracklet",
+    "read_manifest",
     "rho_schedule",
     "sample_batch",
     "save_checkpoint",

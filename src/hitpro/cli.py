@@ -12,12 +12,23 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Modality, PositiveKind, TrainConfig, load_checkpoint, load_dataset, save_checkpoint, save_dataset
+from .datamodel import (
+    Modality,
+    PositiveKind,
+    TrainConfig,
+    load_checkpoint,
+    load_dataset,
+    read_manifest,
+    save_checkpoint,
+    save_dataset,
+)
 from .evaluator import dataset_labels, distance_distribution, evaluate_embeddings, mining_quality
 from .gradcheck import run_gradcheck
 from .mining import build_mining_report
@@ -31,6 +42,10 @@ _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _FIELD_TYPES = {f.name: f.type for c in (GenConfig, TrainConfig) for f in dataclasses.fields(c)}
 # the JSON values each declared type accepts; booleans only where "bool"
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float)}
+
+
+# the per-tracklet embeddings `hitpro eval` writes next to report.json
+EMBEDDINGS_FILE = "embeddings.f32"
 
 
 class UsageError(Exception):
@@ -78,11 +93,64 @@ def _numpy_to_list(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _json_float(value: float) -> str:
+    """A float as ``json`` writes it: NaN and +-Infinity by name, else its repr."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return _json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=_numpy_to_list)``,
+    built by joining strings. ``indent`` is the newline and indentation
+    before ``obj``'s closing bracket; its items sit two spaces deeper.
+
+    ``json`` formats with its pure-Python encoder whenever it indents, one
+    generator step per token; joining leaves writes the same bytes in a
+    fraction of the time.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(_json_key(k)) + ": " + _json_text(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return _json_text(_numpy_to_list(obj), indent)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_list) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def _write_effective_config(out_dir: Path, command: str, gen_cfg, train_cfg, args) -> None:
@@ -91,7 +159,7 @@ def _write_effective_config(out_dir: Path, command: str, gen_cfg, train_cfg, arg
         **dataclasses.asdict(gen_cfg),
         **dataclasses.asdict(train_cfg),
     }
-    for key in ("data", "checkpoint", "out", "max_rank", "n_pairs", "epoch"):
+    for key in ("data", "checkpoint", "out", "max_rank", "epoch"):
         if getattr(args, key, None) is not None:
             payload[key] = str(getattr(args, key))
     _write_json(out_dir / "effective_config.json", payload)
@@ -131,11 +199,10 @@ def _cmd_train(args) -> int:
 def _cmd_mine(args) -> int:
     gen_cfg, cfg = _resolve_configs(args)
     params, store, saved_epoch = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
+    gt = dataset_labels(read_manifest(args.data))
     epoch = args.epoch if args.epoch is not None else min(saved_epoch, cfg.total_epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    gt = dataset_labels(dataset)
     payload = {"epoch": epoch}
     for modality in (Modality.VIS, Modality.IR):
         for kind in (PositiveKind.INTRA_MODAL, PositiveKind.CROSS_MODAL):
@@ -160,26 +227,22 @@ def _cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     vectors = embed_tracklets(params, dataset.tracklets, cfg)
     results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
-    embeddings = [
-        {
-            "tracklet_id": t.tracklet_id,
-            "modality": t.modality.value,
-            "camera_id": t.camera_id,
-            "gt_identity": t.gt_identity,
-            "vector": v,
-        }
-        for t, v in zip(dataset.tracklets, vectors)
-    ]
-    dist = distance_distribution(
-        [(e["vector"], e["gt_identity"]) for e in embeddings],
-        n_pairs=args.n_pairs,
-        rng=np.random.default_rng(np.random.SeedSequence((cfg.seed, 3))),
-    )
+    # the layout of the dataset's feature payloads: little-endian float32,
+    # one row per tracklet in dataset order
+    matrix = np.asarray(vectors, dtype="<f4")
+    (out / EMBEDDINGS_FILE).write_bytes(matrix.tobytes())
     payload = {
         "ir_to_vis": results["IR->VIS"].to_json(),
         "vis_to_ir": results["VIS->IR"].to_json(),
-        "distance_distribution": dist,
-        "embeddings": embeddings,
+        "distance_distribution": distance_distribution(
+            vectors, [t.gt_identity for t in dataset.tracklets]
+        ),
+        "embeddings": {
+            "file": EMBEDDINGS_FILE,
+            "dtype": "<f4",
+            "shape": list(matrix.shape),
+            "tracklet_ids": [t.tracklet_id for t in dataset.tracklets],
+        },
     }
     _write_json(out / "report.json", payload)
     _write_effective_config(out, "eval", gen_cfg, cfg, args)
@@ -211,6 +274,17 @@ def _cmd_gradcheck(args) -> int:
             f"gradient check failed: max rel error {report['max_rel_error']:.3e}"
         )
     return 0
+
+
+def _at_least_one(text: str) -> int:
+    """An integer command-line value of 1 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -262,9 +336,9 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="retrieval metrics and embedding report")
     add_common(p_eval, data=True, checkpoint=True)
-    p_eval.add_argument("--max-rank", type=int, default=20)
-    p_eval.add_argument("--n-pairs", type=int, default=40_000,
-                        help="sampled pairs per class for the distance histogram")
+    p_eval.add_argument("--max-rank", type=_at_least_one, default=20,
+                        help="longest rank of the CMC curve (at least 1)")
+    p_eval.add_argument("--n-pairs", type=int, help="accepted and ignored")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")

@@ -130,28 +130,47 @@ class PrototypeStore:
     """
 
     def __init__(self, prototypes: list[Prototype]):
-        members: dict[tuple[Modality, int], list[Prototype]] = {}
-        for p in prototypes:
-            members.setdefault((p.modality, p.camera_id), []).append(p)
-        self._ids = {key: [p.tracklet_id for p in ps] for key, ps in members.items()}
+        if len({p.vector.shape for p in prototypes}) > 1:
+            raise ValueError("prototypes have mixed dimensions")
+        self._fill(
+            np.array([p.vector for p in prototypes]) if prototypes else np.empty((0, 0)),
+            [p.tracklet_id for p in prototypes],
+            [p.modality for p in prototypes],
+            [p.camera_id for p in prototypes],
+        )
+
+    @classmethod
+    def from_matrix(cls, matrix, ids, modalities, cameras) -> "PrototypeStore":
+        """The store whose prototype of ``ids[i]``, in camera
+        ``(modalities[i], cameras[i])``, is a copy of row ``i`` of the
+        ``(n, d)`` ``matrix``. Cameras keep their rows in input order."""
+        store = cls.__new__(cls)
+        store._fill(matrix, ids, modalities, cameras)
+        return store
+
+    def _fill(self, matrix, ids, modalities, cameras) -> None:
+        if not (len(matrix) == len(ids) == len(modalities) == len(cameras)):
+            raise ValueError("need one id, modality and camera per prototype row")
+        members: dict[tuple[Modality, int], list[int]] = {}
+        for i, key in enumerate(zip(modalities, cameras)):
+            members.setdefault(key, []).append(i)
+        order = np.array([i for rows in members.values() for i in rows], dtype=np.intp)
+        self._stacked = np.asarray(matrix, dtype=np.float64)[order]
+        self._ids = {key: [ids[i] for i in rows] for key, rows in members.items()}
         self._matrices: dict[tuple[Modality, int], np.ndarray] = {}
         self._index: dict[str, tuple[Modality, int, int]] = {}
         self._position: dict[str, int] = {}
-        if len({p.vector.shape for p in prototypes}) > 1:
-            raise ValueError("prototypes have mixed dimensions")
-        ordered = [p for protos in members.values() for p in protos]
-        self._stacked = np.stack([p.vector for p in ordered]) if ordered else np.empty((0, 0))
         start = 0
         bounds = [0]
-        for (modality, cam), protos in members.items():
-            self._matrices[(modality, cam)] = self._stacked[start : start + len(protos)]
-            bounds.append(start + len(protos))
-            for row, p in enumerate(protos):
-                if p.tracklet_id in self._index:
-                    raise ValueError(f"duplicate prototype for tracklet {p.tracklet_id}")
-                self._index[p.tracklet_id] = (modality, cam, row)
-                self._position[p.tracklet_id] = start + row
-            start += len(protos)
+        for (modality, cam), block_ids in self._ids.items():
+            self._matrices[(modality, cam)] = self._stacked[start : start + len(block_ids)]
+            bounds.append(start + len(block_ids))
+            for row, tid in enumerate(block_ids):
+                if tid in self._index:
+                    raise ValueError(f"duplicate prototype for tracklet {tid}")
+                self._index[tid] = (modality, cam, row)
+                self._position[tid] = start + row
+            start += len(block_ids)
         self._bounds = np.array(bounds, dtype=np.intp)
 
     @property
@@ -307,6 +326,23 @@ class TrainConfig:
         return replace(self, **kwargs)
 
 
+def _index_tracklets(tracklets, n_cameras_vis: int, n_cameras_ir: int) -> dict:
+    """``tracklet_id -> tracklet``; a repeated id, or a camera id outside its
+    modality's range, raises :class:`DatasetError`."""
+    by_id = {}
+    for t in tracklets:
+        if t.tracklet_id in by_id:
+            raise DatasetError(f"duplicate tracklet_id {t.tracklet_id!r}")
+        by_id[t.tracklet_id] = t
+        n_cams = n_cameras_vis if t.modality is Modality.VIS else n_cameras_ir
+        if not (0 <= t.camera_id < n_cams):
+            raise DatasetError(
+                f"tracklet {t.tracklet_id}: camera_id {t.camera_id} out of range "
+                f"for {t.modality.value} ({n_cams} cameras)"
+            )
+    return by_id
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable collection of tracklets plus manifest header values."""
@@ -317,21 +353,12 @@ class Dataset:
     tracklets: tuple[Tracklet, ...]
 
     def __post_init__(self):
-        by_id: dict[str, Tracklet] = {}
+        by_id = _index_tracklets(self.tracklets, self.n_cameras_vis, self.n_cameras_ir)
         groups: dict[tuple[Modality, int], list[Tracklet]] = {}
         for t in self.tracklets:
-            if t.tracklet_id in by_id:
-                raise DatasetError(f"duplicate tracklet_id {t.tracklet_id!r}")
-            by_id[t.tracklet_id] = t
             if t.frames.shape[1] != self.d_in:
                 raise DatasetError(
                     f"tracklet {t.tracklet_id}: feature dim {t.frames.shape[1]} != d_in {self.d_in}"
-                )
-            n_cams = self.n_cameras_vis if t.modality is Modality.VIS else self.n_cameras_ir
-            if not (0 <= t.camera_id < n_cams):
-                raise DatasetError(
-                    f"tracklet {t.tracklet_id}: camera_id {t.camera_id} out of range "
-                    f"for {t.modality.value} ({n_cams} cameras)"
                 )
             groups.setdefault((t.modality, t.camera_id), []).append(t)
         object.__setattr__(self, "_by_id", by_id)
@@ -395,8 +422,37 @@ def _json_int(value, what: str, error: type[Exception], minimum: Optional[int] =
     return value
 
 
-def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load a dataset; validates counts, dims and payload sizes against the manifest."""
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One tracklet as ``manifest.json`` describes it; ``payload`` is the
+    path of its feature file."""
+
+    tracklet_id: str
+    modality: Modality
+    camera_id: int
+    n_frames: int
+    payload: Path
+    gt_identity: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A parsed and validated ``manifest.json``: the header values and one
+    entry per tracklet, in file order. No feature payload has been read."""
+
+    d_in: int
+    n_cameras_vis: int
+    n_cameras_ir: int
+    tracklets: tuple[ManifestEntry, ...]
+
+    @property
+    def has_labels(self) -> bool:
+        return all(t.gt_identity is not None for t in self.tracklets)
+
+
+def read_manifest(manifest_path: str | Path) -> Manifest:
+    """Parse a dataset's manifest (its directory or ``manifest.json``) and
+    validate types, ids, camera ranges and feature-file paths."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
@@ -415,7 +471,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     n_cameras_vis = _json_int(manifest["n_cameras_vis"], "n_cameras_vis", DatasetError)
     n_cameras_ir = _json_int(manifest["n_cameras_ir"], "n_cameras_ir", DatasetError)
     base = manifest_path.parent
-    tracklets = []
+    entries = []
     for i, entry in enumerate(manifest["tracklets"]):
         try:
             tid = entry["tracklet_id"]
@@ -434,28 +490,40 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             raise DatasetError(
                 f"tracklet {tid}: feature_file {str(feature_file)!r} leaves the dataset directory"
             )
-        payload_path = base / feature_file
-        raw = payload_path.read_bytes()  # missing file raises FileNotFoundError
-        expected = 4 * n_frames * d_in
+        entries.append(ManifestEntry(tid, modality, camera_id, n_frames, base / feature_file,
+                                     gt_identity))
+    _index_tracklets(entries, n_cameras_vis, n_cameras_ir)
+    return Manifest(d_in, n_cameras_vis, n_cameras_ir, tuple(entries))
+
+
+def load_dataset(manifest_path: str | Path) -> Dataset:
+    """Load a dataset: :func:`read_manifest`, then each feature payload,
+    whose size must match the manifest's ``n_frames`` and ``d_in``."""
+    manifest = read_manifest(manifest_path)
+    d_in = manifest.d_in
+    tracklets = []
+    for entry in manifest.tracklets:
+        raw = entry.payload.read_bytes()  # missing file raises FileNotFoundError
+        expected = 4 * entry.n_frames * d_in
         if len(raw) != expected:
             raise DatasetError(
-                f"tracklet {tid}: payload {payload_path.name} holds {len(raw)} bytes, "
-                f"manifest implies {expected} (L={n_frames}, d_in={d_in})"
+                f"tracklet {entry.tracklet_id}: payload {entry.payload.name} holds "
+                f"{len(raw)} bytes, manifest implies {expected} "
+                f"(L={entry.n_frames}, d_in={d_in})"
             )
-        frames = np.frombuffer(raw, dtype="<f4").reshape(n_frames, d_in)
         tracklets.append(
             Tracklet(
-                tracklet_id=tid,
-                modality=modality,
-                camera_id=camera_id,
-                frames=frames,
-                gt_identity=gt_identity,
+                tracklet_id=entry.tracklet_id,
+                modality=entry.modality,
+                camera_id=entry.camera_id,
+                frames=np.frombuffer(raw, dtype="<f4").reshape(entry.n_frames, d_in),
+                gt_identity=entry.gt_identity,
             )
         )
     return Dataset(
         d_in=d_in,
-        n_cameras_vis=n_cameras_vis,
-        n_cameras_ir=n_cameras_ir,
+        n_cameras_vis=manifest.n_cameras_vis,
+        n_cameras_ir=manifest.n_cameras_ir,
         tracklets=tuple(tracklets),
     )
 
@@ -548,16 +616,23 @@ def _parse_checkpoint(header: dict, blob: bytes):
     }
     params = EncoderParams.from_named_arrays(header["encoder"], encoder_arrays)
 
-    prototypes: list[Prototype] = []
+    blocks, ids, modalities, cameras = [], [], [], []
     for group in header["store_groups"]:
         modality = Modality(group["modality"])
         cam = _json_int(group["camera_id"], "store group camera_id", ValueError)
-        ids = group["tracklet_ids"]
+        group_ids = group["tracklet_ids"]
         name = f"store.{modality.value}.{cam}"
         if name not in arrays:
             raise KeyError(f"missing store section {name!r}")
         mat = arrays[name]
-        if mat.ndim != 2 or mat.shape[0] != len(ids):
-            raise ValueError(f"{len(ids)} tracklet ids for section {name!r} of shape {mat.shape}")
-        prototypes.extend(Prototype(tid, modality, cam, vec) for tid, vec in zip(ids, mat))
-    return params, PrototypeStore(prototypes), _json_int(header["epoch"], "epoch", ValueError)
+        if mat.ndim != 2 or mat.shape[0] != len(group_ids):
+            raise ValueError(
+                f"{len(group_ids)} tracklet ids for section {name!r} of shape {mat.shape}"
+            )
+        blocks.append(mat)
+        ids.extend(group_ids)
+        modalities.extend([modality] * len(group_ids))
+        cameras.extend([cam] * len(group_ids))
+    matrix = np.concatenate(blocks) if blocks else np.empty((0, 0))
+    store = PrototypeStore.from_matrix(matrix, ids, modalities, cameras)
+    return params, store, _json_int(header["epoch"], "epoch", ValueError)

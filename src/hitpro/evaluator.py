@@ -7,14 +7,14 @@ from typing import Optional
 
 import numpy as np
 
-from .datamodel import Dataset, Modality, TrainConfig, Tracklet
+from .datamodel import Dataset, Manifest, Modality, TrainConfig, Tracklet
 from .encoder import EncoderParams
 from .mining import MiningReport
 from .prototyping import embed_tracklets, tracklet_embedding
 
-# Sampled pairs per gather in distance_distribution; keeps the gathered
-# embedding rows to a few MB whatever n_pairs is.
-_PAIR_BLOCK = 1024
+# Gram-matrix rows per block in distance_distribution: a (256, n) block of
+# the distances stays at a few MB even for a gallery of thousands.
+_ROW_BLOCK = 256
 
 
 @dataclass
@@ -43,11 +43,11 @@ def embed_tracklet(params: EncoderParams, tracklet: Tracklet, cfg: TrainConfig) 
     return tracklet_embedding(params, tracklet, cfg)
 
 
-def dataset_labels(dataset: Dataset) -> Optional[dict[str, int]]:
+def dataset_labels(dataset: Dataset | Manifest) -> Optional[dict[str, int]]:
     """Tracklet id -> identity map, or None unless every tracklet is labeled.
 
-    The single place the training loop obtains labels from, and only for
-    diagnostics.
+    The single place the training loop and ``hitpro mine`` (which reads
+    only the manifest) obtain labels from, and only for diagnostics.
     """
     if not dataset.has_labels:
         return None
@@ -128,47 +128,46 @@ def evaluate_embeddings(
     return results
 
 
-def distance_distribution(
-    embeddings: list[tuple[np.ndarray, int]],
-    n_pairs: int,
-    rng: np.random.Generator,
-    n_bins: int = 50,
-) -> dict:
-    """Sample cosine distances (1 - cos) of intra- and inter-class pairs.
+def distance_distribution(vectors, identities, n_bins: int = 50) -> dict:
+    """Exact histograms of the cosine distances (1 - cos) of every
+    intra-class and every inter-class pair i < j.
 
-    Pairs are drawn uniformly with replacement from the pair sets, each
-    enumerated in row-major (i, j), i < j order;
-    histograms use fixed bins over [0, 2].
+    ``vectors`` is one embedding per row, ``identities`` their labels. Both
+    histograms use ``n_bins`` fixed bins over [0, 2]; distances are clipped
+    to [0, 2] first, so one that rounds below 0 (identical vectors) still
+    counts, and each histogram sums to its pair count. The pairs are visited
+    in row blocks of the upper triangle of the Gram matrix.
     """
-    ids = np.array([identity for _, identity in embeddings])
-    pairs = np.stack(np.triu_indices(len(embeddings), 1), axis=1)  # i < j, row-major
-    same = ids[pairs[:, 0]] == ids[pairs[:, 1]]
-    intra, inter = pairs[same], pairs[~same]
-    if not len(intra) or not len(inter):
+    ids = np.asarray(identities)
+    n = len(ids)
+    counts = np.unique(ids, return_counts=True)[1]
+    n_positive = int((counts * (counts - 1) // 2).sum())
+    n_negative = n * (n - 1) // 2 - n_positive
+    if not n_positive or not n_negative:
         raise ValueError("need at least one intra-class and one inter-class pair")
 
-    mat = np.stack([e for e, _ in embeddings]).astype(np.float64)
+    mat = np.array(vectors, dtype=np.float64)
     mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-
-    def sample(candidates):
-        picked = candidates[rng.integers(0, len(candidates), size=n_pairs)]
-        cos = np.empty(n_pairs)
-        for start in range(0, n_pairs, _PAIR_BLOCK):
-            block = picked[start : start + _PAIR_BLOCK]
-            cos[start : start + len(block)] = np.einsum(
-                "ij,ij->i", mat[block[:, 0]], mat[block[:, 1]]
-            )
-        return 1.0 - cos
-
-    pos = sample(intra)
-    neg = sample(inter)
-    edges = np.linspace(0.0, 2.0, n_bins + 1)
+    hists = np.zeros((2, n_bins), dtype=np.int64)  # positive, negative
+    sums = [0.0, 0.0]
+    for a in range(0, n - 1, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, n)
+        dist = 1.0 - mat[a:b] @ mat[a:].T  # entry (r, c) is pair (a + r, a + c)
+        np.clip(dist, 0.0, 2.0, out=dist)
+        upper = np.arange(a, n) > np.arange(a, b)[:, None]
+        same = ids[a:b, None] == ids[a:]
+        for k, mask in enumerate((upper & same, upper & ~same)):
+            picked = dist[mask]
+            hists[k] += np.histogram(picked, bins=n_bins, range=(0.0, 2.0))[0]
+            sums[k] += float(picked.sum())
     return {
-        "positive_distances": pos,
-        "negative_distances": neg,
-        "bin_edges": edges,
-        "positive_hist": np.histogram(pos, bins=edges)[0],
-        "negative_hist": np.histogram(neg, bins=edges)[0],
+        "bin_edges": np.linspace(0.0, 2.0, n_bins + 1),
+        "positive_hist": hists[0],
+        "negative_hist": hists[1],
+        "n_positive_pairs": n_positive,
+        "n_negative_pairs": n_negative,
+        "positive_mean_distance": sums[0] / n_positive,
+        "negative_mean_distance": sums[1] / n_negative,
     }
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, Prototype, PrototypeStore, SubTracklet, TrainConfig, Tracklet
+from .datamodel import Dataset, PrototypeStore, SubTracklet, TrainConfig, Tracklet
 from .encoder import EncoderParams, encode, select_frames
 
 # Sub-tracklets per encoder call when embedding many tracklets: large enough
@@ -124,7 +124,10 @@ def build_prototypes(
     """
     if table is None:
         table = frame_table(dataset.tracklets, cfg)
-    return PrototypeStore([
-        Prototype(t.tracklet_id, t.modality, t.camera_id, vec)
-        for t, vec in zip(dataset.tracklets, embed_table(params, table))
-    ])
+    tracklets = dataset.tracklets
+    return PrototypeStore.from_matrix(
+        embed_table(params, table),
+        [t.tracklet_id for t in tracklets],
+        [t.modality for t in tracklets],
+        [t.camera_id for t in tracklets],
+    )

@@ -21,3 +21,18 @@ def random_store(rng, cams_vis=2, cams_ir=2, max_per_cam=4, d=6):
                 group.append((tid, v.tolist()))
             groups[(modality, cam)] = group
     return PrototypeStore(protos), groups
+
+
+def assert_same_store(store, reference):
+    """``store`` holds ``reference``'s matrix, camera blocks, ids and rows."""
+    assert store.stacked.dtype == reference.stacked.dtype == np.float64
+    assert np.array_equal(store.stacked, reference.stacked)
+    assert np.array_equal(store.block_bounds, reference.block_bounds)
+    assert len(store) == len(reference)
+    for modality in Modality:
+        assert store.cameras(modality) == reference.cameras(modality)
+        for cam in reference.cameras(modality):
+            assert store.ids(modality, cam) == reference.ids(modality, cam)
+            for tid in reference.ids(modality, cam):
+                assert store.locate(tid) == reference.locate(tid)
+                assert store.position(tid) == reference.position(tid)

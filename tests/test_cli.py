@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hitpro.cli import main
+from hitpro.cli import _json_text, _numpy_to_list, _write_json, main
+from hitpro.datamodel import TrainConfig, load_checkpoint, load_dataset
+from hitpro.prototyping import embed_tracklets
 
 
 def write_config(path, **kw):
@@ -83,8 +88,17 @@ def test_full_pipeline_zero_noise(tmp_path, capsys):
     report = json.loads((rep / "report.json").read_text())
     assert report["ir_to_vis"]["rank1"] == 1.0
     assert report["vis_to_ir"]["rank1"] == 1.0
-    assert len(report["embeddings"]) == 32
-    assert len(report["distance_distribution"]["positive_distances"]) == 500
+    # 8 identities x 4 tracklets: 8 * C(4, 2) intra-class pairs of C(32, 2)
+    dist = report["distance_distribution"]
+    assert (dist["n_positive_pairs"], dist["n_negative_pairs"]) == (48, 448)
+    assert sum(dist["positive_hist"]) == 48 and sum(dist["negative_hist"]) == 448
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert report["embeddings"] == {
+        "file": "embeddings.f32", "dtype": "<f4", "shape": [32, 12],
+        "tracklet_ids": [e["tracklet_id"] for e in manifest["tracklets"]],
+    }
+    assert (rep / "embeddings.f32").stat().st_size == 4 * 32 * 12
+    assert "n_pairs" not in json.loads((rep / "effective_config.json").read_text())
     assert main([
         "mine", "--config", cfg, "--data", str(data),
         "--checkpoint", str(run / "checkpoint.hpt"), "--out", str(mine_out),
@@ -185,3 +199,94 @@ def test_seed_override(tmp_path):
     out = tmp_path / "s"
     assert main(["gen", "--config", cfg, "--out", str(out), "--seed", "99"]) == 0
     assert json.loads((out / "effective_config.json").read_text())["seed"] == 99
+
+
+@pytest.fixture(scope="module")
+def zero_noise_run(tmp_path_factory):
+    """A generated and trained ZERO_NOISE run: (config, data dir, checkpoint)."""
+    root = tmp_path_factory.mktemp("zero_noise_run")
+    cfg = write_config(root / "cfg.json", **ZERO_NOISE)
+    data, run = root / "data", root / "run"
+    assert main(["gen", "--config", cfg, "--out", str(data)]) == 0
+    assert main(["train", "--config", cfg, "--data", str(data), "--out", str(run)]) == 0
+    return cfg, data, run / "checkpoint.hpt"
+
+
+def _eval(zero_noise_run, out, *extra):
+    cfg, data, checkpoint = zero_noise_run
+    return main(["eval", "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(out), *extra])
+
+
+def test_eval_embeddings_sidecar_is_embed_tracklets(zero_noise_run, tmp_path):
+    _, data, checkpoint = zero_noise_run
+    assert _eval(zero_noise_run, tmp_path / "e") == 0
+    params, _, _ = load_checkpoint(checkpoint)
+    cfg = TrainConfig(**{k: v for k, v in ZERO_NOISE.items() if k in TrainConfig.__dataclass_fields__})
+    expected = np.asarray(embed_tracklets(params, load_dataset(data).tracklets, cfg), "<f4")
+    assert (tmp_path / "e" / "embeddings.f32").read_bytes() == expected.tobytes()
+
+
+def test_eval_outputs_byte_identical_and_n_pairs_ignored(zero_noise_run, tmp_path):
+    assert _eval(zero_noise_run, tmp_path / "a") == 0
+    assert _eval(zero_noise_run, tmp_path / "b", "--n-pairs", "7") == 0
+    for name in ("report.json", "embeddings.f32"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_eval_max_rank_below_one_is_usage_error(tmp_path, capsys, value):
+    assert main(["eval", "--data", str(tmp_path / "data"), "--checkpoint", "c.hpt",
+                 "--out", str(tmp_path / "e"), "--max-rank", value]) == 1
+    assert "--max-rank" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_mine_reads_labels_from_manifest_only(zero_noise_run, tmp_path):
+    cfg, data, checkpoint = zero_noise_run
+    manifest_only = tmp_path / "manifest_only"
+    manifest_only.mkdir()
+    (manifest_only / "manifest.json").write_bytes((data / "manifest.json").read_bytes())
+    for name, src in (("full", data), ("manifest", manifest_only)):
+        assert main(["mine", "--config", cfg, "--data", str(src), "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / name)]) == 0
+    full = (tmp_path / "full" / "mining_report.json").read_bytes()
+    assert (tmp_path / "manifest" / "mining_report.json").read_bytes() == full
+    assert json.loads(full)["vis_intra_modal"]["precision"] == 1.0
+
+
+def _json_dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_list)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0))
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, st.text(),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.lists(_FLOATS, max_size=4).map(np.array),
+    st.lists(st.integers(-(2**31), 2**31 - 1), max_size=3).map(lambda xs: np.array([xs, xs])),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_equals_json_dumps(payload):
+    assert _json_text(payload) == _json_dumps(payload)
+
+
+def test_write_json_bytes(tmp_path):
+    payload = {"per_depth": {2: 1e-9, 0: float("nan"), 1: -float("inf")},
+               "é": [np.arange(3), {}, [], (np.float32(0.5), None, True)]}
+    _write_json(tmp_path / "x.json", payload)
+    assert (tmp_path / "x.json").read_text(encoding="utf-8") == _json_dumps(payload) + "\n"

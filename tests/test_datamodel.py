@@ -18,10 +18,14 @@ from hitpro.datamodel import (
     Tracklet,
     load_checkpoint,
     load_dataset,
+    read_manifest,
     save_checkpoint,
     save_dataset,
 )
 from hitpro.encoder import encoder_init
+from hitpro.evaluator import dataset_labels
+
+from conftest import assert_same_store
 
 
 def make_tracklet(tid="t0", modality=Modality.VIS, cam=0, n_frames=4, d_in=3, gt=None, seed=0):
@@ -309,6 +313,45 @@ def test_checkpoint_round_trip_restores_camera_matrices(tmp_path):
             )
 
 
+def test_checkpoint_store_equals_list_built_store(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _, loaded, _ = load_checkpoint(path)
+    listed = PrototypeStore([
+        Prototype(tid, modality, cam, row)
+        for modality in (Modality.VIS, Modality.IR) for cam in loaded.cameras(modality)
+        for tid, row in zip(loaded.ids(modality, cam), loaded.matrix(modality, cam))
+    ])
+    assert_same_store(loaded, listed)
+
+
+def test_store_from_matrix_equals_list_built_store():
+    rng = np.random.default_rng(3)
+    n = 23
+    matrix = rng.normal(size=(n, 5))
+    ids = [f"t{i}" for i in range(n)]
+    modalities = [Modality.VIS if m else Modality.IR for m in rng.integers(0, 2, size=n)]
+    cameras = rng.integers(0, 3, size=n).tolist()  # cameras interleaved in input order
+    store = PrototypeStore.from_matrix(matrix, ids, modalities, cameras)
+    listed = PrototypeStore([Prototype(*fields) for fields in zip(ids, modalities, cameras, matrix)])
+    assert_same_store(store, listed)
+    for i, tid in enumerate(ids):
+        modality, cam, row = store.locate(tid)
+        assert (modality, cam) == (modalities[i], cameras[i])
+        assert store.ids(modality, cam) == [
+            t for t, m, c in zip(ids, modalities, cameras) if (m, c) == (modality, cam)]
+        assert np.array_equal(store.matrix(modality, cam)[row], matrix[i])
+        assert np.array_equal(store.stacked[store.position(tid)], matrix[i])
+    matrix[:] = 0.0  # the store owns a copy
+    assert np.abs(store.stacked).min() > 0
+
+
+def test_store_from_matrix_rejects_bad_input():
+    with pytest.raises(ValueError, match="duplicate prototype"):
+        PrototypeStore.from_matrix(np.ones((2, 3)), ["a", "a"], [Modality.VIS] * 2, [0, 1])
+    with pytest.raises(ValueError, match="one id, modality and camera"):
+        PrototypeStore.from_matrix(np.ones((2, 3)), ["a"], [Modality.VIS] * 2, [0, 1])
+
+
 def test_store_rejects_mixed_dimensions_in_a_camera():
     with pytest.raises(ValueError, match="mixed dimensions"):
         PrototypeStore([
@@ -361,6 +404,36 @@ def _manifest_with(tmp_path, mutate):
     mutate(manifest["tracklets"][0])
     (data / "manifest.json").write_text(json.dumps(manifest))
     return data
+
+
+def test_read_manifest_reads_no_payload(tmp_path):
+    ds = make_dataset()
+    save_dataset(ds, tmp_path)
+    for payload in tmp_path.glob("*.f32"):
+        payload.unlink()
+    manifest = read_manifest(tmp_path / "manifest.json")
+    assert (manifest.d_in, manifest.n_cameras_vis, manifest.n_cameras_ir) == (3, 2, 2)
+    assert [(e.tracklet_id, e.modality, e.camera_id, e.n_frames, e.payload, e.gt_identity)
+            for e in manifest.tracklets] == [
+        (t.tracklet_id, t.modality, t.camera_id, t.n_frames,
+         tmp_path / f"{t.tracklet_id}.f32", t.gt_identity) for t in ds.tracklets]
+    assert dataset_labels(manifest) == dataset_labels(ds) == {f"t{i}": i for i in range(4)}
+    with pytest.raises(FileNotFoundError):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [(lambda e: e.update(tracklet_id="t1"), "duplicate"),
+     (lambda e: e.update(camera_id=2), "camera_id")],
+    ids=["duplicate_id", "camera_out_of_range"],
+)
+def test_manifest_inconsistent_entries_rejected(tmp_path, mutate, match):
+    data = _manifest_with(tmp_path, mutate)
+    for payload in data.glob("*.f32"):
+        payload.unlink()  # caught from the manifest alone
+    with pytest.raises(DatasetError, match=match):
+        read_manifest(data)
 
 
 def test_feature_file_outside_dataset_rejected(tmp_path):

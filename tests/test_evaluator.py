@@ -3,8 +3,8 @@ import pytest
 
 from hitpro.datamodel import Modality, PositiveKind, TrainConfig
 from hitpro.encoder import encoder_init
+from hitpro import evaluator
 from hitpro.evaluator import (
-    _PAIR_BLOCK,
     distance_distribution,
     embed_tracklet,
     evaluate_dataset,
@@ -147,47 +147,56 @@ def test_evaluate_dataset_both_directions():
         assert np.all(np.diff(res.cmc) >= 0)
 
 
+def _split(embeddings):
+    return [e for e, _ in embeddings], [i for _, i in embeddings]
+
+
 def test_distance_distribution_identical_embeddings():
-    e = unit([1.0, 0.0])
+    e = unit([1.0, 1.0, 1.0])
+    assert 1.0 - float(np.dot(e, e)) < 0.0  # rounds below 0 before the clip
     embeddings = [(e.copy(), 0), (e.copy(), 0), (e.copy(), 1), (e.copy(), 1)]
-    out = distance_distribution(embeddings, n_pairs=100, rng=np.random.default_rng(0))
-    np.testing.assert_allclose(out["positive_distances"], 0.0, atol=1e-12)
-    np.testing.assert_allclose(out["negative_distances"], 0.0, atol=1e-12)
+    out = distance_distribution(*_split(embeddings))
+    assert (out["n_positive_pairs"], out["n_negative_pairs"]) == (2, 4)
+    assert out["positive_hist"].tolist() == [2] + [0] * 49
+    assert out["negative_hist"].tolist() == [4] + [0] * 49
+    assert out["positive_mean_distance"] == 0.0
+    assert out["negative_mean_distance"] == 0.0
 
 
 def test_distance_distribution_orthogonal_clusters():
     a, b = unit([1.0, 0.0]), unit([0.0, 1.0])
     embeddings = [(a.copy(), 0), (a.copy(), 0), (b.copy(), 1), (b.copy(), 1)]
-    out = distance_distribution(embeddings, n_pairs=64, rng=np.random.default_rng(1))
-    np.testing.assert_allclose(out["positive_distances"], 0.0, atol=1e-12)
-    np.testing.assert_allclose(out["negative_distances"], 1.0, atol=1e-12)
+    out = distance_distribution(*_split(embeddings))
+    np.testing.assert_array_equal(out["bin_edges"], np.linspace(0.0, 2.0, 51))
+    assert out["positive_hist"][0] == 2 and out["positive_hist"].sum() == 2
+    assert out["negative_hist"][25] == 4 and out["negative_hist"].sum() == 4
+    assert out["positive_mean_distance"] == 0.0
+    assert out["negative_mean_distance"] == 1.0
 
 
-def test_distance_distribution_sample_mean_matches_enumeration():
+def test_distance_distribution_mean_matches_enumeration():
     rng = np.random.default_rng(5)
     embeddings = [
         (unit(rng.normal(size=8) + 2.0 * np.eye(8)[i % 4]), i % 4) for i in range(100)
     ]
-    out = distance_distribution(
-        embeddings, n_pairs=40_000, rng=np.random.default_rng(9)
-    )
+    out = distance_distribution(*_split(embeddings))
     mat = np.stack([e for e, _ in embeddings])
     ids = np.array([i for _, i in embeddings])
     sims = mat @ mat.T
     iu = np.triu_indices(len(ids), k=1)
     same = ids[iu[0]] == ids[iu[1]]
-    pos_mean = float(np.mean(1.0 - sims[iu][same]))
-    neg_mean = float(np.mean(1.0 - sims[iu][~same]))
-    assert abs(float(out["positive_distances"].mean()) - pos_mean) < 0.02
-    assert abs(float(out["negative_distances"].mean()) - neg_mean) < 0.02
+    assert out["n_positive_pairs"] == int(same.sum())
+    assert out["n_negative_pairs"] == int((~same).sum())
+    assert out["positive_mean_distance"] == pytest.approx(np.mean(1.0 - sims[iu][same]), rel=1e-12)
+    assert out["negative_mean_distance"] == pytest.approx(np.mean(1.0 - sims[iu][~same]), rel=1e-12)
 
 
 def test_distance_distribution_requires_both_kinds():
     e = unit([1.0, 0.0])
-    with pytest.raises(ValueError):
-        distance_distribution([(e, 0), (e, 0)], n_pairs=10, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        distance_distribution([(e, 0), (e, 1)], n_pairs=10, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="intra-class and one inter-class"):
+        distance_distribution([e, e], [0, 0])
+    with pytest.raises(ValueError, match="intra-class and one inter-class"):
+        distance_distribution([e, e], [0, 1])
 
 
 def test_mining_quality_all_correct():
@@ -246,39 +255,41 @@ def test_mining_quality_hand_counts():
     assert recall == pytest.approx(0.5)  # t1 accepted, t3 (true candidate) missed
 
 
-def _listed_distance_samples(embeddings, n_pairs, rng):
-    """Reference sampler: every pair enumerated as a Python list."""
-    n = len(embeddings)
-    ids = [identity for _, identity in embeddings]
-    intra = [(i, j) for i in range(n) for j in range(i + 1, n) if ids[i] == ids[j]]
-    inter = [(i, j) for i in range(n) for j in range(i + 1, n) if ids[i] != ids[j]]
-    mat = np.stack([e for e, _ in embeddings])
+def _pairwise_histograms(vectors, ids, n_bins=50):
+    """Reference: every pair i < j in a Python loop, one ``np.dot`` each."""
+    mat = np.stack(vectors).astype(np.float64)
     mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    out = []
-    for pairs in (intra, inter):
-        picked = np.array(pairs)[rng.integers(0, len(pairs), size=n_pairs)]
-        out.append(1.0 - np.einsum("ij,ij->i", mat[picked[:, 0]], mat[picked[:, 1]]))
-    return out
+    dists = {True: [], False: []}
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            d = min(max(1.0 - float(np.dot(mat[i], mat[j])), 0.0), 2.0)
+            dists[ids[i] == ids[j]].append(d)
+    edges = np.linspace(0.0, 2.0, n_bins + 1)
+    return {kind: (np.histogram(d, bins=edges)[0], len(d), float(np.mean(d)))
+            for kind, d in dists.items()}
+
+
+def _assert_matches_pair_loop(vectors, ids):
+    out = distance_distribution(vectors, ids)
+    ref = _pairwise_histograms(vectors, ids)
+    for kind, name in ((True, "positive"), (False, "negative")):
+        hist, count, mean = ref[kind]
+        np.testing.assert_array_equal(out[f"{name}_hist"], hist)
+        assert out[f"n_{name}_pairs"] == count == hist.sum()
+        assert out[f"{name}_mean_distance"] == pytest.approx(mean, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_distance_distribution_matches_enumerated_pairs(seed):
+def test_distance_distribution_matches_enumerated_pairs(seed, monkeypatch):
+    # blocks of 7 rows over 60-62 tracklets: several full blocks and a short one
+    monkeypatch.setattr(evaluator, "_ROW_BLOCK", 7)
     rng = np.random.default_rng(seed)
-    n = 60 + seed
-    labels = rng.integers(0, 7, size=n)
-    embeddings = [(rng.normal(size=5), int(label)) for label in labels]
-    out = distance_distribution(embeddings, n_pairs=500, rng=np.random.default_rng(seed + 10))
-    pos, neg = _listed_distance_samples(embeddings, 500, np.random.default_rng(seed + 10))
-    np.testing.assert_array_equal(out["positive_distances"], pos)
-    np.testing.assert_array_equal(out["negative_distances"], neg)
+    labels = rng.integers(0, 7, size=60 + seed)
+    _assert_matches_pair_loop([rng.normal(size=5) for _ in labels], labels.tolist())
 
 
 def test_distance_distribution_matches_enumerated_pairs_across_blocks():
     rng = np.random.default_rng(3)
-    labels = rng.integers(0, 5, size=40)
-    embeddings = [(rng.normal(size=6), int(label)) for label in labels]
-    n_pairs = 2 * _PAIR_BLOCK + 1
-    out = distance_distribution(embeddings, n_pairs=n_pairs, rng=np.random.default_rng(4))
-    pos, neg = _listed_distance_samples(embeddings, n_pairs, np.random.default_rng(4))
-    np.testing.assert_array_equal(out["positive_distances"], pos)
-    np.testing.assert_array_equal(out["negative_distances"], neg)
+    n = evaluator._ROW_BLOCK + 44  # one full block of the default size, then a short one
+    labels = rng.integers(0, 40, size=n)
+    _assert_matches_pair_loop([rng.normal(size=6) for _ in labels], labels.tolist())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hitpro.datamodel import Dataset, Modality, TrainConfig, Tracklet
+from hitpro.datamodel import Dataset, Modality, Prototype, PrototypeStore, TrainConfig, Tracklet
 from hitpro import prototyping
 from hitpro.encoder import encode, encoder_init, select_frames
 from hitpro.numerics import l2_normalize
@@ -11,6 +11,8 @@ from hitpro.prototyping import (
     partition_tracklet,
     tracklet_embedding,
 )
+
+from conftest import assert_same_store
 
 
 def make_tracklet(n_frames, tid="t0", d_in=4, modality=Modality.VIS, cam=0, seed=0):
@@ -139,6 +141,20 @@ def test_build_deterministic_and_thread_invariant():
         np.testing.assert_array_equal(
             a.get(t.tracklet_id).vector, b.get(t.tracklet_id).vector
         )
+
+
+def test_build_prototypes_equals_list_built_store():
+    cfg = small_cfg()
+    grouped = make_dataset(n_per_group=3)
+    order = np.random.default_rng(1).permutation(len(grouped.tracklets))
+    ds = Dataset(d_in=4, n_cameras_vis=2, n_cameras_ir=2,
+                 tracklets=tuple(grouped.tracklets[i] for i in order))  # cameras interleaved
+    params = params_for(cfg)
+    listed = PrototypeStore([
+        Prototype(t.tracklet_id, t.modality, t.camera_id, v)
+        for t, v in zip(ds.tracklets, embed_tracklets(params, ds.tracklets, cfg))
+    ])
+    assert_same_store(build_prototypes(params, ds, cfg), listed)
 
 
 def _looped_tracklet_embedding(params, t, cfg):
