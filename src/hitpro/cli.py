@@ -227,7 +227,7 @@ def _cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     vectors = embed_tracklets(params, dataset.tracklets, cfg)
     results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
-    # the layout of the dataset's feature payloads: little-endian float32,
+    # the layout of the dataset's frames.f32: little-endian float32, here
     # one row per tracklet in dataset order
     matrix = np.asarray(vectors, dtype="<f4")
     (out / EMBEDDINGS_FILE).write_bytes(matrix.tobytes())

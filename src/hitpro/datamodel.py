@@ -4,9 +4,15 @@ On-disk formats:
 
 * ``manifest.json``: one JSON document with a header (``d_in``,
   ``n_cameras_vis``, ``n_cameras_ir``) and a ``tracklets`` list of
-  ``{tracklet_id, modality, camera_id, n_frames, feature_file, gt_identity?}``.
-* ``<tracklet_id>.f32``: little-endian float32, row-major ``L x d_in``;
-  file size is exactly ``4 * L * d_in`` bytes.
+  ``{tracklet_id, modality, camera_id, n_frames, gt_identity?}``; it names
+  no file, and other keys are ignored. Undecodable bytes, wrong types, a
+  ``d_in`` or ``n_frames`` below 1, repeated ids and out-of-range cameras
+  raise :class:`DatasetError`.
+* ``frames.f32``: every tracklet's ``n_frames x d_in`` frame rows,
+  little-endian float32, row-major, back to back in manifest order; a
+  tracklet's first row is the sum of ``n_frames`` before it, and the file
+  size is exactly ``4 * d_in * sum(n_frames)`` bytes. It is read in one
+  piece, and each loaded tracklet's frames are a read-only view of it.
 * ``checkpoint.hpt``: 4-byte little-endian header length, UTF-8 JSON header,
   then concatenated float32 blobs addressed by named sections.
 
@@ -382,25 +388,26 @@ class Dataset:
         return all(t.gt_identity is not None for t in self.tracklets)
 
 
+PAYLOAD_FILE = "frames.f32"
+
+
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write manifest.json plus one .f32 payload per tracklet; returns manifest path."""
+    """Write manifest.json plus the frames.f32 payload; returns manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for t in dataset.tracklets:
-        feature_file = f"{t.tracklet_id}.f32"
-        payload = np.ascontiguousarray(t.frames, dtype="<f4")
-        (out / feature_file).write_bytes(payload.tobytes())
-        entry = {
-            "tracklet_id": t.tracklet_id,
-            "modality": t.modality.value,
-            "camera_id": t.camera_id,
-            "n_frames": t.n_frames,
-            "feature_file": feature_file,
-        }
-        if t.gt_identity is not None:
-            entry["gt_identity"] = t.gt_identity
-        entries.append(entry)
+    with open(out / PAYLOAD_FILE, "wb") as fh:
+        for t in dataset.tracklets:
+            fh.write(np.ascontiguousarray(t.frames, dtype="<f4"))
+            entry = {
+                "tracklet_id": t.tracklet_id,
+                "modality": t.modality.value,
+                "camera_id": t.camera_id,
+                "n_frames": t.n_frames,
+            }
+            if t.gt_identity is not None:
+                entry["gt_identity"] = t.gt_identity
+            entries.append(entry)
     manifest = {
         "d_in": dataset.d_in,
         "n_cameras_vis": dataset.n_cameras_vis,
@@ -424,26 +431,28 @@ def _json_int(value, what: str, error: type[Exception], minimum: Optional[int] =
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    """One tracklet as ``manifest.json`` describes it; ``payload`` is the
-    path of its feature file."""
+    """One tracklet as ``manifest.json`` describes it; ``offset`` is the
+    first of its ``n_frames`` rows in ``frames.f32``."""
 
     tracklet_id: str
     modality: Modality
     camera_id: int
     n_frames: int
-    payload: Path
+    offset: int
     gt_identity: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class Manifest:
-    """A parsed and validated ``manifest.json``: the header values and one
-    entry per tracklet, in file order. No feature payload has been read."""
+    """A parsed and validated ``manifest.json``: the header values, one
+    entry per tracklet in file order, and the path of ``frames.f32``,
+    which has not been read."""
 
     d_in: int
     n_cameras_vis: int
     n_cameras_ir: int
     tracklets: tuple[ManifestEntry, ...]
+    payload: Path
 
     @property
     def has_labels(self) -> bool:
@@ -452,13 +461,13 @@ class Manifest:
 
 def read_manifest(manifest_path: str | Path) -> Manifest:
     """Parse a dataset's manifest (its directory or ``manifest.json``) and
-    validate types, ids, camera ranges and feature-file paths."""
+    validate its encoding, types, counts, ids and camera ranges."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetError(f"malformed manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DatasetError(f"manifest {manifest_path} is not a JSON object")
@@ -467,64 +476,60 @@ def read_manifest(manifest_path: str | Path) -> Manifest:
             raise DatasetError(f"manifest missing required key {key!r}")
     if not isinstance(manifest["tracklets"], list):
         raise DatasetError("manifest 'tracklets' is not a list")
-    d_in = _json_int(manifest["d_in"], "d_in", DatasetError)
+    d_in = _json_int(manifest["d_in"], "d_in", DatasetError, minimum=1)
     n_cameras_vis = _json_int(manifest["n_cameras_vis"], "n_cameras_vis", DatasetError)
     n_cameras_ir = _json_int(manifest["n_cameras_ir"], "n_cameras_ir", DatasetError)
-    base = manifest_path.parent
     entries = []
+    offset = 0
     for i, entry in enumerate(manifest["tracklets"]):
         try:
             tid = entry["tracklet_id"]
             if not isinstance(tid, str):
                 raise TypeError(f"tracklet_id must be a string, got {tid!r}")
-            n_frames = _json_int(entry["n_frames"], f"entry {i} n_frames", DatasetError)
+            n_frames = _json_int(entry["n_frames"], f"entry {i} n_frames", DatasetError,
+                                 minimum=1)
             modality = Modality(entry["modality"])
             camera_id = _json_int(entry["camera_id"], f"entry {i} camera_id", DatasetError)
-            feature_file = Path(entry["feature_file"])
             gt_identity = entry.get("gt_identity")
             if gt_identity is not None:
                 gt_identity = _json_int(gt_identity, f"entry {i} gt_identity", DatasetError)
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"manifest entry {i} is malformed: {exc!r}") from exc
-        if feature_file.is_absolute() or ".." in feature_file.parts:
-            raise DatasetError(
-                f"tracklet {tid}: feature_file {str(feature_file)!r} leaves the dataset directory"
-            )
-        entries.append(ManifestEntry(tid, modality, camera_id, n_frames, base / feature_file,
-                                     gt_identity))
+        entries.append(ManifestEntry(tid, modality, camera_id, n_frames, offset, gt_identity))
+        offset += n_frames
     _index_tracklets(entries, n_cameras_vis, n_cameras_ir)
-    return Manifest(d_in, n_cameras_vis, n_cameras_ir, tuple(entries))
+    return Manifest(d_in, n_cameras_vis, n_cameras_ir, tuple(entries),
+                    manifest_path.parent / PAYLOAD_FILE)
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load a dataset: :func:`read_manifest`, then each feature payload,
-    whose size must match the manifest's ``n_frames`` and ``d_in``."""
+    """Load a dataset: :func:`read_manifest`, then ``frames.f32`` in one
+    read, whose size must match the manifest's ``n_frames`` and ``d_in``.
+    Each tracklet's frames are a read-only view of that one buffer."""
     manifest = read_manifest(manifest_path)
-    d_in = manifest.d_in
-    tracklets = []
-    for entry in manifest.tracklets:
-        raw = entry.payload.read_bytes()  # missing file raises FileNotFoundError
-        expected = 4 * entry.n_frames * d_in
-        if len(raw) != expected:
-            raise DatasetError(
-                f"tracklet {entry.tracklet_id}: payload {entry.payload.name} holds "
-                f"{len(raw)} bytes, manifest implies {expected} "
-                f"(L={entry.n_frames}, d_in={d_in})"
-            )
-        tracklets.append(
-            Tracklet(
-                tracklet_id=entry.tracklet_id,
-                modality=entry.modality,
-                camera_id=entry.camera_id,
-                frames=np.frombuffer(raw, dtype="<f4").reshape(entry.n_frames, d_in),
-                gt_identity=entry.gt_identity,
-            )
+    d_in, n_rows = manifest.d_in, sum(e.n_frames for e in manifest.tracklets)
+    raw = manifest.payload.read_bytes()  # a missing payload raises FileNotFoundError
+    expected = 4 * d_in * n_rows
+    if len(raw) != expected:
+        raise DatasetError(
+            f"payload {PAYLOAD_FILE} holds {len(raw)} bytes, manifest implies {expected} "
+            f"({n_rows} frames, d_in={d_in})"
         )
+    rows = np.frombuffer(raw, dtype="<f4").reshape(n_rows, d_in)
     return Dataset(
         d_in=d_in,
         n_cameras_vis=manifest.n_cameras_vis,
         n_cameras_ir=manifest.n_cameras_ir,
-        tracklets=tuple(tracklets),
+        tracklets=tuple(
+            Tracklet(
+                tracklet_id=e.tracklet_id,
+                modality=e.modality,
+                camera_id=e.camera_id,
+                frames=rows[e.offset : e.offset + e.n_frames],
+                gt_identity=e.gt_identity,
+            )
+            for e in manifest.tracklets
+        ),
     )
 
 

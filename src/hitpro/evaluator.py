@@ -76,20 +76,24 @@ def evaluate_retrieval(
     g_norm = g_mat / np.linalg.norm(g_mat, axis=1, keepdims=True)
     sims = q_norm @ g_norm.T
 
-    cmc_hits = np.zeros(max_rank)
-    aps = []
-    for qi in range(len(queries)):
-        order = np.argsort(-sims[qi], kind="stable")  # stable: index breaks ties
-        matches = (g_ids[order] == q_ids[qi])
-        first = int(np.argmax(matches))  # at least one match guaranteed
-        if first < max_rank:
-            cmc_hits[first:] += 1.0
-        rel_cum = np.cumsum(matches)
-        ranks = np.nonzero(matches)[0] + 1
-        aps.append(float(np.mean(rel_cum[ranks - 1] / ranks)))
+    order = np.argsort(-sims, axis=1, kind="stable")  # stable: index breaks ties
+    matches = g_ids[order] == q_ids[:, None]
+    first = np.argmax(matches, axis=1)  # at least one match guaranteed
+    cmc = np.cumsum(np.bincount(first, minlength=max_rank)[:max_rank]) / len(queries)
+    rows, cols = np.nonzero(matches)  # query by query, in rank order
+    precision = np.cumsum(matches, axis=1)[rows, cols] / (cols + 1)
+    # average precisions grouped by match count: one (n_queries, count)
+    # mean per count adds each query's values as a mean over them alone
+    counts = np.bincount(rows, minlength=len(queries))
+    starts = np.cumsum(counts) - counts
+    aps = np.empty(len(queries))
+    # not np.unique: on this input it imports numpy.ma, ~1 MB of peak RSS
+    for count in sorted(set(counts.tolist())):
+        same = np.flatnonzero(counts == count)
+        aps[same] = np.mean(precision[starts[same, None] + np.arange(count)], axis=1)
     return RetrievalResult(
         direction="",
-        cmc=cmc_hits / len(queries),
+        cmc=cmc,
         mean_ap=float(np.mean(aps)),
         n_query=len(queries),
         n_gallery=len(gallery),

@@ -4,8 +4,14 @@ Each identity owns a latent vector; cameras add latent-space offsets; each
 modality observes the latent space through its own linear map (identity
 blended with a random orthogonal basis, so the modality gap is tunable and
 invertible). Frames add a bounded random walk plus i.i.d. noise. Everything
-is a pure function of the config, with per-tracklet RNG streams so parallel
-generation cannot change the output.
+is a pure function of the config.
+
+Each tracklet draws from its own RNG stream, seeded by (seed, tracklet
+index): its length, then all of its walk steps, then all of its noise. The
+reflected walk then runs in waves over the frame index, one elementwise
+step for every tracklet at once, and each modality maps all of its frames
+with one stacked matrix-vector product. Every frame has the bits of the
+frame-by-frame loop kept in ``tests/reference_loops.py``.
 """
 
 from __future__ import annotations
@@ -68,50 +74,67 @@ def _tracklet_rng(cfg: GenConfig, tracklet_index: int) -> np.random.Generator:
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:
-    """Build the full dataset; deterministic given ``cfg.seed``."""
+    """Build the full dataset; deterministic given ``cfg.seed``. The frames
+    of all tracklets are row blocks of one read-only float32 matrix."""
     global_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
 
     latents = global_rng.normal(size=(cfg.n_identities, cfg.d_latent))
-    offsets: dict[tuple[Modality, int], np.ndarray] = {}
-    for modality, n_cams in ((Modality.VIS, cfg.cams_vis), (Modality.IR, cfg.cams_ir)):
-        for cam in range(n_cams):
-            offsets[(modality, cam)] = (
-                cfg.camera_offset_scale * global_rng.normal(size=cfg.d_latent)
-            )
+    cameras = [(modality, cam)
+               for modality, n_cams in ((Modality.VIS, cfg.cams_vis), (Modality.IR, cfg.cams_ir))
+               for cam in range(n_cams)]
+    offsets = np.array([cfg.camera_offset_scale * global_rng.normal(size=cfg.d_latent)
+                        for _ in cameras])
     maps = {
         Modality.VIS: _modality_map(cfg, global_rng),
         Modality.IR: _modality_map(cfg, global_rng),
     }
 
+    # tracklet index = (identity * n_cameras + camera) * reps + rep
+    reps = cfg.tracklets_per_identity_per_camera
+    n = cfg.n_identities * len(cameras) * reps
+    lengths = np.empty(n, dtype=np.intp)
+    steps = np.zeros((n, cfg.frame_len_max, cfg.d_latent))
+    noise = []
+    for index in range(n):
+        rng = _tracklet_rng(cfg, index)
+        length = int(rng.integers(cfg.frame_len_min, cfg.frame_len_max + 1))
+        lengths[index] = length
+        steps[index, :length] = rng.normal(size=(length, cfg.d_latent))
+        noise.append(rng.normal(size=(length, cfg.d_in)))
+    identity_of = np.arange(n) // (len(cameras) * reps)
+    camera_of = np.arange(n) // reps % len(cameras)
+
+    # the walk of every tracklet, one frame index per wave; rows past a
+    # tracklet's length are computed and dropped
+    centers = latents[identity_of] + offsets[camera_of]
     bound = 3.0 * cfg.walk_step
+    points = np.empty_like(steps)
+    walk = np.zeros((n, cfg.d_latent))
+    for t in range(cfg.frame_len_max):
+        walk = _reflect(walk + cfg.walk_step * steps[:, t], bound)
+        points[:, t] = centers + walk
+    points = points[np.arange(cfg.frame_len_max) < lengths[:, None]]  # frame rows in order
+
+    vis_rows = np.repeat(camera_of < cfg.cams_vis, lengths)
+    frames = np.empty((len(points), cfg.d_in))
+    for modality, rows in ((Modality.VIS, vis_rows), (Modality.IR, ~vis_rows)):
+        frames[rows] = (maps[modality] @ points[rows][:, :, None])[:, :, 0]
+    frames += cfg.frame_noise * np.concatenate(noise)
+    frames = frames.astype("<f4")
+    frames.flags.writeable = False
+
     tracklets = []
-    index = 0
-    for identity in range(cfg.n_identities):
-        for modality, n_cams in ((Modality.VIS, cfg.cams_vis), (Modality.IR, cfg.cams_ir)):
-            for cam in range(n_cams):
-                for rep in range(cfg.tracklets_per_identity_per_camera):
-                    rng = _tracklet_rng(cfg, index)
-                    index += 1
-                    length = int(rng.integers(cfg.frame_len_min, cfg.frame_len_max + 1))
-                    center = latents[identity] + offsets[(modality, cam)]
-                    walk = np.zeros(cfg.d_latent)
-                    frames = np.empty((length, cfg.d_in))
-                    for t in range(length):
-                        walk = _reflect(
-                            walk + cfg.walk_step * rng.normal(size=cfg.d_latent), bound
-                        )
-                        frames[t] = maps[modality] @ (center + walk)
-                    frames += cfg.frame_noise * rng.normal(size=(length, cfg.d_in))
-                    tid = f"{modality.value.lower()}_c{cam}_i{identity:04d}_r{rep}"
-                    tracklets.append(
-                        Tracklet(
-                            tracklet_id=tid,
-                            modality=modality,
-                            camera_id=cam,
-                            frames=frames.astype("<f4"),
-                            gt_identity=identity,
-                        )
-                    )
+    end = 0
+    for index, length in enumerate(lengths.tolist()):
+        identity, (modality, cam) = int(identity_of[index]), cameras[camera_of[index]]
+        tracklets.append(Tracklet(
+            tracklet_id=f"{modality.value.lower()}_c{cam}_i{identity:04d}_r{index % reps}",
+            modality=modality,
+            camera_id=cam,
+            frames=frames[end : end + length],
+            gt_identity=identity,
+        ))
+        end += length
     return Dataset(
         d_in=cfg.d_in,
         n_cameras_vis=cfg.cams_vis,

@@ -1,5 +1,6 @@
 """The per-row loops that the stacked loss, EMA update and mining replaced,
-and the training loop that re-sampled and re-stacked frames every iteration.
+the training loop that re-sampled and re-stacked frames every iteration, the
+frame-by-frame dataset generator and the per-query retrieval ranking.
 
 Kept as bitwise references: each runs one matrix-vector product per batch
 entry or source row, the arithmetic the array paths must reproduce to the
@@ -8,12 +9,13 @@ last bit.
 
 import numpy as np
 
-from hitpro.datamodel import Modality, PositiveKind, Prototype, PrototypeStore
+from hitpro.datamodel import Dataset, Modality, PositiveKind, Prototype, PrototypeStore, Tracklet
 from hitpro.encoder import encode, encode_backward, encoder_init, select_frames
 from hitpro.evaluator import dataset_labels, mining_quality
 from hitpro.mining import MiningRow, build_mining_report, rho_schedule, soft_weights
 from hitpro.numerics import l2_normalize, log_softmax, stable_softmax
 from hitpro.prototyping import partition_tracklet
+from hitpro.synthgen import _modality_map, _reflect, _tracklet_rng
 from hitpro.trainer import OptState, sgd_step
 
 
@@ -257,3 +259,67 @@ def loop_train(dataset, cfg):
                 record["mining"][key] = {"precision": precision, "recall": recall}
         epochs.append(record)
     return params, store, epochs
+
+
+def loop_generate_dataset(cfg):
+    """The dataset of a generator that walks one tracklet at a time, frame by
+    frame: one latent step draw and one matrix-vector product per frame."""
+    global_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
+
+    latents = global_rng.normal(size=(cfg.n_identities, cfg.d_latent))
+    offsets = {}
+    for modality, n_cams in ((Modality.VIS, cfg.cams_vis), (Modality.IR, cfg.cams_ir)):
+        for cam in range(n_cams):
+            offsets[(modality, cam)] = (
+                cfg.camera_offset_scale * global_rng.normal(size=cfg.d_latent)
+            )
+    maps = {
+        Modality.VIS: _modality_map(cfg, global_rng),
+        Modality.IR: _modality_map(cfg, global_rng),
+    }
+
+    bound = 3.0 * cfg.walk_step
+    tracklets = []
+    index = 0
+    for identity in range(cfg.n_identities):
+        for modality, n_cams in ((Modality.VIS, cfg.cams_vis), (Modality.IR, cfg.cams_ir)):
+            for cam in range(n_cams):
+                for rep in range(cfg.tracklets_per_identity_per_camera):
+                    rng = _tracklet_rng(cfg, index)
+                    index += 1
+                    length = int(rng.integers(cfg.frame_len_min, cfg.frame_len_max + 1))
+                    center = latents[identity] + offsets[(modality, cam)]
+                    walk = np.zeros(cfg.d_latent)
+                    frames = np.empty((length, cfg.d_in))
+                    for t in range(length):
+                        walk = _reflect(
+                            walk + cfg.walk_step * rng.normal(size=cfg.d_latent), bound
+                        )
+                        frames[t] = maps[modality] @ (center + walk)
+                    frames += cfg.frame_noise * rng.normal(size=(length, cfg.d_in))
+                    tracklets.append(Tracklet(
+                        tracklet_id=f"{modality.value.lower()}_c{cam}_i{identity:04d}_r{rep}",
+                        modality=modality,
+                        camera_id=cam,
+                        frames=frames.astype("<f4"),
+                        gt_identity=identity,
+                    ))
+    return Dataset(d_in=cfg.d_in, n_cameras_vis=cfg.cams_vis, n_cameras_ir=cfg.cams_ir,
+                   tracklets=tuple(tracklets))
+
+
+def loop_ranking(sims, q_ids, g_ids, max_rank):
+    """``(cmc, mean_ap)`` from one stable ``argsort`` and ``cumsum`` per query
+    row of the ``(n_query, n_gallery)`` similarity matrix."""
+    cmc_hits = np.zeros(max_rank)
+    aps = []
+    for qi in range(len(q_ids)):
+        order = np.argsort(-sims[qi], kind="stable")
+        matches = (g_ids[order] == q_ids[qi])
+        first = int(np.argmax(matches))
+        if first < max_rank:
+            cmc_hits[first:] += 1.0
+        rel_cum = np.cumsum(matches)
+        ranks = np.nonzero(matches)[0] + 1
+        aps.append(float(np.mean(rel_cum[ranks - 1] / ranks)))
+    return cmc_hits / len(q_ids), float(np.mean(aps))

@@ -1,6 +1,9 @@
-"""The stacked loss, EMA update, mining and training loop against the
-per-row loops they replaced (``reference_loops``): equal to the last bit,
-not within a tolerance."""
+"""The stacked loss, EMA update, mining, training loop, dataset generator
+and retrieval ranking against the per-row loops they replaced
+(``reference_loops``): equal to the last bit, not within a tolerance."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hitpro.datamodel import (
     TrainConfig,
     WeightedPositiveSet,
 )
-from hitpro.evaluator import mining_quality
+from hitpro.evaluator import evaluate_retrieval, mining_quality
 from hitpro.mining import build_mining_report
 from hitpro.objective import ema_update, loss_cross_modal, loss_imcc, loss_intra_camera, total_loss
 from hitpro.prototyping import frame_table, partition_tracklet
@@ -25,8 +28,10 @@ from conftest import random_store
 from reference_loops import (
     loop_alignment_loss,
     loop_ema_update,
+    loop_generate_dataset,
     loop_mining_quality,
     loop_mining_rows,
+    loop_ranking,
     loop_sample_batch,
     loop_total_loss,
     loop_train,
@@ -272,3 +277,81 @@ def test_row_sampler_draws_the_reference_entries(data, cfg):
             rows = sample_rows(cameras, cfg, rngs[1])
             assert [by_row[r] for r in rows] == expected
             assert list(sample_batch(dataset, modality, partitions, cfg, rngs[2]).entries) == expected
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GEN_FIELDS = set(GenConfig.__dataclass_fields__)
+
+
+def _config_gen(name, seed):
+    cfg = json.loads((CONFIGS / name).read_text())
+    return GenConfig(**{**{k: v for k, v in cfg.items() if k in GEN_FIELDS}, "seed": seed})
+
+
+def _small_gen(**kw):
+    base = dict(n_identities=4, cams_vis=2, cams_ir=2, d_in=6, d_latent=3,
+                frame_len_min=2, frame_len_max=7, camera_offset_scale=0.4,
+                modality_transform_scale=0.3, frame_noise=0.2, walk_step=0.3, seed=5)
+    base.update(kw)
+    return GenConfig(**base)
+
+
+GEN_CASES = {
+    # a walk bounded at 0: every step reflects to the center
+    "walk_step_0": _small_gen(walk_step=0.0),
+    # one frame per tracklet
+    "one_frame": _small_gen(frame_len_min=1, frame_len_max=1),
+    "two_reps": _small_gen(tracklets_per_identity_per_camera=2),
+    "square_map": _small_gen(d_latent=6),
+    "one_camera_each": _small_gen(cams_vis=1, cams_ir=1),
+    "three_cameras_each": _small_gen(cams_vis=3, cams_ir=3, n_identities=3),
+    # a long walk against a tight bound: many reflections
+    "long_walks": _small_gen(frame_len_min=20, frame_len_max=40, walk_step=0.5),
+    "zero_noise_json": _config_gen("zero_noise.json", 0),
+    "noisy_benchmark_json_seed0": _config_gen("noisy_benchmark.json", 0),
+    "noisy_benchmark_json_seed7": _config_gen("noisy_benchmark.json", 7),
+}
+
+
+@pytest.mark.parametrize("cfg", GEN_CASES.values(), ids=GEN_CASES.keys())
+def test_generator_matches_frame_loop(cfg):
+    dataset = generate_dataset(cfg)
+    reference = loop_generate_dataset(cfg)
+    assert (dataset.d_in, dataset.n_cameras_vis, dataset.n_cameras_ir) == (
+        reference.d_in, reference.n_cameras_vis, reference.n_cameras_ir)
+    assert len(dataset.tracklets) == len(reference.tracklets)
+    for t, ref in zip(dataset.tracklets, reference.tracklets):
+        assert (t.tracklet_id, t.modality, t.camera_id, t.gt_identity) == (
+            ref.tracklet_id, ref.modality, ref.camera_id, ref.gt_identity)
+        assert t.frames.dtype == ref.frames.dtype and t.frames.shape == ref.frames.shape
+        assert t.frames.tobytes() == ref.frames.tobytes()
+
+
+def _gallery(rng, n_query, n_gallery, n_ids, d, tied):
+    g_ids = rng.integers(0, n_ids, size=n_gallery)
+    q_ids = rng.choice(g_ids, size=n_query)
+    vectors = rng.normal(size=(n_query + n_gallery, d))
+    if tied:  # few distinct directions: many equal similarities
+        vectors = np.round(vectors)
+        vectors[np.all(vectors == 0, axis=1), 0] = 1.0
+    return (list(zip(vectors[:n_query], q_ids.tolist())),
+            list(zip(vectors[n_query:], g_ids.tolist())))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_ranking_matches_query_loop(seed, tied):
+    rng = np.random.default_rng(seed)
+    n_query, n_gallery = (int(v) for v in rng.integers(1, 70, size=2))
+    queries, gallery = _gallery(rng, n_query, n_gallery, int(rng.integers(1, 15)), 3, tied)
+    max_rank = int(rng.integers(1, 25))
+    result = evaluate_retrieval(queries, gallery, max_rank=max_rank)
+
+    q_mat = np.stack([q for q, _ in queries])
+    g_mat = np.stack([g for g, _ in gallery])
+    sims = (q_mat / np.linalg.norm(q_mat, axis=1, keepdims=True)) @ (
+        g_mat / np.linalg.norm(g_mat, axis=1, keepdims=True)).T
+    cmc, mean_ap = loop_ranking(sims, np.array([i for _, i in queries]),
+                                np.array([i for _, i in gallery]), min(max_rank, n_gallery))
+    assert result.cmc.tobytes() == cmc.tobytes()
+    assert result.mean_ap == mean_ap

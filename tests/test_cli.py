@@ -53,6 +53,9 @@ def test_gen_deterministic_bytes(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", **ZERO_NOISE)
     main(["gen", "--config", cfg, "--out", str(tmp_path / "a")])
     main(["gen", "--config", cfg, "--out", str(tmp_path / "b")])
+    for name in ("a", "b"):
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
+            "effective_config.json", "frames.f32", "manifest.json"]
     a = sorted((tmp_path / "a").glob("*.f32"))
     b = sorted((tmp_path / "b").glob("*.f32"))
     assert [p.name for p in a] == [p.name for p in b]
@@ -253,6 +256,19 @@ def test_mine_reads_labels_from_manifest_only(zero_noise_run, tmp_path):
     full = (tmp_path / "full" / "mining_report.json").read_bytes()
     assert (tmp_path / "manifest" / "mining_report.json").read_bytes() == full
     assert json.loads(full)["vis_intra_modal"]["precision"] == 1.0
+
+
+def test_mine_rejects_negative_frame_count(zero_noise_run, tmp_path, capsys):
+    cfg, data, checkpoint = zero_noise_run
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["tracklets"][3]["n_frames"] = -1
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["mine", "--config", cfg, "--data", str(bad), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "m")]) == 2
+    assert "entry 3 n_frames must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "mining_report.json").exists()
 
 
 def _json_dumps(payload):

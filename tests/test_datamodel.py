@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,11 +67,42 @@ def test_round_trip_bit_identical(tmp_path):
 
 
 def test_payload_size_rule(tmp_path):
-    ds = make_dataset(n=2)
+    ds = Dataset(d_in=3, n_cameras_vis=1, n_cameras_ir=1, tracklets=(
+        make_tracklet("a", n_frames=2, seed=1), make_tracklet("b", n_frames=5, seed=2),
+        make_tracklet("c", modality=Modality.IR, n_frames=1, seed=3)))
     save_dataset(ds, tmp_path)
-    for t in ds.tracklets:
-        size = (tmp_path / f"{t.tracklet_id}.f32").stat().st_size
-        assert size == 4 * t.n_frames * ds.d_in
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.f32", "manifest.json"]
+    payload = (tmp_path / "frames.f32").read_bytes()
+    assert len(payload) == 4 * ds.d_in * (2 + 5 + 1)
+    # every tracklet's rows, back to back in manifest order
+    assert payload == b"".join(t.frames.astype("<f4").tobytes() for t in ds.tracklets)
+    entries = json.loads((tmp_path / "manifest.json").read_text())["tracklets"]
+    assert [e["n_frames"] for e in entries] == [2, 5, 1]
+    assert all("feature_file" not in e for e in entries)
+
+
+def test_loaded_frames_are_read_only_views_of_one_buffer(tmp_path):
+    ds = make_dataset()
+    save_dataset(ds, tmp_path)
+    loaded = load_dataset(tmp_path)
+    base = loaded.tracklets[0].frames.base
+    for t in loaded.tracklets:
+        assert t.frames.base is base
+        assert not t.frames.flags.writeable
+
+
+@pytest.mark.parametrize("change", [-4, -1, 1, 4, 12])
+def test_truncated_or_extended_payload_rejected(tmp_path, change):
+    ds = make_dataset()
+    save_dataset(ds, tmp_path)
+    payload = tmp_path / "frames.f32"
+    raw = payload.read_bytes()
+    expected = len(raw)
+    payload.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+    with pytest.raises(DatasetError, match="frames.f32") as exc:
+        load_dataset(tmp_path)
+    assert f"{expected + change} bytes" in str(exc.value)
+    assert f"implies {expected}" in str(exc.value)
 
 
 def test_dimension_mismatch_error(tmp_path):
@@ -86,7 +118,7 @@ def test_dimension_mismatch_error(tmp_path):
 def test_missing_payload_error(tmp_path):
     ds = make_dataset(n=1)
     save_dataset(ds, tmp_path)
-    (tmp_path / "t0.f32").unlink()
+    (tmp_path / "frames.f32").unlink()
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path)
 
@@ -407,16 +439,19 @@ def _manifest_with(tmp_path, mutate):
 
 
 def test_read_manifest_reads_no_payload(tmp_path):
-    ds = make_dataset()
+    ds = Dataset(d_in=3, n_cameras_vis=2, n_cameras_ir=2, tracklets=tuple(
+        make_tracklet(f"t{i}", Modality.VIS if i % 2 == 0 else Modality.IR, i % 2, n, gt=i, seed=i)
+        for i, n in enumerate((4, 1, 6, 2))))
     save_dataset(ds, tmp_path)
-    for payload in tmp_path.glob("*.f32"):
-        payload.unlink()
+    (tmp_path / "frames.f32").unlink()
     manifest = read_manifest(tmp_path / "manifest.json")
     assert (manifest.d_in, manifest.n_cameras_vis, manifest.n_cameras_ir) == (3, 2, 2)
-    assert [(e.tracklet_id, e.modality, e.camera_id, e.n_frames, e.payload, e.gt_identity)
+    assert manifest.payload == tmp_path / "frames.f32"
+    # each entry's first row is the running sum of n_frames before it
+    assert [(e.tracklet_id, e.modality, e.camera_id, e.n_frames, e.offset, e.gt_identity)
             for e in manifest.tracklets] == [
-        (t.tracklet_id, t.modality, t.camera_id, t.n_frames,
-         tmp_path / f"{t.tracklet_id}.f32", t.gt_identity) for t in ds.tracklets]
+        (t.tracklet_id, t.modality, t.camera_id, t.n_frames, offset, t.gt_identity)
+        for t, offset in zip(ds.tracklets, (0, 4, 5, 11))]
     assert dataset_labels(manifest) == dataset_labels(ds) == {f"t{i}": i for i in range(4)}
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path)
@@ -436,17 +471,86 @@ def test_manifest_inconsistent_entries_rejected(tmp_path, mutate, match):
         read_manifest(data)
 
 
-def test_feature_file_outside_dataset_rejected(tmp_path):
+def test_stray_feature_file_is_never_opened(tmp_path, monkeypatch):
     outside = tmp_path / "outside.f32"
     outside.write_bytes(np.zeros((4, 3), dtype="<f4").tobytes())  # a well-sized payload
-    for target in (str(outside), "../outside.f32"):
+    opened = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: opened.append(self) or read_bytes(self))
+    expected = make_dataset(n=2).tracklets
+    for target in (str(outside), "../outside.f32", str(tmp_path / "absent.f32")):
         data = _manifest_with(tmp_path, lambda e: e.update(feature_file=target))
-        with pytest.raises(DatasetError, match="feature_file"):
-            load_dataset(data)
+        loaded = load_dataset(data)
+        assert [t.frames.tobytes() for t in loaded.tracklets] == [
+            t.frames.tobytes() for t in expected]
+    assert opened and all(path.name == "frames.f32" and path.parent.name == "data"
+                          for path in opened)
+
+
+def test_manifest_undecodable_bytes_rejected(tmp_path):
+    data = _manifest_with(tmp_path, lambda e: None)
+    raw = bytearray((data / "manifest.json").read_bytes())
+    raw[10] = 0xFF
+    (data / "manifest.json").write_bytes(bytes(raw))
+    for read in (read_manifest, load_dataset):
+        with pytest.raises(DatasetError, match="malformed manifest"):
+            read(data)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_manifest_non_positive_n_frames_rejected(tmp_path, value):
+    data = _manifest_with(tmp_path, lambda e: e.update(n_frames=value))
+    (data / "frames.f32").unlink()  # caught from the manifest alone
+    with pytest.raises(DatasetError, match="n_frames must be at least 1"):
+        read_manifest(data)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_manifest_non_positive_d_in_rejected(tmp_path, value):
+    data = _manifest_with(tmp_path, lambda e: None)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["d_in"] = value
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match="d_in must be at least 1"):
+        read_manifest(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset_dir(tmp_path_factory):
+    data = tmp_path_factory.mktemp("manifest_fuzz")
+    save_dataset(make_dataset(), data)
+    return data
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    damage=st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 10**9), st.just(0)),
+        st.tuples(st.just("xor"), st.integers(0, 10**9), st.integers(1, 255)),
+    )
+)
+def test_damaged_manifest_loads_or_raises_dataset_error(fuzz_dataset_dir, damage):
+    # any shorter prefix, or any one byte XORed with a nonzero mask, next to
+    # the intact frames.f32
+    data = fuzz_dataset_dir
+    intact = (data / "manifest.json").read_bytes()
+    raw = bytearray(intact)
+    how, position, mask = damage
+    if how == "truncate":
+        raw = raw[: position % len(raw)]
+    else:
+        raw[position % len(raw)] ^= mask
+    (data / "manifest.json").write_bytes(bytes(raw))
+    try:
+        load_dataset(data)
+    except DatasetError:
+        pass
+    finally:
+        (data / "manifest.json").write_bytes(intact)
 
 
 @pytest.mark.parametrize(
-    "field", ["tracklet_id", "modality", "camera_id", "n_frames", "feature_file"]
+    "field", ["tracklet_id", "modality", "camera_id", "n_frames"]
 )
 def test_manifest_entry_missing_field_rejected(tmp_path, field):
     data = _manifest_with(tmp_path, lambda e: e.pop(field))
