@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .datamodel import (
 )
 from .evaluator import dataset_labels, distance_distribution, evaluate_embeddings, mining_quality
 from .gradcheck import run_gradcheck
-from .mining import build_mining_report
+from .mining import MiningReport, build_mining_report
 from .prototyping import embed_tracklets
 from .synthgen import GenConfig, generate_dataset
 from .trainer import train
@@ -146,11 +147,89 @@ def _json_text(obj, indent: str = "\n") -> str:
         items = [encode_basestring_ascii(_json_key(k)) + ": " + _json_text(v, inner)
                  for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, _Rendered):
+        return obj.render(indent)
     return _json_text(_numpy_to_list(obj), indent)
+
+
+class _Rendered:
+    """A value that renders its own JSON text: ``_json_text`` splices in
+    ``render(indent)``, with ``indent`` as it would pass it to a list."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
 
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(_json_text(payload) + "\n", encoding="utf-8")
+
+
+def _mining_rows_text(report: MiningReport, indent: str) -> str:
+    """``_json_text`` of the report's rows as a list of dicts: per source its
+    ``accepted`` pairs, ``candidates``, ``s_max`` (Python ``max`` over the
+    row's sims, as ``MiningReport.rows`` takes it), ``source`` and
+    ``threshold``.
+
+    Fills fixed per-depth templates from the report's flattened arrays
+    instead of building a dict per row, candidate and accepted pair and then
+    walking them; the text is the same.
+    """
+    n, n_cand = report.sims.shape
+    if n == 0:
+        return "[]"
+    row_in = indent + "  "  # before each row's "{"
+    key_in = row_in + "  "  # before a row's keys and its lists' "]"
+    item_in = key_in + "  "  # before each candidate's or accepted pair's "{"
+    field_in = item_in + "  "
+    finite = np.isfinite(report.sims).all() and np.isfinite(report.weights).all()
+    float_text = float.__repr__ if finite else _json_float
+    sims = list(map(float_text, report.sims.ravel().tolist()))
+    targets = list(map(encode_basestring_ascii, report.targets.ravel().tolist()))
+    cameras = list(map(int.__repr__, report.cameras.ravel().tolist()))
+    candidate = ("{" + field_in + '"camera": %s,' + field_in + '"sim": %s,' + field_in
+                 + '"target": %s' + item_in + "}")
+    candidates = list(map(candidate.__mod__, zip(cameras, sims, targets)))
+    flat = np.flatnonzero(report.accepted).tolist()  # row-major: camera order per row
+    weights = map(float_text, report.weights.ravel()[flat].tolist())
+    pair = ("{" + field_in + '"sim": %s,' + field_in + '"target": %s,' + field_in
+            + '"weight": %s' + item_in + "}")
+    accepted = [pair % (sims[i], targets[i], w) for i, w in zip(flat, weights)]
+
+    open_list, sep, close_list = "[" + item_in, "," + item_in, key_in + "]"
+    if n_cand:
+        s_max = [float_text(max(r)) for r in report.sims.tolist()]
+        candidate_lists = [open_list + sep.join(candidates[i:i + n_cand]) + close_list
+                           for i in range(0, n * n_cand, n_cand)]
+    else:
+        s_max, candidate_lists = ["null"] * n, ["[]"] * n
+    row = ("{" + key_in + '"accepted": %s,' + key_in + '"candidates": %s,' + key_in
+           + '"s_max": %s,' + key_in + '"source": %s,' + key_in + '"threshold": %s'
+           + row_in + "}")
+    rows = []
+    start = 0
+    for count, cands, top, source, threshold in zip(
+        report.accepted.sum(axis=1).tolist(), candidate_lists, s_max, report.sources,
+        report.thresholds,
+    ):
+        stop = start + count
+        taken = open_list + sep.join(accepted[start:stop]) + close_list if count else "[]"
+        rows.append(row % (taken, cands, top, encode_basestring_ascii(source),
+                           _json_text(threshold)))
+        start = stop
+    return "[" + row_in + ("," + row_in).join(rows) + indent + "]"
+
+
+def _mining_json(report: MiningReport) -> dict:
+    """One family's ``mining_report.json`` entry, less precision and recall."""
+    return {
+        "source_modality": report.source_modality.value,
+        "kind": report.kind.value,
+        "epoch": report.epoch,
+        "mean_positive_set_size": report.mean_positive_set_size,
+        "rows": _Rendered(partial(_mining_rows_text, report)),
+    }
 
 
 def _write_effective_config(out_dir: Path, command: str, gen_cfg, train_cfg, args) -> None:
@@ -201,13 +280,15 @@ def _cmd_mine(args) -> int:
     params, store, saved_epoch = load_checkpoint(args.checkpoint)
     gt = dataset_labels(read_manifest(args.data))
     epoch = args.epoch if args.epoch is not None else min(saved_epoch, cfg.total_epochs)
+    if not 0 <= epoch <= cfg.total_epochs:
+        raise ValueError(f"--epoch {epoch} outside [0, {cfg.total_epochs}]")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"epoch": epoch}
     for modality in (Modality.VIS, Modality.IR):
         for kind in (PositiveKind.INTRA_MODAL, PositiveKind.CROSS_MODAL):
             report = build_mining_report(store, modality, kind, epoch, cfg)
-            entry = report.to_json()
+            entry = _mining_json(report)
             if gt is not None:
                 precision, recall = mining_quality(report, gt)
                 entry["precision"] = precision

@@ -629,11 +629,17 @@ def _parse_checkpoint(header: dict, blob: bytes):
         name = f"store.{modality.value}.{cam}"
         if name not in arrays:
             raise KeyError(f"missing store section {name!r}")
+        if not isinstance(group_ids, list) or not all(isinstance(t, str) for t in group_ids):
+            raise ValueError(f"tracklet ids of section {name!r} must be a list of strings")
         mat = arrays[name]
         if mat.ndim != 2 or mat.shape[0] != len(group_ids):
             raise ValueError(
                 f"{len(group_ids)} tracklet ids for section {name!r} of shape {mat.shape}"
             )
+        # a zero row is finite, but every cosine against it is NaN
+        zero_rows = np.flatnonzero(~mat.any(axis=1))
+        if len(zero_rows):
+            raise ValueError(f"section {name!r} row {zero_rows[0]} has zero norm")
         blocks.append(mat)
         ids.extend(group_ids)
         modalities.extend([modality] * len(group_ids))

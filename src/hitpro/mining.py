@@ -125,28 +125,6 @@ class MiningReport:
             )
         ]
 
-    def to_json(self) -> dict:
-        return {
-            "source_modality": self.source_modality.value,
-            "kind": self.kind.value,
-            "epoch": self.epoch,
-            "mean_positive_set_size": self.mean_positive_set_size,
-            "rows": [
-                {
-                    "source": r.source,
-                    "s_max": r.s_max,
-                    "threshold": r.threshold,
-                    "candidates": [
-                        {"camera": c, "target": t, "sim": s} for c, t, s in r.candidates
-                    ],
-                    "accepted": [
-                        {"target": t, "sim": s, "weight": w} for t, s, w in r.accepted
-                    ],
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def build_mining_report(
     store: PrototypeStore,

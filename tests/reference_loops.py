@@ -1,10 +1,12 @@
 """The per-row loops that the stacked loss, EMA update and mining replaced,
 the training loop that re-sampled and re-stacked frames every iteration, the
-frame-by-frame dataset generator and the per-query retrieval ranking.
+frame-by-frame dataset generator, the per-query retrieval ranking and the
+dict-per-row ``mining_report.json`` payload.
 
 Kept as bitwise references: each runs one matrix-vector product per batch
 entry or source row, the arithmetic the array paths must reproduce to the
-last bit.
+last bit; the payload is the text the ``hitpro mine`` writer must reproduce
+byte for byte.
 """
 
 import numpy as np
@@ -144,6 +146,45 @@ def loop_mining_quality(rows, gt):
     precision = n_accepted_correct / n_accepted if n_accepted else None
     recall = n_true_accepted / n_true_candidates if n_true_candidates else 0.0
     return precision, recall
+
+
+def loop_mining_json(report):
+    """One family's ``mining_report.json`` entry (less precision and recall)
+    as plain dicts: one per row, candidate and accepted pair."""
+    return {
+        "source_modality": report.source_modality.value,
+        "kind": report.kind.value,
+        "epoch": report.epoch,
+        "mean_positive_set_size": report.mean_positive_set_size,
+        "rows": [
+            {
+                "source": r.source,
+                "s_max": r.s_max,
+                "threshold": r.threshold,
+                "candidates": [
+                    {"camera": c, "target": t, "sim": s} for c, t, s in r.candidates
+                ],
+                "accepted": [
+                    {"target": t, "sim": s, "weight": w} for t, s, w in r.accepted
+                ],
+            }
+            for r in report.rows
+        ],
+    }
+
+
+def loop_mining_payload(store, epoch, cfg, gt):
+    """The whole ``mining_report.json`` payload of ``hitpro mine``, built as
+    plain dicts."""
+    payload = {"epoch": epoch}
+    for modality in (Modality.VIS, Modality.IR):
+        for kind in (PositiveKind.INTRA_MODAL, PositiveKind.CROSS_MODAL):
+            report = build_mining_report(store, modality, kind, epoch, cfg)
+            entry = loop_mining_json(report)
+            if gt is not None:
+                entry["precision"], entry["recall"] = mining_quality(report, gt)
+            payload[f"{modality.value.lower()}_{kind.value.lower()}"] = entry
+    return payload
 
 
 def loop_sample_batch(dataset, modality, partitions, cfg, rng):

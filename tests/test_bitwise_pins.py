@@ -1,6 +1,7 @@
-"""The stacked loss, EMA update, mining, training loop, dataset generator
-and retrieval ranking against the per-row loops they replaced
-(``reference_loops``): equal to the last bit, not within a tolerance."""
+"""The stacked loss, EMA update, mining, training loop, dataset generator,
+retrieval ranking and ``mining_report.json`` writer against the per-row loops
+and dicts they replaced (``reference_loops``): equal to the last bit or
+character, not within a tolerance."""
 
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hitpro.cli import _json_text, _mining_json, _mining_rows_text
 from hitpro.datamodel import (
     Modality,
     PositiveKind,
@@ -29,6 +31,7 @@ from reference_loops import (
     loop_alignment_loss,
     loop_ema_update,
     loop_generate_dataset,
+    loop_mining_json,
     loop_mining_quality,
     loop_mining_rows,
     loop_ranking,
@@ -355,3 +358,92 @@ def test_ranking_matches_query_loop(seed, tied):
                                 np.array([i for _, i in gallery]), min(max_rank, n_gallery))
     assert result.cmc.tobytes() == cmc.tobytes()
     assert result.mean_ap == mean_ap
+
+
+def _same_mining_text(report):
+    """The family entry, and its rows at two depths, render as ``_json_text``
+    of the dict path; returns the dict path's rows."""
+    oracle = loop_mining_json(report)
+    assert _json_text(_mining_json(report), "\n  ") == _json_text(oracle, "\n  ")
+    for indent in ("\n", "\n      "):
+        assert _mining_rows_text(report, indent) == _json_text(oracle["rows"], indent)
+    return oracle["rows"]
+
+
+def _family_rows(store, cfg, epoch=0):
+    return {(m, k): _same_mining_text(build_mining_report(store, m, k, epoch, cfg))
+            for m, k in FAMILIES}
+
+
+@pytest.mark.parametrize("cfg", MINING_CFGS)
+@pytest.mark.parametrize("shape", STORE_SHAPES)
+def test_mining_text_matches_dict_path_on_random_stores(cfg, shape):
+    cams_vis, cams_ir, max_per_cam = shape
+    for seed in range(3):
+        store, _ = random_store(np.random.default_rng(seed), cams_vis=cams_vis,
+                                cams_ir=cams_ir, max_per_cam=max_per_cam, d=4)
+        for epoch in (0, 2, cfg.total_epochs):
+            _family_rows(store, cfg, epoch)
+
+
+@pytest.mark.parametrize("cfg", MINING_CFGS)
+def test_mining_text_without_candidate_cameras(cfg):
+    store, _ = random_store(np.random.default_rng(3), cams_vis=1, cams_ir=1)
+    for (_, kind), rows in _family_rows(store, cfg).items():
+        if kind is PositiveKind.INTRA_MODAL:
+            assert rows and all(
+                (r["candidates"], r["accepted"], r["s_max"], r["threshold"]) == ([], [], None, None)
+                for r in rows)
+
+
+@pytest.mark.parametrize("cfg", [
+    cfg_with(),
+    cfg_with(use_swa=False),
+    cfg_with(use_dts=False, fixed_threshold=0.6),
+    # a JSON integer threshold from a config file stays an integer
+    cfg_with(use_dts=False, fixed_threshold=0, use_swa=False),
+])
+def test_mining_text_rows_with_and_without_accepted_pairs(cfg):
+    rows = _family_rows(_tied_store(), cfg)[(Modality.VIS, PositiveKind.INTRA_MODAL)]
+    by_source = {r["source"]: r for r in rows}
+    assert by_source["v0"]["accepted"] and by_source["v1"]["accepted"] == []
+
+
+def test_mining_text_of_nan_sims_from_a_zero_norm_row():
+    u, w = np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.6, 0.8])
+    zero = np.zeros(3)
+    store = PrototypeStore([
+        Prototype("v0", Modality.VIS, 0, u),
+        Prototype("v1", Modality.VIS, 0, zero),  # every sim of this source is NaN
+        Prototype("a0", Modality.VIS, 1, w),
+        Prototype("b0", Modality.VIS, 2, zero),  # NaN in the second candidate camera
+        Prototype("b1", Modality.VIS, 2, u),
+        Prototype("i0", Modality.IR, 0, zero),  # NaN in the first candidate camera
+        Prototype("j0", Modality.IR, 1, u),
+    ])
+    for cfg in MINING_CFGS:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            families = _family_rows(store, cfg)
+        intra = {r["source"]: r for r in families[(Modality.VIS, PositiveKind.INTRA_MODAL)]}
+        # Python max over the row: NaN only when the row starts with NaN
+        assert np.isnan(intra["v1"]["s_max"]) and intra["v1"]["accepted"] == []
+        assert np.isnan(intra["v0"]["candidates"][1]["sim"])
+        assert intra["v0"]["s_max"] == intra["v0"]["candidates"][0]["sim"]
+        cross = families[(Modality.VIS, PositiveKind.CROSS_MODAL)]
+        assert np.isnan(cross[0]["s_max"]) and cross[0]["candidates"][1]["sim"] == 1.0
+
+
+def test_mining_text_of_ids_that_need_escapes():
+    ids = ['q"uote', "back\\slash", "caf\u00e9", "\u96ea", "tab\there", "\U0001f600"]
+    rng = np.random.default_rng(5)
+    store = PrototypeStore([
+        Prototype(tid, modality, cam, rng.normal(size=4))
+        for i, tid in enumerate(ids)
+        for modality, cam in [((Modality.VIS, Modality.IR)[i % 2], i // 2 % 2)]
+    ])
+    for cfg in MINING_CFGS:
+        families = _family_rows(store, cfg)
+        sources = [r["source"] for rows in families.values() for r in rows]
+        targets = {c["target"] for rows in families.values() for r in rows
+                   for c in r["candidates"]}
+        assert sorted(set(sources)) == sorted(ids) and targets <= set(ids)

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitpro.cli import _json_text, _numpy_to_list, _write_json, main
-from hitpro.datamodel import TrainConfig, load_checkpoint, load_dataset
+from hitpro.datamodel import TrainConfig, load_checkpoint, load_dataset, read_manifest
+from hitpro.evaluator import dataset_labels
 from hitpro.prototyping import embed_tracklets
+
+from reference_loops import loop_mining_payload
 
 
 def write_config(path, **kw):
@@ -215,6 +218,10 @@ def zero_noise_run(tmp_path_factory):
     return cfg, data, run / "checkpoint.hpt"
 
 
+ZERO_NOISE_TRAIN = TrainConfig(
+    **{k: v for k, v in ZERO_NOISE.items() if k in TrainConfig.__dataclass_fields__})
+
+
 def _eval(zero_noise_run, out, *extra):
     cfg, data, checkpoint = zero_noise_run
     return main(["eval", "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
@@ -225,8 +232,8 @@ def test_eval_embeddings_sidecar_is_embed_tracklets(zero_noise_run, tmp_path):
     _, data, checkpoint = zero_noise_run
     assert _eval(zero_noise_run, tmp_path / "e") == 0
     params, _, _ = load_checkpoint(checkpoint)
-    cfg = TrainConfig(**{k: v for k, v in ZERO_NOISE.items() if k in TrainConfig.__dataclass_fields__})
-    expected = np.asarray(embed_tracklets(params, load_dataset(data).tracklets, cfg), "<f4")
+    expected = np.asarray(embed_tracklets(params, load_dataset(data).tracklets, ZERO_NOISE_TRAIN),
+                          "<f4")
     assert (tmp_path / "e" / "embeddings.f32").read_bytes() == expected.tobytes()
 
 
@@ -256,6 +263,32 @@ def test_mine_reads_labels_from_manifest_only(zero_noise_run, tmp_path):
     full = (tmp_path / "full" / "mining_report.json").read_bytes()
     assert (tmp_path / "manifest" / "mining_report.json").read_bytes() == full
     assert json.loads(full)["vis_intra_modal"]["precision"] == 1.0
+
+
+def _mine(zero_noise_run, out, *extra):
+    cfg, data, checkpoint = zero_noise_run
+    return main(["mine", "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(out), *extra])
+
+
+@pytest.mark.parametrize("epoch", [None, 0, 1])
+def test_mine_writes_the_dict_payload_bytes(zero_noise_run, tmp_path, epoch):
+    _, data, checkpoint = zero_noise_run
+    extra = [] if epoch is None else ["--epoch", str(epoch)]
+    assert _mine(zero_noise_run, tmp_path / "m", *extra) == 0
+    _, store, saved_epoch = load_checkpoint(checkpoint)
+    payload = loop_mining_payload(store, saved_epoch if epoch is None else epoch,
+                                  ZERO_NOISE_TRAIN, dataset_labels(read_manifest(data)))
+    _write_json(tmp_path / "oracle.json", payload)
+    assert (tmp_path / "m" / "mining_report.json").read_bytes() == (
+        tmp_path / "oracle.json").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["-1", "99"])
+def test_mine_epoch_outside_schedule_writes_nothing(zero_noise_run, tmp_path, capsys, value):
+    assert _mine(zero_noise_run, tmp_path / "m", "--epoch", value) == 2
+    assert f"--epoch {value} outside [0, 2]" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_mine_rejects_negative_frame_count(zero_noise_run, tmp_path, capsys):

@@ -688,6 +688,40 @@ def test_checkpoint_non_finite_weight_rejected(tmp_path, section, value):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("section, row", [("store.VIS.0", 0), ("store.IR.1", 2)])
+def test_checkpoint_zero_norm_prototype_rejected(tmp_path, section, row):
+    # finite, but every cosine against it is NaN
+    path = _saved_checkpoint(tmp_path)
+    raw = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4 : 4 + header_len])
+    [sec] = [s for s in header["sections"] if s["name"] == section]
+    d = sec["shape"][1]
+    at = 4 + header_len + sec["offset"] + 4 * d * row
+    raw[at : at + 4 * d] = np.zeros(d, dtype="<f4").tobytes()
+    bad = tmp_path / "bad.hpt"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"{section}' row {row} has zero norm"):
+        load_checkpoint(bad)
+
+
+def _set_first_ids(header, value):
+    header["store_groups"][0]["tracklet_ids"] = value
+
+
+@pytest.mark.parametrize("mutate", [
+    # a string of one character per row would load as one id per character
+    lambda h: _set_first_ids(h, "abc"),
+    lambda h: h["store_groups"][0]["tracklet_ids"].__setitem__(1, 7),
+    lambda h: h["store_groups"][0]["tracklet_ids"].__setitem__(1, None),
+], ids=["string", "integer", "null"])
+def test_checkpoint_non_string_tracklet_ids_rejected(tmp_path, mutate):
+    path = _saved_checkpoint(tmp_path)
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", mutate)
+    with pytest.raises(CheckpointError, match="store.VIS.0' must be a list of strings"):
+        load_checkpoint(bad)
+
+
 @pytest.fixture(scope="module")
 def saved_checkpoint_bytes(tmp_path_factory):
     return _saved_checkpoint(tmp_path_factory.mktemp("fuzz")).read_bytes()
