@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
-from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -95,91 +95,35 @@ def _numpy_to_list(obj):
 
 
 def _json_float(value: float) -> str:
-    """A float as ``json`` writes it: NaN and +-Infinity by name, else its repr."""
+    """A number as ``json`` writes it: NaN and +-Infinity by name, else its repr."""
     if value != value:
         return "NaN"
     if value == math.inf:
         return "Infinity"
     if value == -math.inf:
         return "-Infinity"
-    return float.__repr__(value)
+    return repr(value)
 
 
-def _json_key(key) -> str:
-    """A dict key as ``json`` turns it into a string."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        return _json_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, default=_numpy_to_list)``,
-    built by joining strings. ``indent`` is the newline and indentation
-    before ``obj``'s closing bracket; its items sit two spaces deeper.
-
-    ``json`` formats with its pure-Python encoder whenever it indents, one
-    generator step per token; joining leaves writes the same bytes in a
-    fraction of the time.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _json_float(obj)
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [encode_basestring_ascii(_json_key(k)) + ": " + _json_text(v, inner)
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, _Rendered):
-        return obj.render(indent)
-    return _json_text(_numpy_to_list(obj), indent)
-
-
-class _Rendered:
-    """A value that renders its own JSON text: ``_json_text`` splices in
-    ``render(indent)``, with ``indent`` as it would pass it to a list."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render):
-        self.render = render
+def _json_artifact(payload) -> str:
+    """The text of every JSON file the verbs write."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_list) + "\n"
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
+    path.write_text(_json_artifact(payload), encoding="utf-8")
 
 
-def _mining_rows_text(report: MiningReport, indent: str) -> str:
-    """``_json_text`` of the report's rows as a list of dicts: per source its
-    ``accepted`` pairs, ``candidates``, ``s_max`` (Python ``max`` over the
+def _mining_rows_text(report: MiningReport) -> str:
+    """A family's ``rows`` as ``mining_report.json`` holds them: per source
+    its ``accepted`` pairs, ``candidates``, ``s_max`` (Python ``max`` over the
     row's sims, as ``MiningReport.rows`` takes it), ``source`` and
-    ``threshold``.
-
-    Fills fixed per-depth templates from the report's flattened arrays
-    instead of building a dict per row, candidate and accepted pair and then
-    walking them; the text is the same.
+    ``threshold``, filled into fixed templates from the report's arrays.
     """
     n, n_cand = report.sims.shape
     if n == 0:
         return "[]"
-    row_in = indent + "  "  # before each row's "{"
+    row_in = "\n      "  # before each row's "{"
     key_in = row_in + "  "  # before a row's keys and its lists' "]"
     item_in = key_in + "  "  # before each candidate's or accepted pair's "{"
     field_in = item_in + "  "
@@ -216,20 +160,34 @@ def _mining_rows_text(report: MiningReport, indent: str) -> str:
         stop = start + count
         taken = open_list + sep.join(accepted[start:stop]) + close_list if count else "[]"
         rows.append(row % (taken, cands, top, encode_basestring_ascii(source),
-                           _json_text(threshold)))
+                           "null" if threshold is None else _json_float(threshold)))
         start = stop
-    return "[" + row_in + ("," + row_in).join(rows) + indent + "]"
+    return "[" + row_in + ("," + row_in).join(rows) + "\n    ]"
 
 
-def _mining_json(report: MiningReport) -> dict:
-    """One family's ``mining_report.json`` entry, less precision and recall."""
-    return {
-        "source_modality": report.source_modality.value,
-        "kind": report.kind.value,
-        "epoch": report.epoch,
-        "mean_positive_set_size": report.mean_positive_set_size,
-        "rows": _Rendered(partial(_mining_rows_text, report)),
-    }
+# what json.dumps writes at each family's "rows" before the rows go in
+_ROWS = "\0rows"
+
+
+def _mining_report_text(store, epoch: int, cfg: TrainConfig, gt) -> str:
+    """The text of ``mining_report.json`` at ``epoch``, with precision and
+    recall unless ``gt`` is None: ``json.dumps`` writes every key but the
+    ``rows``, and each family's ``_mining_rows_text`` replaces its placeholder.
+    """
+    payload, rows = {"epoch": epoch}, {}
+    for modality in (Modality.VIS, Modality.IR):
+        for kind in (PositiveKind.INTRA_MODAL, PositiveKind.CROSS_MODAL):
+            report = build_mining_report(store, modality, kind, epoch, cfg)
+            key = f"{modality.value.lower()}_{kind.value.lower()}"
+            payload[key] = entry = {"source_modality": modality.value, "kind": kind.value,
+                                    "epoch": epoch, "rows": _ROWS,
+                                    "mean_positive_set_size": report.mean_positive_set_size}
+            if gt is not None:
+                entry["precision"], entry["recall"] = mining_quality(report, gt)
+            rows[key] = _mining_rows_text(report)
+    # only the skeleton is searched; sorted keys put the placeholders in key order
+    parts = _json_artifact(payload).split(json.dumps(_ROWS))
+    return parts[0] + "".join(rows[k] + part for k, part in zip(sorted(rows), parts[1:]))
 
 
 def _write_effective_config(out_dir: Path, command: str, gen_cfg, train_cfg, args) -> None:
@@ -282,19 +240,10 @@ def _cmd_mine(args) -> int:
     epoch = args.epoch if args.epoch is not None else min(saved_epoch, cfg.total_epochs)
     if not 0 <= epoch <= cfg.total_epochs:
         raise ValueError(f"--epoch {epoch} outside [0, {cfg.total_epochs}]")
+    text = _mining_report_text(store, epoch, cfg, gt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"epoch": epoch}
-    for modality in (Modality.VIS, Modality.IR):
-        for kind in (PositiveKind.INTRA_MODAL, PositiveKind.CROSS_MODAL):
-            report = build_mining_report(store, modality, kind, epoch, cfg)
-            entry = _mining_json(report)
-            if gt is not None:
-                precision, recall = mining_quality(report, gt)
-                entry["precision"] = precision
-                entry["recall"] = recall
-            payload[f"{modality.value.lower()}_{kind.value.lower()}"] = entry
-    _write_json(out / "mining_report.json", payload)
+    (out / "mining_report.json").write_text(text, encoding="utf-8")
     _write_effective_config(out, "mine", gen_cfg, cfg, args)
     print(f"wrote mining report for epoch {epoch} to {out / 'mining_report.json'}")
     return 0
@@ -368,7 +317,9 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="hitpro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -430,9 +381,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

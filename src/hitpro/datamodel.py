@@ -102,8 +102,8 @@ class Prototype:
 
     A prototype built directly owns a copy of its ``(d,)`` float64 vector. One
     handed out by a :class:`PrototypeStore` is a view of a row of the store's
-    camera matrix: reading ``vector`` reads that row, assigning it writes
-    the row.
+    ``stacked`` matrix: reading ``vector`` reads that row, assigning it
+    writes the row.
     """
 
     __slots__ = ("tracklet_id", "modality", "camera_id", "_matrix", "_row")
@@ -125,14 +125,14 @@ class Prototype:
 
 
 class PrototypeStore:
-    """Prototypes as one ``(n_cam, d)`` float64 matrix per (modality, camera).
+    """Prototypes as one ``(N, d)`` float64 matrix, ``stacked``, in blocks of
+    rows per (modality, camera).
 
-    Each camera keeps its tracklet ids in dataset order, stable for the
-    epoch; row ``i`` of the camera's matrix is the prototype of id ``i``.
-    The camera matrices are blocks of rows of one ``(N, d)`` matrix,
-    ``stacked``. Losses, mining and the checkpoint read the matrices
-    directly. The store is the one mutable training structure: EMA updates
-    rewrite matrix rows in place.
+    Each camera block keeps its tracklet ids in dataset order, stable for
+    the epoch; row ``i`` of ``stacked`` is the prototype of the ``i``-th id.
+    Losses, mining and the checkpoint read the camera blocks directly. The
+    store is the one mutable training structure: EMA updates rewrite rows
+    in place.
     """
 
     def __init__(self, prototypes: list[Prototype]):
@@ -160,24 +160,15 @@ class PrototypeStore:
         members: dict[tuple[Modality, int], list[int]] = {}
         for i, key in enumerate(zip(modalities, cameras)):
             members.setdefault(key, []).append(i)
-        order = np.array([i for rows in members.values() for i in rows], dtype=np.intp)
-        self._stacked = np.asarray(matrix, dtype=np.float64)[order]
-        self._ids = {key: [ids[i] for i in rows] for key, rows in members.items()}
-        self._matrices: dict[tuple[Modality, int], np.ndarray] = {}
-        self._index: dict[str, tuple[Modality, int, int]] = {}
+        order = [i for rows in members.values() for i in rows]
+        self._stacked = np.asarray(matrix, dtype=np.float64)[np.array(order, dtype=np.intp)]
+        self._ids = [ids[i] for i in order]
         self._position: dict[str, int] = {}
-        start = 0
-        bounds = [0]
-        for (modality, cam), block_ids in self._ids.items():
-            self._matrices[(modality, cam)] = self._stacked[start : start + len(block_ids)]
-            bounds.append(start + len(block_ids))
-            for row, tid in enumerate(block_ids):
-                if tid in self._index:
-                    raise ValueError(f"duplicate prototype for tracklet {tid}")
-                self._index[tid] = (modality, cam, row)
-                self._position[tid] = start + row
-            start += len(block_ids)
-        self._bounds = np.array(bounds, dtype=np.intp)
+        for row, tid in enumerate(self._ids):
+            if self._position.setdefault(tid, row) != row:
+                raise ValueError(f"duplicate prototype for tracklet {tid}")
+        self._blocks = {key: b for b, key in enumerate(members)}
+        self._bounds = np.cumsum([0, *map(len, members.values())], dtype=np.intp)
 
     @property
     def stacked(self) -> np.ndarray:
@@ -189,9 +180,14 @@ class PrototypeStore:
         """Camera block ``b`` is rows ``bounds[b]:bounds[b + 1]`` of ``stacked``."""
         return self._bounds
 
+    def _rows(self, modality: Modality, camera_id: int) -> slice:
+        """The camera's block of ``stacked``; empty for a camera without prototypes."""
+        b = self._blocks.get((modality, camera_id))
+        return slice(0, 0) if b is None else slice(*self._bounds[b : b + 2].tolist())
+
     def matrix(self, modality: Modality, camera_id: int) -> np.ndarray:
         """The camera's live ``(n_cam, d)`` prototype matrix, a view of ``stacked``."""
-        return self._matrices[(modality, camera_id)]
+        return self._stacked[self._rows(modality, camera_id)]
 
     def position(self, tracklet_id: str) -> int:
         """Row of a tracklet's prototype in ``stacked``."""
@@ -202,40 +198,39 @@ class PrototypeStore:
 
     def ids(self, modality: Modality, camera_id: int) -> list[str]:
         """Tracklet ids of the camera's matrix rows, in row order."""
-        return self._ids.get((modality, camera_id), [])
+        return self._ids[self._rows(modality, camera_id)]
 
     def locate(self, tracklet_id: str) -> tuple[Modality, int, int]:
         """``(modality, camera_id, row)`` of a tracklet's prototype."""
-        try:
-            return self._index[tracklet_id]
-        except KeyError:
-            raise KeyError(f"no prototype for tracklet {tracklet_id!r}") from None
+        position = self.position(tracklet_id)
+        b = int(np.searchsorted(self._bounds, position, side="right")) - 1
+        return (*list(self._blocks)[b], position - int(self._bounds[b]))
 
-    def _view(self, modality: Modality, camera_id: int, row: int) -> Prototype:
+    def _view(self, modality: Modality, camera_id: int, position: int) -> Prototype:
         p = Prototype.__new__(Prototype)
-        p.tracklet_id = self._ids[(modality, camera_id)][row]
-        p.modality, p.camera_id = modality, camera_id
-        p._matrix, p._row = self._matrices[(modality, camera_id)], row
+        p.tracklet_id, p.modality, p.camera_id = self._ids[position], modality, camera_id
+        p._matrix, p._row = self._stacked, position
         return p
 
     def group(self, modality: Modality, camera_id: int) -> list[Prototype]:
-        return [self._view(modality, camera_id, row)
-                for row in range(len(self.ids(modality, camera_id)))]
+        rows = self._rows(modality, camera_id)
+        return [self._view(modality, camera_id, i) for i in range(rows.start, rows.stop)]
 
     def cameras(self, modality: Modality) -> list[int]:
-        return sorted(c for (m, c) in self._matrices if m is modality)
+        return sorted(c for (m, c) in self._blocks if m is modality)
 
     def modality_prototypes(self, modality: Modality) -> list[Prototype]:
         return [p for cam in self.cameras(modality) for p in self.group(modality, cam)]
 
     def get(self, tracklet_id: str) -> Prototype:
-        return self._view(*self.locate(tracklet_id))
+        modality, camera_id, _ = self.locate(tracklet_id)
+        return self._view(modality, camera_id, self._position[tracklet_id])
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._ids)
 
     def __contains__(self, tracklet_id: str) -> bool:
-        return tracklet_id in self._index
+        return tracklet_id in self._position
 
 
 class PositiveKind(enum.Enum):
@@ -323,6 +318,11 @@ class TrainConfig:
             raise ValueError("n_subtracklets must be >= 1")
         if self.n_tte_layers not in (0, 1, 2):
             raise ValueError("n_tte_layers must be 0, 1 or 2")
+        if self.iters_per_epoch < 0:
+            raise ValueError("iters_per_epoch must be >= 0")
+        for key in ("batch_cameras", "batch_tracklets", "batch_subs", "lr_decay_every"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
 
     @property
     def batch_size(self) -> int:

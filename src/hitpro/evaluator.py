@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datamodel import Dataset, Manifest, Modality, TrainConfig, Tracklet
+from .datamodel import Dataset, DatasetError, Manifest, Modality, TrainConfig
 from .encoder import EncoderParams
 from .mining import MiningReport
 from .prototyping import embed_tracklets, tracklet_embedding
@@ -38,9 +38,8 @@ class RetrievalResult:
         }
 
 
-def embed_tracklet(params: EncoderParams, tracklet: Tracklet, cfg: TrainConfig) -> np.ndarray:
-    """Test-time tracklet feature; same recipe as prototype construction."""
-    return tracklet_embedding(params, tracklet, cfg)
+# the test-time tracklet feature is the prototype recipe itself
+embed_tracklet = tracklet_embedding
 
 
 def dataset_labels(dataset: Dataset | Manifest) -> Optional[dict[str, int]]:
@@ -180,9 +179,13 @@ def mining_quality(
 ) -> tuple[Optional[float], float]:
     """Precision of accepted pairs and recall against the true per-camera-best
     candidates. Precision is None when nothing was accepted; recall is 0 when
-    no true candidate exists."""
-    src = np.array([gt[s] for s in report.sources])
-    true = np.array([gt[t] for t in report.targets.ravel()]).reshape(report.targets.shape)
+    no true candidate exists. A source or target without a label in ``gt``
+    raises :class:`DatasetError`."""
+    try:
+        src = np.array([gt[s] for s in report.sources])
+        true = np.array([gt[t] for t in report.targets.ravel()]).reshape(report.targets.shape)
+    except KeyError as exc:
+        raise DatasetError(f"no ground-truth identity for tracklet {exc.args[0]!r}") from None
     true = true == src[:, None]  # accepted targets are distinct candidates
     n_accepted = int(report.accepted.sum())
     n_true_accepted = int((true & report.accepted).sum())

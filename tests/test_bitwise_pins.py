@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hitpro.cli import _json_text, _mining_json, _mining_rows_text
+from hitpro.cli import _mining_report_text
 from hitpro.datamodel import (
     Modality,
     PositiveKind,
@@ -31,7 +31,7 @@ from reference_loops import (
     loop_alignment_loss,
     loop_ema_update,
     loop_generate_dataset,
-    loop_mining_json,
+    loop_mining_payload,
     loop_mining_quality,
     loop_mining_rows,
     loop_ranking,
@@ -360,19 +360,13 @@ def test_ranking_matches_query_loop(seed, tied):
     assert result.mean_ap == mean_ap
 
 
-def _same_mining_text(report):
-    """The family entry, and its rows at two depths, render as ``_json_text``
-    of the dict path; returns the dict path's rows."""
-    oracle = loop_mining_json(report)
-    assert _json_text(_mining_json(report), "\n  ") == _json_text(oracle, "\n  ")
-    for indent in ("\n", "\n      "):
-        assert _mining_rows_text(report, indent) == _json_text(oracle["rows"], indent)
-    return oracle["rows"]
-
-
-def _family_rows(store, cfg, epoch=0):
-    return {(m, k): _same_mining_text(build_mining_report(store, m, k, epoch, cfg))
-            for m, k in FAMILIES}
+def _family_rows(store, cfg, epoch=0, gt=None):
+    """``mining_report.json``'s text equals ``json.dumps`` of the dict payload;
+    returns that payload's rows per family."""
+    oracle = loop_mining_payload(store, epoch, cfg, gt)
+    assert _mining_report_text(store, epoch, cfg, gt) == json.dumps(
+        oracle, indent=2, sort_keys=True) + "\n"
+    return {(m, k): oracle[f"{m.value.lower()}_{k.value.lower()}"]["rows"] for m, k in FAMILIES}
 
 
 @pytest.mark.parametrize("cfg", MINING_CFGS)
@@ -382,8 +376,11 @@ def test_mining_text_matches_dict_path_on_random_stores(cfg, shape):
     for seed in range(3):
         store, _ = random_store(np.random.default_rng(seed), cams_vis=cams_vis,
                                 cams_ir=cams_ir, max_per_cam=max_per_cam, d=4)
+        # labels: every tracklet index i of a camera is identity i
+        gt = {tid: int(tid.rsplit("_", 1)[1]) for m in Modality for cam in store.cameras(m)
+              for tid in store.ids(m, cam)}
         for epoch in (0, 2, cfg.total_epochs):
-            _family_rows(store, cfg, epoch)
+            _family_rows(store, cfg, epoch, gt=gt if seed else None)
 
 
 @pytest.mark.parametrize("cfg", MINING_CFGS)

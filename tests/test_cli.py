@@ -2,10 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hitpro.cli import _json_text, _numpy_to_list, _write_json, main
+from hitpro import cli
+from hitpro.cli import _numpy_to_list, _write_json, main
 from hitpro.datamodel import TrainConfig, load_checkpoint, load_dataset, read_manifest
 from hitpro.evaluator import dataset_labels
 from hitpro.prototyping import embed_tracklets
@@ -308,34 +307,67 @@ def _json_dumps(payload):
     return json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_list)
 
 
-_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0))
-_JSON_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), _FLOATS, st.text(),
-    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
-    st.lists(_FLOATS, max_size=4).map(np.array),
-    st.lists(st.integers(-(2**31), 2**31 - 1), max_size=3).map(lambda xs: np.array([xs, xs])),
-)
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(st.text(max_size=6), children, max_size=4),
-        st.dictionaries(st.integers(), children, max_size=4),
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-def test_json_text_equals_json_dumps(payload):
-    assert _json_text(payload) == _json_dumps(payload)
-
-
 def test_write_json_bytes(tmp_path):
-    payload = {"per_depth": {2: 1e-9, 0: float("nan"), 1: -float("inf")},
+    payload = {"per_depth": {2: 1e-9, 0: float("nan"), 1: -float("inf"), 3: float("inf")},
                "é": [np.arange(3), {}, [], (np.float32(0.5), None, True)]}
     _write_json(tmp_path / "x.json", payload)
     assert (tmp_path / "x.json").read_text(encoding="utf-8") == _json_dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("iters_per_epoch", -1), ("batch_cameras", 0), ("batch_tracklets", 0), ("batch_subs", 0),
+    ("lr_decay_every", 0),
+])
+def test_train_rejects_loop_sizes_below_range(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, key: value})
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", str(tmp_path / "data"),
+                 "--out", str(out)]) == 2
+    assert f"{key} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mine_names_a_checkpoint_tracklet_missing_from_the_manifest(
+        zero_noise_run, tmp_path, capsys):
+    cfg, data, checkpoint = zero_noise_run
+    manifest = json.loads((data / "manifest.json").read_text())
+    dropped = manifest["tracklets"].pop(5)["tracklet_id"]
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["mine", "--config", cfg, "--data", str(other), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "m")]) == 2
+    assert f"no ground-truth identity for tracklet {dropped!r}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_main_builds_the_parser_once(tmp_path):
+    cli.build_parser.cache_clear()
+    assert main(["frobnicate"]) == 1
+    assert main(["gen", "--out", str(tmp_path / "d"), "--seed", "1"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_every_json_artifact_is_json_dumps_of_its_content(zero_noise_run, tmp_path):
+    cfg, data, checkpoint = zero_noise_run
+    common = ["--config", cfg, "--out"]
+    for verb, extra in (
+        ("gen", []),
+        ("train", ["--data", str(data)]),
+        ("eval", ["--data", str(data), "--checkpoint", str(checkpoint)]),
+        ("mine", ["--data", str(data), "--checkpoint", str(checkpoint)]),
+        ("gradcheck", []),
+    ):
+        out = tmp_path / verb
+        assert main([verb, *common, str(out), *extra]) == 0
+        written = sorted(p.name for p in out.glob("*.json") if p.name != "manifest.json")
+        assert written == sorted({
+            "gen": ["effective_config.json"],
+            "train": ["effective_config.json", "metrics.json"],
+            "eval": ["effective_config.json", "report.json"],
+            "mine": ["effective_config.json", "mining_report.json"],
+            "gradcheck": ["effective_config.json", "gradcheck_report.json"],
+        }[verb])
+        for name in written:
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

@@ -175,6 +175,19 @@ def test_train_config_invariants():
         TrainConfig(n_subtracklets=0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("iters_per_epoch", -1), ("batch_cameras", 0), ("batch_tracklets", 0),
+    ("batch_subs", -2), ("lr_decay_every", 0),
+])
+def test_train_config_rejects_loop_sizes_below_range(key, value):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_allows_zero_iterations():
+    assert TrainConfig(iters_per_epoch=0).iters_per_epoch == 0
+
+
 def make_store(d=4, seed=0):
     rng = np.random.default_rng(seed)
     protos = []
