@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -180,14 +181,14 @@ class PrototypeStore:
         """Camera block ``b`` is rows ``bounds[b]:bounds[b + 1]`` of ``stacked``."""
         return self._bounds
 
-    def _rows(self, modality: Modality, camera_id: int) -> slice:
+    def block_rows(self, modality: Modality, camera_id: int) -> slice:
         """The camera's block of ``stacked``; empty for a camera without prototypes."""
         b = self._blocks.get((modality, camera_id))
         return slice(0, 0) if b is None else slice(*self._bounds[b : b + 2].tolist())
 
     def matrix(self, modality: Modality, camera_id: int) -> np.ndarray:
         """The camera's live ``(n_cam, d)`` prototype matrix, a view of ``stacked``."""
-        return self._stacked[self._rows(modality, camera_id)]
+        return self._stacked[self.block_rows(modality, camera_id)]
 
     def position(self, tracklet_id: str) -> int:
         """Row of a tracklet's prototype in ``stacked``."""
@@ -198,7 +199,7 @@ class PrototypeStore:
 
     def ids(self, modality: Modality, camera_id: int) -> list[str]:
         """Tracklet ids of the camera's matrix rows, in row order."""
-        return self._ids[self._rows(modality, camera_id)]
+        return self._ids[self.block_rows(modality, camera_id)]
 
     def locate(self, tracklet_id: str) -> tuple[Modality, int, int]:
         """``(modality, camera_id, row)`` of a tracklet's prototype."""
@@ -213,7 +214,7 @@ class PrototypeStore:
         return p
 
     def group(self, modality: Modality, camera_id: int) -> list[Prototype]:
-        rows = self._rows(modality, camera_id)
+        rows = self.block_rows(modality, camera_id)
         return [self._view(modality, camera_id, i) for i in range(rows.start, rows.stop)]
 
     def cameras(self, modality: Modality) -> list[int]:
@@ -310,17 +311,22 @@ class TrainConfig:
             raise ValueError("need 0 < thresh_final <= thresh_init <= 1")
         if not (0 <= self.intra_start_epoch <= self.cross_start_epoch <= self.total_epochs):
             raise ValueError("need 0 <= intra_start <= cross_start <= total_epochs")
-        if self.loss_temp <= 0 or self.weight_temp <= 0:
-            raise ValueError("temperatures must be positive")
+        for key in ("loss_temp", "weight_temp", "lr", "lr_decay_factor"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0")
+        if not (0.0 <= self.sgd_momentum < 1.0):
+            raise ValueError("sgd_momentum must be in [0, 1)")
+        if not math.isfinite(self.fixed_threshold):
+            raise ValueError("fixed_threshold must be finite")
         if not (0.0 < self.ema_momentum <= 1.0):
             raise ValueError("ema_momentum must be in (0, 1]")
-        if self.n_subtracklets < 1:
-            raise ValueError("n_subtracklets must be >= 1")
         if self.n_tte_layers not in (0, 1, 2):
             raise ValueError("n_tte_layers must be 0, 1 or 2")
         if self.iters_per_epoch < 0:
             raise ValueError("iters_per_epoch must be >= 0")
-        for key in ("batch_cameras", "batch_tracklets", "batch_subs", "lr_decay_every"):
+        for key in ("d_in", "embed_dim", "ffn_dim", "pool_hidden_dim", "seq_len", "n_subtracklets",
+                    "batch_cameras", "batch_tracklets", "batch_subs", "lr_decay_every"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
 

@@ -364,7 +364,10 @@ def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, Forwa
 
 
 def encode_backward(
-    params: EncoderParams, cache: ForwardCache, grad_embedding: np.ndarray
+    params: EncoderParams,
+    cache: ForwardCache,
+    grad_embedding: np.ndarray,
+    out: EncoderParams | None = None,
 ) -> EncoderParams:
     """Exact gradient of ``sum_n grad_embedding[n] . embedding[n]`` for every
     parameter; ``grad_embedding`` has the shape of the forward call's
@@ -373,6 +376,8 @@ def encode_backward(
     The cache must come from a matching forward pass; inputs are constants.
     Each parameter gradient is taken per sample, then summed over the samples
     in stack order (``.sum(axis=0)`` adds the rows one after another).
+    The gradients are added into ``out`` when given, which must be zero and
+    laid out like ``params``, and returned; otherwise into a new instance.
     """
     if len(cache.layer_caches) != params.n_tte_layers:
         raise ValueError("forward cache does not match params (layer count)")
@@ -382,7 +387,11 @@ def encode_backward(
     if g.shape != cache.embedding.shape:
         expected = cache.embedding.shape[1:] if cache.single else cache.embedding.shape
         raise ValueError(f"grad_embedding shape {np.shape(grad_embedding)} != {expected}")
-    grads = params.zeros_like()
+    if out is None:
+        grads = params.zeros_like()
+    else:
+        params.check_same_layout(out)
+        grads = out
     scale = 1.0 / math.sqrt(params.embed_dim)
 
     e = cache.embedding

@@ -65,20 +65,23 @@ class MiningRow:
 class MiningReport:
     """One mining pass over a (source modality, direction) family, as arrays.
 
-    Row ``i`` is source ``sources[i]``; column ``j`` is its best match in
-    candidate camera ``cameras[i, j]``: tracklet ``targets[i, j]`` at
-    cosine ``sims[i, j]``, accepted where ``accepted[i, j]`` with weight
-    ``weights[i, j]`` (0 elsewhere). ``thresholds[i]`` is the source's
-    threshold, None when there is no candidate camera. Every source has
-    the same number of candidate cameras.
+    Row ``i`` is source ``sources[i]``, row ``source_rows[i]`` of the
+    store's ``stacked``; column ``j`` is its best match in candidate camera
+    ``cameras[i, j]``: tracklet ``targets[i, j]``, row ``target_rows[i, j]``
+    of ``stacked``, at cosine ``sims[i, j]``, accepted where
+    ``accepted[i, j]`` with weight ``weights[i, j]`` (0 elsewhere).
+    ``thresholds[i]`` is the source's threshold, None when there is no
+    candidate camera. Every source has the same number of candidate cameras.
     """
 
     source_modality: Modality
     kind: PositiveKind
     epoch: int
     sources: list[str]
+    source_rows: np.ndarray  # (n,) int
     cameras: np.ndarray  # (n, c) int
     targets: np.ndarray  # (n, c) object: target tracklet ids
+    target_rows: np.ndarray  # (n, c) int
     sims: np.ndarray  # (n, c) float64
     thresholds: list[Optional[float]]
     accepted: np.ndarray  # (n, c) bool
@@ -149,36 +152,43 @@ def build_mining_report(
     for cam in store.cameras(target_modality):
         mat = store.matrix(target_modality, cam)
         ids = np.array(store.ids(target_modality, cam), dtype=object)
-        targets[cam] = (ids, mat, np.linalg.norm(mat, axis=1))
+        first = store.block_rows(target_modality, cam).start
+        targets[cam] = (ids, first, mat, np.linalg.norm(mat, axis=1))
 
     intra = kind is PositiveKind.INTRA_MODAL
     source_cams = store.cameras(source_modality)
     sources = [tid for cam in source_cams for tid in store.ids(source_modality, cam)]
     n_candidates = max(len(targets) - 1, 0) if intra else len(targets)
     shape = (len(sources), n_candidates)
+    source_rows = np.empty(len(sources), dtype=np.intp)
     cameras = np.empty(shape, dtype=np.int64)
     best_ids = np.empty(shape, dtype=object)
+    target_rows = np.empty(shape, dtype=np.intp)
     sims = np.empty(shape)
     start = 0
     for source_camera in source_cams:
-        src = store.matrix(source_modality, source_camera)
+        block = store.block_rows(source_modality, source_camera)
+        src = store.stacked[block]
         stop = start + len(src)
+        source_rows[start:stop] = np.arange(block.start, block.stop)
         # the dot np.linalg.norm takes, one row at a time
         src_norms = np.sqrt(src[:, None, :] @ src[:, :, None])[:, :, 0]
         cams = [c for c in targets if not (intra and c == source_camera)]
         for j, cam in enumerate(cams):
-            ids, mat, norms = targets[cam]
+            ids, first, mat, norms = targets[cam]
             cam_sims = (mat @ src[:, :, None])[:, :, 0] / (norms * src_norms)
             best = np.argmax(cam_sims, axis=1)  # first max wins: lowest index tie-break
             cameras[start:stop, j] = cam
             best_ids[start:stop, j] = ids[best]
+            target_rows[start:stop, j] = first + best
             sims[start:stop, j] = cam_sims[np.arange(len(best)), best]
         start = stop
 
     accepted, thresholds, weights = _accept(sims, rho, cfg)
     return MiningReport(
-        source_modality=source_modality, kind=kind, epoch=epoch, sources=sources,
-        cameras=cameras, targets=best_ids, sims=sims,
+        source_modality=source_modality, kind=kind, epoch=epoch,
+        sources=sources, source_rows=source_rows,
+        cameras=cameras, targets=best_ids, target_rows=target_rows, sims=sims,
         thresholds=thresholds, accepted=accepted, weights=weights,
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import Dataset, PrototypeStore, SubTracklet, TrainConfig, Tracklet
-from .encoder import EncoderParams, encode, select_frames
+from .encoder import EncoderParams, encode
 
 # Sub-tracklets per encoder call when embedding many tracklets: large enough
 # that per-call overhead is small, small enough that the forward activations
@@ -66,13 +66,32 @@ class FrameTable:
 
 
 def frame_table(tracklets, cfg: TrainConfig) -> FrameTable:
-    """The :class:`FrameTable` of ``tracklets`` under ``cfg``'s K and ``seq_len``."""
-    parts = [partition_tracklet(t, cfg.n_subtracklets) for t in tracklets]
-    k_eff = np.array([len(part) for part in parts], dtype=np.intp)
-    rows = [select_frames(sub.slice_frames(t), cfg.seq_len)
-            for t, part in zip(tracklets, parts) for sub in part]
-    frames = np.array(rows, dtype=np.float64) if rows else np.empty((0, cfg.seq_len, cfg.d_in))
-    return FrameTable(frames=frames, starts=np.cumsum(k_eff) - k_eff, k_eff=k_eff)
+    """The :class:`FrameTable` of ``tracklets`` under ``cfg``'s K and ``seq_len``.
+
+    Every sub-tracklet's bounds and ``select_frames`` indices are computed
+    at once in integer arithmetic (the evenly spaced index by the same
+    float64 operations as ``select_frames``), and one fancy index gathers
+    every row from the tracklets' concatenated frames.
+    """
+    seq_len = cfg.seq_len
+    lengths = np.array([t.n_frames for t in tracklets], dtype=np.intp)
+    k_eff = np.minimum(lengths, cfg.n_subtracklets)
+    starts = np.cumsum(k_eff) - k_eff
+    if not len(lengths):
+        return FrameTable(np.empty((0, seq_len, cfg.d_in)), starts, k_eff)
+    owners = np.repeat(np.arange(len(k_eff)), k_eff)
+    # partition_tracklet: the first L mod K_eff slices get one extra frame
+    base, extra = np.divmod(lengths, k_eff)
+    base, extra = base[owners], extra[owners]
+    k = np.arange(len(owners)) - starts[owners]
+    size = base + (k < extra)
+    first = np.cumsum(lengths)[owners] - lengths[owners] + k * base + np.minimum(k, extra)
+    # select_frames: evenly spaced when the slice is long enough, else cyclic
+    j = np.arange(seq_len)
+    spaced = (j * (size[:, None] - 1) / max(seq_len - 1, 1) + 0.5).astype(np.intp)
+    picked = np.where(size[:, None] >= seq_len, spaced, j % size[:, None])
+    frames = np.concatenate([t.frames for t in tracklets])[first[:, None] + picked]
+    return FrameTable(frames=frames.astype(np.float64), starts=starts, k_eff=k_eff)
 
 
 def embed_table(params: EncoderParams, table: FrameTable) -> np.ndarray:

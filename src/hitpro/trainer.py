@@ -18,7 +18,7 @@ from .datamodel import Dataset, Modality, PositiveKind, PrototypeStore, TrainCon
 from .encoder import EncoderParams, encode, encode_backward, encoder_init
 from .evaluator import dataset_labels, mining_quality
 from .mining import MiningReport, build_mining_report, rho_schedule
-from .objective import apply_ema, batch_loss, loss_schedule, plan_batches, positive_targets
+from .objective import Targets, apply_ema, batch_loss, loss_schedule, plan_batches
 from .prototyping import build_prototypes, frame_table
 from .sampler import camera_rows, sample_rows
 
@@ -59,6 +59,24 @@ _FAMILY_KEYS = (
 )
 
 
+def mined_targets(reports: list[MiningReport], n_rows: int) -> Targets:
+    """The accepted targets of every row of an ``n_rows`` store, indexed by
+    store row, from reports whose sources are disjoint: per source, its
+    accepted columns in camera order, the entry order of ``positive_sets``.
+    """
+    source, target, weight = [], [], []
+    for report in reports:
+        i, j = np.nonzero(report.accepted)  # row-major: camera order per source
+        source.append(report.source_rows[i])
+        target.append(report.target_rows[i, j])
+        weight.append(report.weights[i, j])
+    source = np.concatenate(source)
+    order = np.argsort(source, kind="stable")
+    counts = np.bincount(source, minlength=n_rows)
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    return Targets(ptr, np.concatenate(target)[order], np.concatenate(weight)[order])
+
+
 def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Run the full schedule; deterministic given ``cfg.seed``. Raises on
     non-finite losses or gradients, naming epoch and iteration."""
@@ -75,41 +93,41 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         seed=cfg.seed,
     )
     opt = OptState(velocity=params.zeros_like(), lr=cfg.lr, momentum=cfg.sgd_momentum)
+    grads = params.zeros_like()
     gt = dataset_labels(dataset)
     epochs: list[dict] = []
     store = None
     table = frame_table(dataset.tracklets, cfg)
-    owners = table.owners
     cameras = [camera_rows(dataset, m, table.starts, table.k_eff)
                for m in (Modality.VIS, Modality.IR)]
-    source_ids = [t.tracklet_id for t in dataset.tracklets]
+    # every epoch's store lays the tracklets out alike: the store row of each
+    # table row, and each row's own prototype as its intra-camera target
+    ids = [t.tracklet_id for t in dataset.tracklets]
+    layout = PrototypeStore.from_matrix(
+        np.empty((len(ids), 0)), ids,
+        [t.modality for t in dataset.tracklets], [t.camera_id for t in dataset.tracklets],
+    )
+    store_rows = np.array([layout.position(tid) for tid in ids], dtype=np.intp)[table.owners]
+    own = Targets(np.arange(len(ids) + 1), np.arange(len(ids)), np.ones(len(ids)))
 
     for epoch in range(cfg.total_epochs):
         opt.lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
         store = build_prototypes(params, dataset, cfg, table)
-
-        reports: dict[str, MiningReport] = {}
-        intra_sets = {}
-        cross_sets = {}
-        for modality, kind, key in _FAMILY_KEYS:
-            report = build_mining_report(store, modality, kind, epoch, cfg)
-            reports[key] = report
-            dest = intra_sets if kind is PositiveKind.INTRA_MODAL else cross_sets
-            for wps in report.positive_sets():
-                dest[wps.source] = wps
+        reports = {key: build_mining_report(store, modality, kind, epoch, cfg)
+                   for modality, kind, key in _FAMILY_KEYS}
+        intra = mined_targets([reports["vis_intra"], reports["ir_intra"]], len(store))
+        cross = mined_targets([reports["vis_cross"], reports["ir_cross"]], len(store))
 
         # the epoch's batches (a VIS then an IR batch per iteration, as table
-        # rows) and, from their source tracklets, every iteration's plan
+        # rows) and, from their sources' store rows, every iteration's plan
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2, epoch)))
         batches = np.array(
             [sample_rows(rows, cfg, rng) for _ in range(cfg.iters_per_epoch) for rows in cameras],
             dtype=np.intp,
         ).reshape(cfg.iters_per_epoch, 2 * cfg.batch_size)
-        own, intra, cross = (positive_targets(store, source_ids, sets)
-                             for sets in (None, intra_sets, cross_sets))
         active_imcc, active_cm = loss_schedule(epoch, cfg)
         plans = plan_batches(
-            store, owners[batches], [cfg.batch_size, cfg.batch_size],
+            store, store_rows[batches], [cfg.batch_size, cfg.batch_size],
             [own, intra if active_imcc else None, cross if active_cm else None],
             [own, intra, cross],
         )
@@ -123,7 +141,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     f"non-finite loss {breakdown.l_total} at epoch {epoch} iteration {it}"
                 )
 
-            grads = encode_backward(params, cache, breakdown.grads)
+            grads.flat.fill(0.0)
+            encode_backward(params, cache, breakdown.grads, out=grads)
             if not np.isfinite(grads.flat).all():
                 raise RuntimeError(f"non-finite gradient at epoch {epoch} iteration {it}")
             sgd_step(params, grads, opt)

@@ -327,6 +327,19 @@ def test_train_rejects_loop_sizes_below_range(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lr", -1.0), ("lr", float("nan")), ("lr_decay_factor", -1.0), ("sgd_momentum", -3.0),
+    ("loss_temp", float("nan")), ("embed_dim", 0), ("seq_len", 0),
+])
+def test_train_rejects_values_out_of_range(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, key: value})
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", str(tmp_path / "data"),
+                 "--out", str(out)]) == 2
+    assert f"error: {key} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mine_names_a_checkpoint_tracklet_missing_from_the_manifest(
         zero_noise_run, tmp_path, capsys):
     cfg, data, checkpoint = zero_noise_run

@@ -1,3 +1,4 @@
+import importlib
 import json
 import struct
 from pathlib import Path
@@ -186,6 +187,43 @@ def test_train_config_rejects_loop_sizes_below_range(key, value):
 
 def test_train_config_allows_zero_iterations():
     assert TrainConfig(iters_per_epoch=0).iters_per_epoch == 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", -1.0), ("lr", 0.0), ("lr", NAN), ("lr", INF),
+    ("lr_decay_factor", -1.0), ("lr_decay_factor", 0.0), ("lr_decay_factor", NAN),
+    ("sgd_momentum", -3.0), ("sgd_momentum", 1.0), ("sgd_momentum", NAN),
+    ("loss_temp", NAN), ("loss_temp", 0.0), ("loss_temp", INF),
+    ("weight_temp", NAN), ("weight_temp", -0.1), ("weight_temp", INF),
+    ("fixed_threshold", NAN), ("fixed_threshold", INF), ("fixed_threshold", -INF),
+    ("d_in", 0), ("embed_dim", 0), ("ffn_dim", 0), ("pool_hidden_dim", -1), ("seq_len", 0),
+    ("n_subtracklets", 0),
+])
+def test_train_config_rejects_values_out_of_range(key, value):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sgd_momentum", 0.0), ("sgd_momentum", 0.999), ("fixed_threshold", -1.0),
+    ("fixed_threshold", 0.0), ("lr", 1e-12), ("lr_decay_factor", 1.0), ("seq_len", 1),
+])
+def test_train_config_accepts_values_at_the_edges(key, value):
+    assert getattr(TrainConfig(**{key: value}), key) == value
+
+
+def test_shipped_and_workload_configs_load(monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    configs = [json.loads(p.read_text()) for p in sorted((root / "configs").glob("*.json"))]
+    configs += [w.config(0) for w in workloads.WORKLOADS.values()]
+    assert len(configs) == 5
+    for raw in configs:
+        TrainConfig(**{k: v for k, v in raw.items() if k in TrainConfig.__dataclass_fields__})
 
 
 def make_store(d=4, seed=0):

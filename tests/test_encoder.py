@@ -263,6 +263,21 @@ def test_batched_shape_checks():
         encode_backward(p, cache, np.zeros((1, 8)))
 
 
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+def test_backward_into_a_reused_buffer_matches_the_returning_form(n_layers):
+    p = small_params(n_tte_layers=n_layers, seed=5)
+    rng = np.random.default_rng(40 + n_layers)
+    out = p.zeros_like()
+    for n in (4, 1, 7):
+        _, cache = encode(p, rng.normal(size=(n, 3, 4)))
+        g = rng.normal(size=(n, 8))
+        out.flat.fill(0.0)
+        assert encode_backward(p, cache, g, out=out) is out
+        assert out.flat.tobytes() == encode_backward(p, cache, g).flat.tobytes()
+    with pytest.raises(ValueError, match="layout"):
+        encode_backward(p, cache, g, out=small_params(n_tte_layers=(n_layers + 1) % 3))
+
+
 def test_flat_buffer_backs_named_views():
     p = small_params(n_tte_layers=2)
     assert p.flat.flags.c_contiguous and p.flat.dtype == np.float64

@@ -219,8 +219,10 @@ def _one_row_report(source, candidates, threshold, weights):
     return MiningReport(
         source_modality=Modality.VIS, kind=PositiveKind.INTRA_MODAL, epoch=0,
         sources=[source],
+        source_rows=np.array([0]),
         cameras=np.array([[c for c, _, _ in candidates]]),
         targets=np.array([[t for _, t, _ in candidates]], dtype=object),
+        target_rows=np.arange(1, 1 + len(candidates))[None],
         sims=np.array([[s for _, _, s in candidates]]),
         thresholds=[threshold],
         accepted=np.array([[t in weights for _, t, _ in candidates]]),

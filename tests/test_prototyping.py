@@ -1,7 +1,14 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hitpro.datamodel import Dataset, Modality, Prototype, PrototypeStore, TrainConfig, Tracklet
+from hitpro.datamodel import (
+    Dataset, Modality, Prototype, PrototypeStore, TrainConfig, Tracklet, load_dataset,
+    save_dataset,
+)
 from hitpro import prototyping
 from hitpro.encoder import encode, encoder_init, select_frames
 from hitpro.numerics import l2_normalize
@@ -214,6 +221,42 @@ def test_frame_table_of_no_tracklets_is_empty():
     table = prototyping.frame_table([], small_cfg())
     assert table.frames.shape == (0, 3, 4)
     assert embed_tracklets(params_for(small_cfg()), [], small_cfg()) == []
+
+
+def _looped_frame_table(tracklets, k, seq_len, d_in):
+    """``(frames, k_eff)`` by one partition_tracklet and select_frames call each."""
+    parts = [partition_tracklet(t, k) for t in tracklets]
+    rows = [select_frames(sub.slice_frames(t), seq_len) for t, part in zip(tracklets, parts)
+            for sub in part]
+    frames = np.array(rows, dtype=np.float64) if rows else np.empty((0, seq_len, d_in))
+    return frames, [len(part) for part in parts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 40), max_size=8),
+    k=st.integers(1, 8),
+    seq_len=st.integers(1, 12),
+    loaded=st.booleans(),
+)
+@example(lengths=[], k=4, seq_len=3, loaded=False)
+@example(lengths=[], k=1, seq_len=1, loaded=True)
+@example(lengths=[2, 1, 3], k=8, seq_len=12, loaded=False)  # L < K and L < seq_len
+@example(lengths=[5, 40, 7, 1], k=6, seq_len=9, loaded=True)
+def test_frame_table_equals_the_partition_and_select_loop(lengths, k, seq_len, loaded):
+    tracklets = [make_tracklet(n, tid=f"t{i}", seed=i) for i, n in enumerate(lengths)]
+    with tempfile.TemporaryDirectory() as tmp:
+        if loaded:  # frames are views of the one frames.f32 buffer
+            ds = Dataset(d_in=4, n_cameras_vis=1, n_cameras_ir=1, tracklets=tuple(tracklets))
+            tracklets = list(load_dataset(save_dataset(ds, tmp)).tracklets)
+            assert all(t.frames.base is not None for t in tracklets)
+        table = prototyping.frame_table(tracklets, small_cfg(n_subtracklets=k, seq_len=seq_len))
+        frames, k_eff = _looped_frame_table(tracklets, k, seq_len, 4)
+    assert table.frames.dtype == np.float64
+    assert table.frames.shape == frames.shape
+    assert table.frames.tobytes() == frames.tobytes()
+    assert table.k_eff.tolist() == k_eff
+    assert table.starts.tolist() == (np.cumsum(k_eff) - k_eff).tolist()
 
 
 def test_zero_mean_embedding_raises(monkeypatch):

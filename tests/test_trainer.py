@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import hitpro.trainer as trainer_mod
-from hitpro.datamodel import Modality, TrainConfig, save_checkpoint
+from hitpro.datamodel import (
+    Modality, PositiveKind, Prototype, PrototypeStore, TrainConfig, save_checkpoint,
+)
 from hitpro.encoder import encoder_init
-from hitpro.objective import LossBreakdown
+from hitpro.mining import build_mining_report, mine_positive_sets
+from hitpro.objective import LossBreakdown, plan_batches, positive_targets
 from hitpro.synthgen import GenConfig, generate_dataset
 from hitpro.trainer import OptState, TrainResult, sgd_step, train
 
@@ -229,3 +232,78 @@ def test_zero_noise_mining_precision_every_epoch():
     for record in result.epochs:
         for stats in record["mining"].values():
             assert stats["precision"] == 1.0
+
+
+def _shuffled_store(rng, cams_vis, cams_ir, tie=False):
+    """A random store whose camera blocks are laid out in a shuffled order,
+    so that a family's sources are not a contiguous run of store rows;
+    ``tie`` copies one VIS prototype into every other camera."""
+    protos = []
+    for modality, n_cams in ((Modality.VIS, cams_vis), (Modality.IR, cams_ir)):
+        for cam in range(n_cams):
+            for i in range(int(rng.integers(1, 5))):
+                v = rng.normal(size=5)
+                protos.append(Prototype(f"{modality.value}_{cam}_{i}", modality, cam,
+                                        v / np.linalg.norm(v)))
+    if tie:
+        for p in protos[1:]:
+            if p.camera_id != protos[0].camera_id or p.modality is not protos[0].modality:
+                p.vector = protos[0].vector
+    order = rng.permutation(len(protos))
+    return PrototypeStore([protos[i] for i in order])
+
+
+@pytest.mark.parametrize("cams_vis, cams_ir, tie, overrides", [
+    (3, 2, False, {}),
+    (2, 3, True, {}),  # tied similarities: the first maximum wins
+    (1, 1, False, {}),  # one camera per modality: no intra-modal candidate
+    (3, 3, False, dict(use_dts=False, use_swa=False, fixed_threshold=0.0)),
+    (2, 2, True, dict(use_dts=False, use_swa=False, fixed_threshold=0.3)),
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_mined_targets_equal_positive_targets_of_the_positive_sets(
+        seed, cams_vis, cams_ir, tie, overrides):
+    rng = np.random.default_rng(seed)
+    store = _shuffled_store(rng, cams_vis, cams_ir, tie)
+    cfg = tiny_cfg(**overrides)
+    ids = sorted((p.tracklet_id for m in Modality for p in store.modality_prototypes(m)),
+                 key=store.position)
+    for kind in PositiveKind:
+        reports = [build_mining_report(store, m, kind, 1, cfg) for m in Modality]
+        sets = {wps.source: wps for report in reports for wps in report.positive_sets()}
+        expected = positive_targets(store, ids, sets)
+        got = trainer_mod.mined_targets(reports, len(store))
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        if cams_vis == cams_ir == 1 and kind is PositiveKind.INTRA_MODAL:
+            assert got.rows.size == 0
+
+
+def test_train_plans_with_the_positive_targets_of_each_epoch(monkeypatch):
+    # each epoch's plan gets the own-prototype, intra and cross targets that
+    # positive_targets builds from the epoch's positive sets, by store row
+    ds = tiny_dataset()
+    cfg = tiny_cfg(total_epochs=3, intra_start_epoch=1, cross_start_epoch=2)
+    seen = []
+
+    def spy(store, sources, batch_sizes, loss_terms, ema_terms):
+        epoch = len(seen)
+        ids = sorted((t.tracklet_id for t in ds.tracklets), key=store.position)
+        expected = [positive_targets(store, ids)]
+        for kind in (PositiveKind.INTRA_MODAL, PositiveKind.CROSS_MODAL):
+            expected.append(positive_targets(store, ids, {
+                wps.source: wps for m in Modality
+                for wps in mine_positive_sets(store, m, kind, epoch, cfg)}))
+        for got, want in zip(ema_terms, expected, strict=True):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+        active = [True, epoch >= cfg.intra_start_epoch, epoch >= cfg.cross_start_epoch]
+        assert [t is not None for t in loss_terms] == active
+        seen.append(epoch)
+        return plan_batches(store, sources, batch_sizes, loss_terms, ema_terms)
+
+    monkeypatch.setattr(trainer_mod, "plan_batches", spy)
+    train(ds, cfg)
+    assert seen == [0, 1, 2]
