@@ -288,6 +288,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    gen_cfg, train_cfg = _resolve_configs(args)
     report = run_gradcheck(seed=getattr(args, "seed", 7))
     for depth, err in sorted(report["per_depth"].items()):
         print(f"tte_layers={depth}: max rel error {err:.3e}")
@@ -297,7 +298,6 @@ def _cmd_gradcheck(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "gradcheck_report.json", report)
-        gen_cfg, train_cfg = _resolve_configs(args)
         _write_effective_config(out, "gradcheck", gen_cfg, train_cfg, args)
     if report["max_rel_error"] >= 1e-4:
         raise RuntimeError(

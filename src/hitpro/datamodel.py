@@ -325,6 +325,8 @@ class TrainConfig:
             raise ValueError("n_tte_layers must be 0, 1 or 2")
         if self.iters_per_epoch < 0:
             raise ValueError("iters_per_epoch must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for key in ("d_in", "embed_dim", "ffn_dim", "pool_hidden_dim", "seq_len", "n_subtracklets",
                     "batch_cameras", "batch_tracklets", "batch_subs", "lr_decay_every"):
             if getattr(self, key) < 1:
@@ -510,8 +512,9 @@ def read_manifest(manifest_path: str | Path) -> Manifest:
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset: :func:`read_manifest`, then ``frames.f32`` in one
-    read, whose size must match the manifest's ``n_frames`` and ``d_in``.
-    Each tracklet's frames are a read-only view of that one buffer."""
+    read, whose size must match the manifest's ``n_frames`` and ``d_in`` and
+    whose values must all be finite. Each tracklet's frames are a read-only
+    view of that one buffer."""
     manifest = read_manifest(manifest_path)
     d_in, n_rows = manifest.d_in, sum(e.n_frames for e in manifest.tracklets)
     raw = manifest.payload.read_bytes()  # a missing payload raises FileNotFoundError
@@ -522,6 +525,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             f"({n_rows} frames, d_in={d_in})"
         )
     rows = np.frombuffer(raw, dtype="<f4").reshape(n_rows, d_in)
+    if not np.isfinite(rows).all():
+        row = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+        raise DatasetError(f"payload {PAYLOAD_FILE} holds a non-finite value in frame row {row}")
     return Dataset(
         d_in=d_in,
         n_cameras_vis=manifest.n_cameras_vis,

@@ -12,6 +12,13 @@ through exactly the arithmetic of a one-sample call, and the sums over
 samples run in stack order, so a stack gives bit for bit the embeddings and
 summed gradients of a loop of single calls.
 
+A large backward call (at least ``HELPER_MIN_WORK`` of ``N * seq_len *
+embed_dim * ffn_dim``, in a process allowed two or more cores) queues its
+weight-matrix gradients on one helper thread, started on first use, while
+the calling thread carries the input gradient down the layers. The helper
+runs the same products on the same arrays and sums them in the same order,
+so it changes no bit of the result.
+
 All arithmetic runs in float64 so analytic gradients can be checked against
 central finite differences; parameters are serialized as float32.
 """
@@ -19,6 +26,8 @@ central finite differences; parameters are serialized as float32.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,12 @@ MAX_TTE_LAYERS = 2
 _LAYER_FIELDS = (
     "wq", "wk", "wv", "wo", "wf1", "wf2", "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
 )
+# Least work ``N * seq_len * embed_dim * ffn_dim`` of a backward call that
+# hands its weight gradients to the helper thread: below it the hand-off
+# costs more than the second core saves (measured on a 2-vCPU host).
+HELPER_MIN_WORK = 2**20
+# samples per product the helper takes into its scratch buffer at once
+_CHUNK = 8
 
 
 class NumericError(RuntimeError):
@@ -378,6 +393,10 @@ def encode_backward(
     in stack order (``.sum(axis=0)`` adds the rows one after another).
     The gradients are added into ``out`` when given, which must be zero and
     laid out like ``params``, and returned; otherwise into a new instance.
+
+    A call of at least ``HELPER_MIN_WORK`` work on a host with two or more
+    cores hands its weight-matrix gradients to the helper thread and waits
+    for them before it returns or raises.
     """
     if len(cache.layer_caches) != params.n_tte_layers:
         raise ValueError("forward cache does not match params (layer count)")
@@ -392,6 +411,24 @@ def encode_backward(
     else:
         params.check_same_layout(out)
         grads = out
+    helper = _grad_helper(len(g) * params.seq_len * params.embed_dim * params.ffn_dim)
+    if helper is None:
+        _backward(params, cache, g, grads, _add_weight_grad)
+    else:
+        helper.run(lambda add_weight_grad: _backward(params, cache, g, grads, add_weight_grad))
+    return grads
+
+
+def _add_weight_grad(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``target += sum_n a[n].T @ b[n]``, summed over samples in stack order."""
+    target += (_t(a) @ b).sum(axis=0)
+
+
+def _backward(params, cache, g, grads, add_weight_grad) -> None:
+    """The backward pass of :func:`encode_backward`; every weight-matrix
+    gradient goes through ``add_weight_grad(target, a, b)``, which adds
+    ``sum_n a[n].T @ b[n]`` into ``target``. Nothing reads those gradients
+    here, and ``a`` and ``b`` are not written after they are passed."""
     scale = 1.0 / math.sqrt(params.embed_dim)
 
     e = cache.embedding
@@ -406,7 +443,7 @@ def encode_backward(
     grads.wa2 += (_t(cache.za) @ ds[:, :, None])[:, :, 0].sum(axis=0)
     dza = ds[:, :, None] * params.wa2
     dz = dza * (cache.z > 0.0)
-    grads.wa1 += (_t(h_last) @ dz).sum(axis=0)
+    add_weight_grad(grads.wa1, h_last, dz)
     grads.ba1 += dz.sum(axis=1).sum(axis=0)
     dh = dh + dz @ params.wa1.T
 
@@ -416,25 +453,129 @@ def encode_backward(
         dr2, dg2, db2 = _layer_norm_backward(dh, lc.xhat2, lc.inv_std2, layer.ln2_gain)
         glayer.ln2_gain += dg2
         glayer.ln2_bias += db2
-        glayer.wf2 += (_t(lc.f1a) @ dr2).sum(axis=0)
+        add_weight_grad(glayer.wf2, lc.f1a, dr2)
         df1 = (dr2 @ layer.wf2.T) * (lc.f1 > 0.0)
-        glayer.wf1 += (_t(lc.h1) @ df1).sum(axis=0)
+        add_weight_grad(glayer.wf1, lc.h1, df1)
         dh1 = dr2 + df1 @ layer.wf1.T
         dr1, dg1, db1 = _layer_norm_backward(dh1, lc.xhat1, lc.inv_std1, layer.ln1_gain)
         glayer.ln1_gain += dg1
         glayer.ln1_bias += db1
-        glayer.wo += (_t(lc.u) @ dr1).sum(axis=0)
+        add_weight_grad(glayer.wo, lc.u, dr1)
         du = dr1 @ layer.wo.T
         dattn = du @ _t(lc.v)
         dv = _t(lc.attn) @ du
         dscores = lc.attn * (dattn - (dattn * lc.attn).sum(axis=-1, keepdims=True))
         dq = (dscores @ lc.k) * scale
         dk = (_t(dscores) @ lc.q) * scale
-        glayer.wq += (_t(lc.h_in) @ dq).sum(axis=0)
-        glayer.wk += (_t(lc.h_in) @ dk).sum(axis=0)
-        glayer.wv += (_t(lc.h_in) @ dv).sum(axis=0)
+        add_weight_grad(glayer.wq, lc.h_in, dq)
+        add_weight_grad(glayer.wk, lc.h_in, dk)
+        add_weight_grad(glayer.wv, lc.h_in, dv)
         dh = dr1 + (dq @ layer.wq.T + dk @ layer.wk.T + dv @ layer.wv.T)
 
-    grads.proj += (_t(cache.x) @ dh).sum(axis=0)
+    add_weight_grad(grads.proj, cache.x, dh)
     grads.pos += dh.sum(axis=0)
-    return grads
+
+
+class _GradHelper:
+    """One daemon thread that runs :func:`_add_weight_grad` jobs for
+    :meth:`run`.
+
+    It takes the per-sample products ``_CHUNK`` samples at a time into one
+    scratch buffer it owns and reuses, behind a carry row that holds the
+    running total, and adds each chunk into the total with one
+    ``np.add.reduce`` over axis 0. That adds the rows one after another, so
+    the total has the bits of ``.sum(axis=0)`` over all the products. (numpy
+    sums a column of one-element rows pairwise instead, but every weight
+    matrix has ``embed_dim`` as one side, and at ``embed_dim == 1`` every
+    gradient is zero.)
+    """
+
+    def __init__(self):
+        # imported here, so that a process that never starts the helper
+        # does not pay for it
+        from queue import SimpleQueue
+
+        self._new_queue = SimpleQueue
+        self._jobs = SimpleQueue()
+        self._scratch = np.empty(0)
+        threading.Thread(target=self._serve, name="hitpro-encoder-grads", daemon=True).start()
+
+    def run(self, body) -> None:
+        """Call ``body(add_weight_grad)``, whose calls queue jobs for the
+        thread, then wait for every queued job, so that none writes into its
+        target after this returns or raises; re-raise the first job failure."""
+        replies = self._new_queue()
+        queued = 0
+
+        def add_weight_grad(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+            nonlocal queued
+            self._jobs.put((target, a, b, replies))
+            queued += 1
+
+        try:
+            body(add_weight_grad)
+        finally:
+            failures = [replies.get() for _ in range(queued)]
+        for failure in failures:
+            if failure is not None:
+                raise failure
+
+    def _serve(self) -> None:
+        while True:
+            target, a, b, replies = self._jobs.get()
+            try:
+                self._add(target, a, b)
+            except Exception as exc:  # noqa: BLE001 - re-raised in the caller
+                replies.put(exc)
+            else:
+                replies.put(None)
+
+    def _add(self, target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        d, k = target.shape
+        size = d * k
+        if self._scratch.size < (_CHUNK + 2) * size:
+            self._scratch = np.empty((_CHUNK + 2) * size)
+        total = self._scratch[:size].reshape(d, k)
+        rows = self._scratch[size : (_CHUNK + 2) * size].reshape(_CHUNK + 1, d, k)
+        for start in range(0, len(a), _CHUNK):
+            m = min(_CHUNK, len(a) - start)
+            np.matmul(_t(a[start : start + m]), b[start : start + m], out=rows[1 : m + 1])
+            if start:
+                rows[0] = total
+            np.add.reduce(rows[(0 if start else 1) : m + 1], axis=0, out=total)
+        target += total
+
+
+_helper: _GradHelper | None = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """In a forked child: the parent's helper thread did not come along, so
+    the next large call starts a new one."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _grad_helper(work: int) -> _GradHelper | None:
+    """The helper, started on first use, for a backward call of ``work``
+    when it gains from one; else None."""
+    global _helper
+    if work < HELPER_MIN_WORK or _cores() < 2:
+        return None
+    with _helper_lock:
+        if _helper is None:
+            _helper = _GradHelper()
+    return _helper

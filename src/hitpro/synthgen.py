@@ -16,6 +16,7 @@ frame-by-frame loop kept in ``tests/reference_loops.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +42,19 @@ class GenConfig:
 
     def __post_init__(self):
         for name in ("camera_offset_scale", "modality_transform_scale", "frame_noise", "walk_step"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("n_identities", "cams_vis", "cams_ir", "tracklets_per_identity_per_camera",
+                     "d_latent", "frame_len_min"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d_latent > self.d_in:
             raise ValueError("d_latent must not exceed d_in")
-        if not (1 <= self.frame_len_min <= self.frame_len_max):
-            raise ValueError("need 1 <= frame_len_min <= frame_len_max")
-        if min(self.n_identities, self.cams_vis, self.cams_ir,
-               self.tracklets_per_identity_per_camera) < 1:
-            raise ValueError("counts must be >= 1")
+        if self.frame_len_max < self.frame_len_min:
+            raise ValueError("frame_len_max must be >= frame_len_min")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _modality_map(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
@@ -120,7 +125,10 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     for modality, rows in ((Modality.VIS, vis_rows), (Modality.IR, ~vis_rows)):
         frames[rows] = (maps[modality] @ points[rows][:, :, None])[:, :, 0]
     frames += cfg.frame_noise * np.concatenate(noise)
-    frames = frames.astype("<f4")
+    with np.errstate(over="ignore"):
+        frames = frames.astype("<f4")
+    if not np.isfinite(frames).all():
+        raise ValueError("generated frames overflow float32; lower the noise and scale keys")
     frames.flags.writeable = False
 
     tracklets = []

@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hitpro
+import hitpro.encoder as encoder_mod
 from hitpro import cli
 from hitpro.cli import _numpy_to_list, _write_json, main
 from hitpro.datamodel import TrainConfig, load_checkpoint, load_dataset, read_manifest
@@ -384,3 +389,87 @@ def test_every_json_artifact_is_json_dumps_of_its_content(zero_noise_run, tmp_pa
         for name in written:
             text = (out / name).read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("frame_noise", float("nan")), ("camera_offset_scale", float("inf")),
+    ("modality_transform_scale", float("-inf")), ("walk_step", float("nan")),
+    ("frame_len_min", 0), ("frame_len_max", 5), ("cams_ir", 0), ("seed", -1),
+])
+def test_gen_rejects_values_out_of_range(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, key: value})
+    out = tmp_path / "data"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {key} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["gen", "train", "gradcheck"])
+def test_negative_seed_flag_rejected(tmp_path, capsys, verb):
+    cfg = write_config(tmp_path / "cfg.json", **ZERO_NOISE)
+    out = tmp_path / "out"
+    extra = ["--data", str(tmp_path / "data")] if verb == "train" else []
+    assert main([verb, "--config", cfg, *extra, "--out", str(out), "--seed", "-1"]) == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# two TTE layers on 16-frame sequences: each training batch's backward call
+# (16 samples) is above the helper thread's work constant
+DEEP = dict(
+    ZERO_NOISE, camera_offset_scale=0.3, modality_transform_scale=0.3, frame_noise=0.2,
+    walk_step=0.1, n_identities=6, frame_len_min=16, frame_len_max=20, embed_dim=64,
+    ffn_dim=128, pool_hidden_dim=32, n_tte_layers=2, seq_len=16, total_epochs=2,
+    iters_per_epoch=3, intra_start_epoch=0, cross_start_epoch=1,
+)
+
+
+def test_train_writes_the_same_bytes_with_and_without_the_helper_thread(tmp_path, monkeypatch):
+    cfg = TrainConfig(**{k: v for k, v in DEEP.items() if k in TrainConfig.__dataclass_fields__})
+    work = 2 * cfg.batch_size * cfg.seq_len * cfg.embed_dim * cfg.ffn_dim
+    assert work >= encoder_mod.HELPER_MIN_WORK
+    config = write_config(tmp_path / "cfg.json", **DEEP)
+    data = tmp_path / "data"
+    assert main(["gen", "--config", config, "--out", str(data)]) == 0
+    monkeypatch.setattr(encoder_mod, "_cores", lambda: 2)
+    helped = []  # per backward call, whether it went to the helper
+    grad_helper = encoder_mod._grad_helper
+
+    def spy(work):
+        helper = grad_helper(work)
+        helped.append(helper is not None)
+        return helper
+
+    monkeypatch.setattr(encoder_mod, "_grad_helper", spy)
+    runs = {}
+    for label, limit in (("off", 2**62), ("on", encoder_mod.HELPER_MIN_WORK)):
+        monkeypatch.setattr(encoder_mod, "HELPER_MIN_WORK", limit)
+        run = tmp_path / label
+        assert main(["train", "--config", config, "--data", str(data), "--out", str(run)]) == 0
+        runs[label] = [(run / name).read_bytes() for name in ("checkpoint.hpt", "metrics.json")]
+    per_run = DEEP["total_epochs"] * DEEP["iters_per_epoch"]
+    assert helped == [False] * per_run + [True] * per_run
+    assert runs["on"] == runs["off"]
+
+
+_NO_THREADS_CHILD = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+import hitpro.cli
+assert "concurrent.futures" not in sys.modules and "logging" not in sys.modules, sorted(sys.modules)
+assert threading.active_count() == 1
+assert hitpro.cli.main(["gen", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+assert threading.active_count() == 1
+assert "concurrent.futures" not in sys.modules and "logging" not in sys.modules
+"""
+
+
+def test_import_and_gen_start_no_thread_and_load_no_pool(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", **ZERO_NOISE)
+    src = Path(hitpro.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_THREADS_CHILD, str(src), cfg, str(tmp_path / "data")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "data" / "frames.f32").exists()

@@ -106,6 +106,18 @@ def test_truncated_or_extended_payload_rejected(tmp_path, change):
     assert f"implies {expected}" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_payload_value_rejected(tmp_path, value):
+    ds = make_dataset()
+    save_dataset(ds, tmp_path)
+    payload = tmp_path / "frames.f32"
+    raw = bytearray(payload.read_bytes())
+    raw[4 * 13 : 4 * 14] = struct.pack("<f", value)  # frame row 4, the second of "t1"
+    payload.write_bytes(bytes(raw))
+    with pytest.raises(DatasetError, match="frames.f32 holds a non-finite value in frame row 4"):
+        load_dataset(tmp_path)
+
+
 def test_dimension_mismatch_error(tmp_path):
     ds = make_dataset(n=1)
     save_dataset(ds, tmp_path)
@@ -200,7 +212,7 @@ NAN, INF = float("nan"), float("inf")
     ("weight_temp", NAN), ("weight_temp", -0.1), ("weight_temp", INF),
     ("fixed_threshold", NAN), ("fixed_threshold", INF), ("fixed_threshold", -INF),
     ("d_in", 0), ("embed_dim", 0), ("ffn_dim", 0), ("pool_hidden_dim", -1), ("seq_len", 0),
-    ("n_subtracklets", 0),
+    ("n_subtracklets", 0), ("seed", -1),
 ])
 def test_train_config_rejects_values_out_of_range(key, value):
     with pytest.raises(ValueError, match=key):

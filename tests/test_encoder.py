@@ -1,8 +1,13 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import hitpro.encoder as encoder_mod
@@ -327,3 +332,199 @@ def test_layer_norm_reductions_match_np_mean_bitwise(seed):
         dy = rng.normal(size=(n, t, d))
         dx, _, _ = encoder_mod._layer_norm_backward(dy, got[1], got[2], gain)
         assert np.array_equal(dx, _mean_layer_norm_backward(dy, got[1], got[2], gain))
+
+
+def _force_helper(mp, on):
+    """Hand every backward call to the helper thread (``on``) or to none,
+    whatever the call's size and the host's core count."""
+    mp.setattr(encoder_mod, "HELPER_MIN_WORK", 0 if on else 2**62)
+    mp.setattr(encoder_mod, "_cores", lambda: 2)
+
+
+def _backward_both_forms(p, cache, g):
+    grads = encode_backward(p, cache, g)
+    out = p.zeros_like()
+    assert encode_backward(p, cache, g, out=out) is out
+    return grads.flat.tobytes(), out.flat.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 7, 8, 9, 16, 17, 23, 40]) | st.integers(1, 40),
+    n_layers=st.integers(0, 2),
+    dims=st.tuples(*[st.integers(1, 12)] * 5),
+    seed=st.integers(0, 10_000),
+)
+# two-element weight matrices, and sample counts on both sides of the
+# helper's chunk
+@example(n=17, n_layers=1, dims=(1, 2, 1, 1, 4), seed=5)
+@example(n=8, n_layers=2, dims=(3, 4, 5, 2, 6), seed=6)
+def test_helper_thread_gives_the_inline_bytes(n, n_layers, dims, seed):
+    d_in, d, d_ff, d_h, seq_len = dims
+    p = encoder_init(d_in, d, d_ff, d_h, n_tte_layers=n_layers, seq_len=seq_len, seed=seed)
+    rng = np.random.default_rng(seed)
+    try:
+        _, cache = encode(p, rng.normal(size=(n, seq_len, d_in)))
+    except NumericError:  # a one-wide layer norm zeroes every embedding
+        reject()
+    g = rng.normal(size=(n, d))
+    with pytest.MonkeyPatch.context() as mp:
+        _force_helper(mp, on=False)
+        inline = _backward_both_forms(p, cache, g)
+        _force_helper(mp, on=True)
+        helped = _backward_both_forms(p, cache, g)
+    assert encoder_mod._helper is not None
+    assert inline[0] == inline[1]
+    assert helped == inline
+
+
+def test_helper_runs_only_for_large_calls_on_several_cores(monkeypatch):
+    monkeypatch.setattr(encoder_mod, "_cores", lambda: 2)
+    limit = encoder_mod.HELPER_MIN_WORK
+    assert encoder_mod._grad_helper(limit - 1) is None
+    assert encoder_mod._grad_helper(limit) is encoder_mod._grad_helper(10 * limit) is not None
+    monkeypatch.setattr(encoder_mod, "_cores", lambda: 1)
+    assert encoder_mod._grad_helper(10 * limit) is None
+
+
+_HELPER_ADD = encoder_mod._GradHelper._add
+
+
+def _slow_jobs(monkeypatch, fail_shape=None):
+    """Make every helper job sleep first, and the jobs whose target has
+    ``fail_shape`` raise instead of adding."""
+
+    def slow_add(self, target, a, b):
+        time.sleep(0.005)
+        if target.shape == fail_shape:
+            raise RuntimeError("job failed on purpose")
+        _HELPER_ADD(self, target, a, b)
+
+    monkeypatch.setattr(encoder_mod._GradHelper, "_add", slow_add)
+
+
+def _unchanged_after_return(out):
+    before = out.flat.tobytes()
+    time.sleep(0.1)
+    return out.flat.tobytes() == before
+
+
+def test_helper_failure_reaches_the_caller_and_the_helper_serves_on(monkeypatch):
+    _force_helper(monkeypatch, on=True)
+    p = encoder_init(4, 8, 16, 6, n_tte_layers=2, seq_len=3, seed=1)
+    rng = np.random.default_rng(2)
+    _, cache = encode(p, rng.normal(size=(11, 3, 4)))
+    g = rng.normal(size=(11, 8))
+    expected = encode_backward(p, cache, g).flat.tobytes()
+
+    _slow_jobs(monkeypatch, fail_shape=p.layers[0].wf1.shape)
+    out = p.zeros_like()
+    with pytest.raises(RuntimeError, match="job failed on purpose"):
+        encode_backward(p, cache, g, out=out)
+    assert _unchanged_after_return(out)
+
+    _slow_jobs(monkeypatch)
+    out = p.zeros_like()
+    encode_backward(p, cache, g, out=out)
+    assert _unchanged_after_return(out)
+    assert out.flat.tobytes() == expected
+
+
+def test_caller_failure_waits_for_the_queued_jobs(monkeypatch):
+    _force_helper(monkeypatch, on=True)
+    _slow_jobs(monkeypatch)
+    p = small_params(n_tte_layers=1)
+    rng = np.random.default_rng(3)
+    _, cache = encode(p, rng.normal(size=(5, 3, 4)))
+
+    def failing_layer_norm_backward(*args):
+        raise ArithmeticError("caller failed on purpose")
+
+    # the pooling head has queued the wa1 job by now
+    monkeypatch.setattr(encoder_mod, "_layer_norm_backward", failing_layer_norm_backward)
+    out = p.zeros_like()
+    with pytest.raises(ArithmeticError, match="caller failed on purpose"):
+        encode_backward(p, cache, rng.normal(size=(5, 8)), out=out)
+    assert _unchanged_after_return(out)
+    assert out.wa1.any()
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+def test_one_wide_embedding_has_zero_gradients(n_layers):
+    # why the helper never meets a one-element weight matrix, whose column
+    # numpy would sum pairwise: each has embed_dim as one side
+    p = encoder_init(1, 1, 3, 2, n_tte_layers=n_layers, seq_len=4, seed=1)
+    rng = np.random.default_rng(n_layers)
+    if n_layers:
+        with pytest.raises(NumericError):  # a one-wide layer norm zeroes h
+            encode(p, rng.normal(size=(9, 4, 1)))
+        return
+    _, cache = encode(p, rng.normal(size=(9, 4, 1)))
+    grads = encode_backward(p, cache, rng.normal(size=(9, 1)))
+    assert not grads.flat.any()
+
+
+def test_concurrent_callers_share_the_helper_and_get_their_own_bytes(monkeypatch):
+    _force_helper(monkeypatch, on=True)
+    made = []
+
+    class CountedHelper(encoder_mod._GradHelper):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(encoder_mod, "_GradHelper", CountedHelper)
+    monkeypatch.setattr(encoder_mod, "_helper", None)  # the callers race to start it
+    rng = np.random.default_rng(9)
+    cases = []
+    for i in range(6):
+        p = encoder_init(3, 6, 5, 4, n_tte_layers=i % 3, seq_len=3, seed=i)
+        _, cache = encode(p, rng.normal(size=(5 + 3 * i, 3, 3)))
+        cases.append((p, cache, rng.normal(size=(5 + 3 * i, 6))))
+    expected = []
+    for p, cache, g in cases:
+        out = p.zeros_like()
+        encoder_mod._backward(p, cache, g, out, encoder_mod._add_weight_grad)
+        expected.append(out.flat.tobytes())
+    assert made == []
+    mismatches = []
+
+    def call(i):
+        for _ in range(20):
+            if encode_backward(*cases[i]).flat.tobytes() != expected[i]:
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+    assert len(made) == 1 and encoder_mod._helper is made[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_helper(monkeypatch):
+    _force_helper(monkeypatch, on=True)
+    p = small_params(n_tte_layers=2)
+    rng = np.random.default_rng(4)
+    _, cache = encode(p, rng.normal(size=(9, 3, 4)))
+    g = rng.normal(size=(9, 8))
+    expected = encode_backward(p, cache, g).flat.tobytes()  # the parent's helper is running
+    pid = os.fork()
+    if pid == 0:  # the child: the parent's helper thread is not here
+        os._exit(0 if encode_backward(p, cache, g).flat.tobytes() == expected else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung waiting for a helper thread it does not have")
+    assert os.waitstatus_to_exitcode(done[1]) == 0

@@ -80,6 +80,35 @@ def test_invalid_config_rejected():
         zero_noise_cfg(frame_len_min=7, frame_len_max=6)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("camera_offset_scale", NAN), ("camera_offset_scale", INF),
+    ("modality_transform_scale", -INF), ("modality_transform_scale", -0.5),
+    ("frame_noise", NAN), ("frame_noise", INF), ("walk_step", NAN), ("walk_step", INF),
+    ("n_identities", 0), ("cams_vis", 0), ("cams_ir", -1),
+    ("tracklets_per_identity_per_camera", 0), ("d_latent", 0), ("frame_len_min", 0),
+    ("frame_len_max", 3), ("seed", -1),
+])
+def test_config_rejects_values_out_of_range_naming_the_key(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        zero_noise_cfg(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("frame_noise", 0.0), ("walk_step", 1e300), ("frame_len_max", 4), ("d_latent", 8),
+    ("seed", 0), ("seed", 2**70),
+])
+def test_config_accepts_values_at_the_edges(key, value):
+    assert getattr(zero_noise_cfg(**{key: value}), key) == value
+
+
+def test_frames_overflowing_float32_rejected():
+    with pytest.raises(ValueError, match="overflow float32"):
+        generate_dataset(zero_noise_cfg(frame_noise=1e39))
+
+
 def _raw_mean_cross_modal_rank1(ds):
     feats = np.stack([t.frames.astype(np.float64).mean(axis=0) for t in ds.tracklets])
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
