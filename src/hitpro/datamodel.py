@@ -6,8 +6,9 @@ On-disk formats:
   ``n_cameras_vis``, ``n_cameras_ir``) and a ``tracklets`` list of
   ``{tracklet_id, modality, camera_id, n_frames, gt_identity?}``; it names
   no file, and other keys are ignored. Undecodable bytes, wrong types, a
-  ``d_in`` or ``n_frames`` below 1, repeated ids and out-of-range cameras
-  raise :class:`DatasetError`.
+  ``d_in`` or ``n_frames`` below 1, a negative camera count or
+  ``gt_identity``, repeated ids and out-of-range cameras raise
+  :class:`DatasetError`.
 * ``frames.f32``: every tracklet's ``n_frames x d_in`` frame rows,
   little-endian float32, row-major, back to back in manifest order; a
   tracklet's first row is the sum of ``n_frames`` before it, and the file
@@ -24,9 +25,11 @@ from __future__ import annotations
 
 import enum
 import json
-import math
+import numbers
+import operator
 import struct
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -258,6 +261,36 @@ class WeightedPositiveSet:
         return tuple(t for t, _ in self.entries)
 
 
+def setting(default, **bounds):
+    """A config field's ``default`` and its bounds, any of ``ge``, ``gt``,
+    ``le`` and ``lt``, for :func:`check_settings` to enforce."""
+    return field(default=default, metadata=bounds)
+
+
+# the values each declared field type admits, and how an error names them
+_TYPES = {"bool": (bool, "a boolean"), "int": (numbers.Integral, "an integer"),
+          "float": (numbers.Real, "a number")}
+_BOUNDS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # each named as in ``operator``
+
+
+def check_settings(schema, values: dict) -> None:
+    """Hold each ``values[key]`` to the declaration of field ``key`` of the
+    config dataclass ``schema``: its type (booleans in ``bool`` fields
+    only), finite in a ``float`` field, and within its :func:`setting`
+    bounds. A failure raises ``ValueError("<key> must be ...")``."""
+    declared = {f.name: f for f in fields(schema)}
+    for key, value in values.items():
+        kind = declared[key].type
+        admitted, noun = _TYPES[kind]
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, admitted):
+            raise ValueError(f"{key} must be {noun}, got {value!r}")
+        if kind == "float" and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{key} must be finite, got {value!r}")
+        for name, bound in declared[key].metadata.items():
+            if not getattr(operator, name)(value, bound):
+                raise ValueError(f"{key} must be {_BOUNDS[name]} {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """All optimization hyperparameters and ablation toggles.
@@ -267,37 +300,37 @@ class TrainConfig:
     """
 
     # architecture
-    d_in: int = 16
-    embed_dim: int = 32
-    ffn_dim: int = 64
-    pool_hidden_dim: int = 32
-    n_tte_layers: int = 2
-    seq_len: int = 6
+    d_in: int = setting(16, ge=1)
+    embed_dim: int = setting(32, ge=1)
+    ffn_dim: int = setting(64, ge=1)
+    pool_hidden_dim: int = setting(32, ge=1)
+    n_tte_layers: int = setting(2, ge=0, le=2)  # capped: a small hand-derived backward
+    seq_len: int = setting(6, ge=1)
     # prototyping
-    n_subtracklets: int = 4  # K
+    n_subtracklets: int = setting(4, ge=1)  # K
     # temperatures
-    loss_temp: float = 0.05
-    weight_temp: float = 0.1
+    loss_temp: float = setting(0.05, gt=0)
+    weight_temp: float = setting(0.1, gt=0)
     # dynamic threshold schedule
-    thresh_init: float = 0.99
-    thresh_final: float = 0.90
+    thresh_init: float = setting(0.99, gt=0, le=1)
+    thresh_final: float = setting(0.90, gt=0, le=1)
     # prototype memory
-    ema_momentum: float = 0.2
+    ema_momentum: float = setting(0.2, gt=0, le=1)
     # loss scheduling
-    intra_start_epoch: int = 5
-    cross_start_epoch: int = 15
-    total_epochs: int = 60
-    iters_per_epoch: int = 300
+    intra_start_epoch: int = setting(5, ge=0)
+    cross_start_epoch: int = setting(15, ge=0)
+    total_epochs: int = setting(60, ge=0)
+    iters_per_epoch: int = setting(300, ge=0)
     # batch shape C x P x S
-    batch_cameras: int = 2
-    batch_tracklets: int = 2
-    batch_subs: int = 2
+    batch_cameras: int = setting(2, ge=1)
+    batch_tracklets: int = setting(2, ge=1)
+    batch_subs: int = setting(2, ge=1)
     # optimizer
-    lr: float = 0.00035
-    sgd_momentum: float = 0.9
-    lr_decay_every: int = 20
-    lr_decay_factor: float = 0.1
-    seed: int = 0
+    lr: float = setting(0.00035, gt=0)
+    sgd_momentum: float = setting(0.9, ge=0, lt=1)
+    lr_decay_every: int = setting(20, ge=1)
+    lr_decay_factor: float = setting(0.1, gt=0)
+    seed: int = setting(0, ge=0)
     # ablation toggles
     use_imcc: bool = True
     use_cm: bool = True
@@ -307,30 +340,13 @@ class TrainConfig:
     use_swa: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.thresh_final <= self.thresh_init <= 1.0):
-            raise ValueError("need 0 < thresh_final <= thresh_init <= 1")
-        if not (0 <= self.intra_start_epoch <= self.cross_start_epoch <= self.total_epochs):
-            raise ValueError("need 0 <= intra_start <= cross_start <= total_epochs")
-        for key in ("loss_temp", "weight_temp", "lr", "lr_decay_factor"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{key} must be finite and > 0")
-        if not (0.0 <= self.sgd_momentum < 1.0):
-            raise ValueError("sgd_momentum must be in [0, 1)")
-        if not math.isfinite(self.fixed_threshold):
-            raise ValueError("fixed_threshold must be finite")
-        if not (0.0 < self.ema_momentum <= 1.0):
-            raise ValueError("ema_momentum must be in (0, 1]")
-        if self.n_tte_layers not in (0, 1, 2):
-            raise ValueError("n_tte_layers must be 0, 1 or 2")
-        if self.iters_per_epoch < 0:
-            raise ValueError("iters_per_epoch must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        for key in ("d_in", "embed_dim", "ffn_dim", "pool_hidden_dim", "seq_len", "n_subtracklets",
-                    "batch_cameras", "batch_tracklets", "batch_subs", "lr_decay_every"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
+        check_settings(TrainConfig, vars(self))
+        if self.thresh_final > self.thresh_init:
+            raise ValueError("thresh_final must be <= thresh_init")
+        if self.intra_start_epoch > self.cross_start_epoch:
+            raise ValueError("intra_start_epoch must be <= cross_start_epoch")
+        if self.cross_start_epoch > self.total_epochs:
+            raise ValueError("cross_start_epoch must be <= total_epochs")
 
     @property
     def batch_size(self) -> int:
@@ -485,8 +501,8 @@ def read_manifest(manifest_path: str | Path) -> Manifest:
     if not isinstance(manifest["tracklets"], list):
         raise DatasetError("manifest 'tracklets' is not a list")
     d_in = _json_int(manifest["d_in"], "d_in", DatasetError, minimum=1)
-    n_cameras_vis = _json_int(manifest["n_cameras_vis"], "n_cameras_vis", DatasetError)
-    n_cameras_ir = _json_int(manifest["n_cameras_ir"], "n_cameras_ir", DatasetError)
+    n_cameras_vis = _json_int(manifest["n_cameras_vis"], "n_cameras_vis", DatasetError, 0)
+    n_cameras_ir = _json_int(manifest["n_cameras_ir"], "n_cameras_ir", DatasetError, 0)
     entries = []
     offset = 0
     for i, entry in enumerate(manifest["tracklets"]):
@@ -500,7 +516,7 @@ def read_manifest(manifest_path: str | Path) -> Manifest:
             camera_id = _json_int(entry["camera_id"], f"entry {i} camera_id", DatasetError)
             gt_identity = entry.get("gt_identity")
             if gt_identity is not None:
-                gt_identity = _json_int(gt_identity, f"entry {i} gt_identity", DatasetError)
+                gt_identity = _json_int(gt_identity, f"entry {i} gt_identity", DatasetError, 0)
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"manifest entry {i} is malformed: {exc!r}") from exc
         entries.append(ManifestEntry(tid, modality, camera_id, n_frames, offset, gt_identity))

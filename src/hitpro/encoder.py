@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datamodel import TrainConfig, check_settings
 from .numerics import stable_softmax
 
 LN_EPS = 1e-5
-MAX_TTE_LAYERS = 2
 _LAYER_FIELDS = (
     "wq", "wk", "wv", "wo", "wf1", "wf2", "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
 )
@@ -92,10 +92,9 @@ class EncoderParams:
         n_tte_layers: int,
         flat: np.ndarray | None = None,
     ):
-        if min(d_in, embed_dim, ffn_dim, pool_hidden_dim, seq_len) < 1:
-            raise ValueError("all encoder dimensions must be >= 1")
-        if not (0 <= n_tte_layers <= MAX_TTE_LAYERS):
-            raise ValueError(f"n_tte_layers must be in [0, {MAX_TTE_LAYERS}]")
+        check_settings(TrainConfig, dict(d_in=d_in, embed_dim=embed_dim, ffn_dim=ffn_dim,
+                                         pool_hidden_dim=pool_hidden_dim, seq_len=seq_len,
+                                         n_tte_layers=n_tte_layers))
         self.d_in = d_in
         self.embed_dim = embed_dim
         self.ffn_dim = ffn_dim
@@ -196,7 +195,7 @@ def encoder_init(
     """Deterministic scaled-uniform init (weight matrices within
     +-sqrt(6/(fan_in+fan_out))); layer-norm gains start at 1, biases at 0.
 
-    ``n_tte_layers`` is capped at 2 to keep the manual backward surface small.
+    Every dimension must lie within its :class:`TrainConfig` field's bounds.
     """
     params = EncoderParams(d_in, embed_dim, ffn_dim, pool_hidden_dim, seq_len, n_tte_layers)
     rng = np.random.default_rng(seed)

@@ -16,45 +16,35 @@ frame-by-frame loop kept in ``tests/reference_loops.py``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, Modality, Tracklet
+from .datamodel import Dataset, Modality, Tracklet, check_settings, setting
 
 
 @dataclass(frozen=True)
 class GenConfig:
-    n_identities: int = 50
-    cams_vis: int = 2
-    cams_ir: int = 2
-    d_in: int = 16
-    d_latent: int = 6
-    tracklets_per_identity_per_camera: int = 1
-    frame_len_min: int = 8
-    frame_len_max: int = 16
-    camera_offset_scale: float = 0.3
-    modality_transform_scale: float = 0.5
-    frame_noise: float = 0.2
-    walk_step: float = 0.1
-    seed: int = 0
+    n_identities: int = setting(50, ge=1)
+    cams_vis: int = setting(2, ge=1)
+    cams_ir: int = setting(2, ge=1)
+    d_in: int = setting(16, ge=1)
+    d_latent: int = setting(6, ge=1)
+    tracklets_per_identity_per_camera: int = setting(1, ge=1)
+    frame_len_min: int = setting(8, ge=1)
+    frame_len_max: int = setting(16, ge=1)
+    camera_offset_scale: float = setting(0.3, ge=0)
+    modality_transform_scale: float = setting(0.5, ge=0)
+    frame_noise: float = setting(0.2, ge=0)
+    walk_step: float = setting(0.1, ge=0)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        for name in ("camera_offset_scale", "modality_transform_scale", "frame_noise", "walk_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
-        for name in ("n_identities", "cams_vis", "cams_ir", "tracklets_per_identity_per_camera",
-                     "d_latent", "frame_len_min"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_settings(GenConfig, vars(self))
         if self.d_latent > self.d_in:
-            raise ValueError("d_latent must not exceed d_in")
+            raise ValueError("d_latent must be <= d_in")
         if self.frame_len_max < self.frame_len_min:
             raise ValueError("frame_len_max must be >= frame_len_min")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 def _modality_map(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:

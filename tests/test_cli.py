@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from hitpro.cli import _numpy_to_list, _write_json, main
 from hitpro.datamodel import TrainConfig, load_checkpoint, load_dataset, read_manifest
 from hitpro.evaluator import dataset_labels
 from hitpro.prototyping import embed_tracklets
+from hitpro.synthgen import GenConfig
 
 from reference_loops import loop_mining_payload
 
@@ -166,6 +169,18 @@ def test_gradcheck_exit_codes(tmp_path, capsys):
     assert (tmp_path / "g" / "effective_config.json").exists()
 
 
+@pytest.mark.parametrize("config_seed", [None, 11])
+def test_gradcheck_records_the_seed_it_ran(tmp_path, monkeypatch, config_seed):
+    ran = []
+    monkeypatch.setattr(cli, "run_gradcheck", lambda seed: ran.append(seed) or {
+        "per_depth": {0: 0.0}, "max_rel_error": 0.0, "elapsed_s": 0.0})
+    extra = [] if config_seed is None else [
+        "--config", write_config(tmp_path / "cfg.json", seed=config_seed)]
+    assert main(["gradcheck", *extra, "--out", str(tmp_path / "g")]) == 0
+    effective = json.loads((tmp_path / "g" / "effective_config.json").read_text())
+    assert ran == [7] and effective["seed"] == 7
+
+
 def test_thread_env_not_read(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.json", **ZERO_NOISE)
     monkeypatch.setenv("HITPRO_THREADS", "abc")
@@ -308,6 +323,19 @@ def test_mine_rejects_negative_frame_count(zero_noise_run, tmp_path, capsys):
     assert not (tmp_path / "m" / "mining_report.json").exists()
 
 
+def test_mine_rejects_negative_gt_identity(zero_noise_run, tmp_path, capsys):
+    cfg, data, checkpoint = zero_noise_run
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["tracklets"][2]["gt_identity"] = -1
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["mine", "--config", cfg, "--data", str(bad), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "m")]) == 2
+    assert "entry 2 gt_identity must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def _json_dumps(payload):
     return json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_list)
 
@@ -411,6 +439,41 @@ def test_negative_seed_flag_rejected(tmp_path, capsys, verb):
     extra = ["--data", str(tmp_path / "data")] if verb == "train" else []
     assert main([verb, "--config", cfg, *extra, "--out", str(out), "--seed", "-1"]) == 2
     assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _past_bound(kind: str, name: str, bound):
+    """The value nearest ``bound`` that breaks the declared bound ``name``."""
+    if name in ("gt", "lt"):
+        return float(bound) if kind == "float" else bound
+    outward = -1 if name == "ge" else 1
+    return math.nextafter(bound, outward * math.inf) if kind == "float" else bound + outward
+
+
+def _declared_rejections():
+    """(verb, key, value) for each config field: a value just past each of
+    its declared bounds, NaN and +-Infinity for a float, a JSON string, and
+    a JSON boolean for a numeric field (a JSON integer for a boolean one)."""
+    cases = []
+    for verb, schema in (("gen", GenConfig), ("train", TrainConfig)):
+        for field in dataclasses.fields(schema):
+            values = [str(field.default), 1 if field.type == "bool" else True]
+            values += [_past_bound(field.type, name, bound)
+                       for name, bound in field.metadata.items()]
+            if field.type == "float":
+                values += [math.nan, math.inf, -math.inf]
+            cases += [pytest.param(verb, field.name, v, id=f"{verb}-{field.name}-{v!r}")
+                      for v in values]
+    return cases
+
+
+@pytest.mark.parametrize("verb, key, value", _declared_rejections())
+def test_config_value_outside_its_declaration_rejected(tmp_path, capsys, verb, key, value):
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, key: value})
+    out = tmp_path / "out"
+    extra = ["--data", str(tmp_path / "data")] if verb == "train" else []
+    assert main([verb, "--config", cfg, *extra, "--out", str(out)]) == 2
+    assert f"error: {key} must be " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -26,6 +26,7 @@ from hitpro.datamodel import (
 )
 from hitpro.encoder import encoder_init
 from hitpro.evaluator import dataset_labels
+from hitpro.synthgen import GenConfig
 
 from conftest import assert_same_store
 
@@ -225,6 +226,21 @@ def test_train_config_rejects_values_out_of_range(key, value):
 ])
 def test_train_config_accepts_values_at_the_edges(key, value):
     assert getattr(TrainConfig(**{key: value}), key) == value
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: TrainConfig(use_dts="no"), "use_dts"),
+    (lambda: TrainConfig(use_swa=0), "use_swa"),
+    (lambda: TrainConfig(iters_per_epoch=2.5), "iters_per_epoch"),
+    (lambda: TrainConfig(embed_dim=True), "embed_dim"),
+    (lambda: TrainConfig(lr="0.1"), "lr"),
+    (lambda: GenConfig(n_identities=2.5), "n_identities"),
+    (lambda: GenConfig(frame_noise=False), "frame_noise"),
+], ids=["use_dts_str", "use_swa_int", "iters_float", "embed_dim_bool", "lr_str",
+        "n_identities_float", "frame_noise_bool"])
+def test_config_constructors_check_types(build, key):
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        build()
 
 
 def test_shipped_and_workload_configs_load(monkeypatch):
@@ -634,6 +650,22 @@ def test_manifest_non_integer_gt_identity_rejected(tmp_path, value):
         load_dataset(data)
 
 
+def test_manifest_negative_gt_identity_rejected(tmp_path):
+    data = _manifest_with(tmp_path, lambda e: e.update(gt_identity=-1))
+    with pytest.raises(DatasetError, match="entry 0 gt_identity must be at least 0, got -1"):
+        read_manifest(data)
+
+
+@pytest.mark.parametrize("key", ["n_cameras_vis", "n_cameras_ir"])
+def test_manifest_negative_camera_count_rejected(tmp_path, key):
+    data = _manifest_with(tmp_path, lambda e: None)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest[key] = -1
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=f"{key} must be at least 0, got -1"):
+        read_manifest(data)
+
+
 @pytest.mark.parametrize("key", ["d_in", "n_cameras_vis", "n_cameras_ir"])
 @pytest.mark.parametrize("value", ["3", 3.5, None])
 def test_manifest_non_integer_header_rejected(tmp_path, key, value):
@@ -710,6 +742,17 @@ def test_checkpoint_non_integer_header_number_rejected(tmp_path, mutate, value):
     path = _saved_checkpoint(tmp_path)
     bad = _rewrite_header(path, tmp_path / "bad.hpt", lambda h: mutate(h, value))
     with pytest.raises(CheckpointError, match="must be an integer"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_tte_layers", 1.0), ("n_tte_layers", 3), ("embed_dim", True), ("seq_len", 0),
+    ("seq_len", "6"),
+])
+def test_checkpoint_bad_encoder_dimension_names_the_key(tmp_path, key, value):
+    path = _saved_checkpoint(tmp_path)
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", lambda h: h["encoder"].update({key: value}))
+    with pytest.raises(CheckpointError, match=f"{key} must be "):
         load_checkpoint(bad)
 
 
