@@ -59,7 +59,10 @@ def _load_config_file(path: str | None) -> dict:
     constructors check each value against its field's declaration."""
     if path is None:
         return {}
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("a config file must hold one JSON object")
     unknown = set(raw) - _GEN_FIELDS - _TRAIN_FIELDS
@@ -244,14 +247,14 @@ def _cmd_eval(args) -> int:
     gen_cfg, cfg = _resolve_configs(args)
     params, _store, _epoch = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    for key, value in (("seq_len", cfg.seq_len), ("d_in", dataset.d_in)):
+        if value != getattr(params, key):
+            raise ValueError(f"{key} must be {getattr(params, key)}, the checkpoint's, got {value}")
     vectors = embed_tracklets(params, dataset.tracklets, cfg)
     results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
     # the layout of the dataset's frames.f32: little-endian float32, here
     # one row per tracklet in dataset order
     matrix = np.asarray(vectors, dtype="<f4")
-    (out / EMBEDDINGS_FILE).write_bytes(matrix.tobytes())
     payload = {
         "ir_to_vis": results["IR->VIS"].to_json(),
         "vis_to_ir": results["VIS->IR"].to_json(),
@@ -265,6 +268,9 @@ def _cmd_eval(args) -> int:
             "tracklet_ids": [t.tracklet_id for t in dataset.tracklets],
         },
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / EMBEDDINGS_FILE).write_bytes(matrix.tobytes())
     _write_json(out / "report.json", payload)
     _write_effective_config(out, "eval", gen_cfg, cfg, args)
     print(

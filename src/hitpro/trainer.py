@@ -96,23 +96,21 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     grads = params.zeros_like()
     gt = dataset_labels(dataset)
     epochs: list[dict] = []
-    store = None
     table = frame_table(dataset.tracklets, cfg)
     cameras = [camera_rows(dataset, m, table.starts, table.k_eff)
                for m in (Modality.VIS, Modality.IR)]
+    store = build_prototypes(params, dataset, cfg, table)
     # every epoch's store lays the tracklets out alike: the store row of each
     # table row, and each row's own prototype as its intra-camera target
-    ids = [t.tracklet_id for t in dataset.tracklets]
-    layout = PrototypeStore.from_matrix(
-        np.empty((len(ids), 0)), ids,
-        [t.modality for t in dataset.tracklets], [t.camera_id for t in dataset.tracklets],
-    )
-    store_rows = np.array([layout.position(tid) for tid in ids], dtype=np.intp)[table.owners]
-    own = Targets(np.arange(len(ids) + 1), np.arange(len(ids)), np.ones(len(ids)))
+    n = len(store)
+    store_rows = np.array([store.position(t.tracklet_id) for t in dataset.tracklets],
+                          dtype=np.intp)[table.owners]
+    own = Targets(np.arange(n + 1), np.arange(n), np.ones(n))
 
     for epoch in range(cfg.total_epochs):
         opt.lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
-        store = build_prototypes(params, dataset, cfg, table)
+        if epoch:
+            store = build_prototypes(params, dataset, cfg, table)
         reports = {key: build_mining_report(store, modality, kind, epoch, cfg)
                    for modality, kind, key in _FAMILY_KEYS}
         intra = mined_targets([reports["vis_intra"], reports["ir_intra"]], len(store))
@@ -170,6 +168,4 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 record["mining"][key] = {"precision": precision, "recall": recall}
         epochs.append(record)
 
-    if store is None:  # no epoch ran: the initial encoder's prototypes
-        store = build_prototypes(params, dataset, cfg, table)
     return TrainResult(params=params, store=store, epochs=epochs)

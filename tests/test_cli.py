@@ -219,6 +219,18 @@ def test_config_file_not_an_object_rejected(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["gen", "train"])
+@pytest.mark.parametrize("text", [b'{"lr": }', b"\xff{}"], ids=["json", "utf-8"])
+def test_malformed_config_file_named(tmp_path, capsys, verb, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    extra = ["--data", str(tmp_path / "data")] if verb == "train" else []
+    assert main([verb, "--config", str(path), *extra, "--out", str(out)]) == 2
+    assert f"error: malformed config file {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", **ZERO_NOISE)
     out = tmp_path / "s"
@@ -269,6 +281,43 @@ def test_eval_max_rank_below_one_is_usage_error(tmp_path, capsys, value):
                  "--out", str(tmp_path / "e"), "--max-rank", value]) == 1
     assert "--max-rank" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+def test_eval_seq_len_other_than_the_checkpoints_names_the_key(zero_noise_run, tmp_path, capsys):
+    _, data, checkpoint = zero_noise_run
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, "seq_len": 5})
+    out = tmp_path / "e"
+    assert main(["eval", "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 2
+    assert "error: seq_len must be 4, the checkpoint's, got 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_dataset_d_in_other_than_the_checkpoints_names_the_key(zero_noise_run, tmp_path,
+                                                                      capsys):
+    cfg, _, checkpoint = zero_noise_run
+    other = write_config(tmp_path / "other.json", **{**ZERO_NOISE, "d_in": 6})
+    data, out = tmp_path / "data", tmp_path / "e"
+    assert main(["gen", "--config", other, "--out", str(data)]) == 0
+    assert main(["eval", "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 2
+    assert "error: d_in must be 8, the checkpoint's, got 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_dataset_without_labels_creates_no_out(zero_noise_run, tmp_path, capsys):
+    cfg, data, checkpoint = zero_noise_run
+    unlabeled, out = tmp_path / "unlabeled", tmp_path / "e"
+    unlabeled.mkdir()
+    manifest = json.loads((data / "manifest.json").read_text())
+    for entry in manifest["tracklets"]:
+        del entry["gt_identity"]
+    (unlabeled / "manifest.json").write_text(json.dumps(manifest))
+    (unlabeled / "frames.f32").write_bytes((data / "frames.f32").read_bytes())
+    assert main(["eval", "--config", cfg, "--data", str(unlabeled),
+                 "--checkpoint", str(checkpoint), "--out", str(out)]) == 2
+    assert "gt_identity" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mine_reads_labels_from_manifest_only(zero_noise_run, tmp_path):
@@ -536,3 +585,21 @@ def test_import_and_gen_start_no_thread_and_load_no_pool(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "data" / "frames.f32").exists()
+
+
+_IMPORT_GRAPH_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import hitpro
+assert sorted(m for m in sys.modules if m.startswith("hitpro")) == ["hitpro"]
+import hitpro.synthgen
+loaded = sorted(m for m in sys.modules if m.startswith("hitpro"))
+assert loaded == ["hitpro", "hitpro.datamodel", "hitpro.synthgen"], loaded
+"""
+
+
+def test_importing_a_module_loads_only_what_it_uses():
+    src = Path(hitpro.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_CHILD, str(src)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
