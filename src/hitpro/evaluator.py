@@ -12,8 +12,9 @@ from .encoder import EncoderParams
 from .mining import MiningReport
 from .prototyping import embed_tracklets, tracklet_embedding
 
-# Gram-matrix rows per block in distance_distribution: a (256, n) block of
-# the distances stays at a few MB even for a gallery of thousands.
+# Rows per block of the (256, n) temporaries in distance_distribution (Gram
+# rows) and evaluate_retrieval (ranked matches): a few MB even for a gallery
+# of thousands.
 _ROW_BLOCK = 256
 
 
@@ -53,15 +54,36 @@ def dataset_labels(dataset: Dataset | Manifest) -> Optional[dict[str, int]]:
     return {t.tracklet_id: t.gt_identity for t in dataset.tracklets}
 
 
+def _unit_rows(mat: np.ndarray, side: str) -> np.ndarray:
+    """Scale every row of float64 ``mat`` to unit length in place and return
+    it. A row whose norm is 0 or not finite has no cosine similarity, so it
+    raises ``ValueError`` naming ``side`` and the row."""
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(norms[:, 0]) & (norms[:, 0] > 0)))
+    if bad.size:
+        raise ValueError(f"{side} vector {bad[0]} has norm {norms[bad[0], 0]}; "
+                         "a zero or non-finite vector has no cosine similarity")
+    mat /= norms
+    return mat
+
+
 def evaluate_retrieval(
     queries: list[tuple[np.ndarray, int]],
     gallery: list[tuple[np.ndarray, int]],
     max_rank: int = 20,
 ) -> RetrievalResult:
     """Rank the gallery by cosine similarity per query; ties break by
-    gallery index. Every query identity must occur in the gallery."""
+    gallery index. Every query identity must occur in the gallery, and every
+    vector needs a finite, nonzero norm.
+
+    Only the true matches are ranked: match ``(i, j)`` sits at 0-based rank
+    ``#{k : sims[i, k] > sims[i, j]} + #{k < j : sims[i, k] == sims[i, j]}``,
+    its place under a stable sort of the row by descending similarity.
+    """
     if not queries or not gallery:
         raise ValueError("queries and gallery must be non-empty")
+    if max_rank < 1:
+        raise ValueError(f"max_rank must be at least 1, got {max_rank}")
     q_mat = np.stack([q for q, _ in queries]).astype(np.float64)
     g_mat = np.stack([g for g, _ in gallery]).astype(np.float64)
     q_ids = np.array([i for _, i in queries])
@@ -71,20 +93,24 @@ def evaluate_retrieval(
         raise ValueError(f"query identities absent from gallery: {sorted(missing)}")
     max_rank = min(max_rank, len(gallery))
 
-    q_norm = q_mat / np.linalg.norm(q_mat, axis=1, keepdims=True)
-    g_norm = g_mat / np.linalg.norm(g_mat, axis=1, keepdims=True)
-    sims = q_norm @ g_norm.T
-
-    order = np.argsort(-sims, axis=1, kind="stable")  # stable: index breaks ties
-    matches = g_ids[order] == q_ids[:, None]
-    first = np.argmax(matches, axis=1)  # at least one match guaranteed
-    cmc = np.cumsum(np.bincount(first, minlength=max_rank)[:max_rank]) / len(queries)
-    rows, cols = np.nonzero(matches)  # query by query, in rank order
-    precision = np.cumsum(matches, axis=1)[rows, cols] / (cols + 1)
-    # average precisions grouped by match count: one (n_queries, count)
-    # mean per count adds each query's values as a mean over them alone
+    sims = _unit_rows(q_mat, "query") @ _unit_rows(g_mat, "gallery").T
+    rows, cols = np.nonzero(q_ids[:, None] == g_ids)  # query by query
+    ranks = np.empty(len(rows), dtype=np.intp)
+    g_index = np.arange(len(gallery))
+    for a in range(0, len(rows), _ROW_BLOCK):  # (_ROW_BLOCK, n_gallery) temporaries
+        r, c = rows[a:a + _ROW_BLOCK], cols[a:a + _ROW_BLOCK]
+        block, s = sims[r], sims[r, c][:, None]
+        ranks[a:a + _ROW_BLOCK] = (block > s).sum(axis=1) + (
+            (block == s) & (g_index < c[:, None])).sum(axis=1)
+    offset = rows * len(gallery)
+    ranks = np.sort(offset + ranks) - offset  # each query's matches in rank order
     counts = np.bincount(rows, minlength=len(queries))
     starts = np.cumsum(counts) - counts
+    cmc = np.cumsum(np.bincount(ranks[starts], minlength=max_rank)[:max_rank]) / len(queries)
+    # the k-th match (from 0) in rank order is preceded by k matches
+    precision = (np.arange(len(rows)) - np.repeat(starts, counts) + 1) / (ranks + 1)
+    # average precisions grouped by match count: one (n_queries, count)
+    # mean per count adds each query's values as a mean over them alone
     aps = np.empty(len(queries))
     # not np.unique: on this input it imports numpy.ma, ~1 MB of peak RSS
     for count in sorted(set(counts.tolist())):
@@ -149,8 +175,7 @@ def distance_distribution(vectors, identities, n_bins: int = 50) -> dict:
     if not n_positive or not n_negative:
         raise ValueError("need at least one intra-class and one inter-class pair")
 
-    mat = np.array(vectors, dtype=np.float64)
-    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+    mat = _unit_rows(np.array(vectors, dtype=np.float64), "embedding")
     hists = np.zeros((2, n_bins), dtype=np.int64)  # positive, negative
     sums = [0.0, 0.0]
     for a in range(0, n - 1, _ROW_BLOCK):

@@ -18,7 +18,7 @@ from hitpro.datamodel import (
     TrainConfig,
     WeightedPositiveSet,
 )
-from hitpro.evaluator import evaluate_retrieval, mining_quality
+from hitpro.evaluator import _ROW_BLOCK, evaluate_retrieval, mining_quality
 from hitpro.mining import build_mining_report
 from hitpro.objective import ema_update, loss_cross_modal, loss_imcc, loss_intra_camera, total_loss
 from hitpro.prototyping import frame_table, partition_tracklet
@@ -330,32 +330,45 @@ def test_generator_matches_frame_loop(cfg):
         assert t.frames.tobytes() == ref.frames.tobytes()
 
 
-def _gallery(rng, n_query, n_gallery, n_ids, d, tied):
+def _gallery(rng, n_query, n_gallery, n_ids, d, layout):
     g_ids = rng.integers(0, n_ids, size=n_gallery)
     q_ids = rng.choice(g_ids, size=n_query)
     vectors = rng.normal(size=(n_query + n_gallery, d))
-    if tied:  # few distinct directions: many equal similarities
-        vectors = np.round(vectors)
+    if layout != "distinct":  # few distinct directions: many equal similarities
+        # signed_zero: entries -1, -0.0, 0.0 and 1, so many similarities are
+        # exactly 0.0, which the loop's argsort of -sims sees as -0.0
+        vectors = np.round(vectors * (0.7 if layout == "signed_zero" else 1.0))
         vectors[np.all(vectors == 0, axis=1), 0] = 1.0
     return (list(zip(vectors[:n_query], q_ids.tolist())),
             list(zip(vectors[n_query:], g_ids.tolist())))
 
 
 @pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
-def test_ranking_matches_query_loop(seed, tied):
+@pytest.mark.parametrize("layout", ["distinct", "tied", "signed_zero", "wide"])
+def test_ranking_matches_query_loop(seed, layout):
     rng = np.random.default_rng(seed)
-    n_query, n_gallery = (int(v) for v in rng.integers(1, 70, size=2))
-    queries, gallery = _gallery(rng, n_query, n_gallery, int(rng.integers(1, 15)), 3, tied)
-    max_rank = int(rng.integers(1, 25))
+    if layout == "wide":  # 1-3 identities: a query's matches span several blocks
+        n_query, n_gallery = int(rng.integers(2, 12)), int(rng.integers(300, 701))
+        queries, gallery = _gallery(rng, n_query, n_gallery, int(rng.integers(1, 4)), 3, layout)
+        max_rank = n_gallery + int(rng.integers(1, 25))
+    else:
+        n_query, n_gallery = (int(v) for v in rng.integers(1, 70, size=2))
+        queries, gallery = _gallery(rng, n_query, n_gallery, int(rng.integers(1, 15)), 3, layout)
+        max_rank = int(rng.integers(1, 25))
     result = evaluate_retrieval(queries, gallery, max_rank=max_rank)
 
     q_mat = np.stack([q for q, _ in queries])
     g_mat = np.stack([g for g, _ in gallery])
     sims = (q_mat / np.linalg.norm(q_mat, axis=1, keepdims=True)) @ (
         g_mat / np.linalg.norm(g_mat, axis=1, keepdims=True)).T
-    cmc, mean_ap = loop_ranking(sims, np.array([i for _, i in queries]),
-                                np.array([i for _, i in gallery]), min(max_rank, n_gallery))
+    q_ids, g_ids = np.array([i for _, i in queries]), np.array([i for _, i in gallery])
+    if layout == "wide":  # some query's matches straddle a block boundary
+        counts = (q_ids[:, None] == g_ids).sum(axis=1)
+        ends = np.cumsum(counts)
+        assert np.any((ends - counts) // _ROW_BLOCK < (ends - 1) // _ROW_BLOCK)
+    if layout == "signed_zero":
+        assert np.any(sims == 0.0)
+    cmc, mean_ap = loop_ranking(sims, q_ids, g_ids, min(max_rank, n_gallery))
     assert result.cmc.tobytes() == cmc.tobytes()
     assert result.mean_ap == mean_ap
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,45 @@ def test_evaluate_dataset_both_directions():
         assert np.all(np.diff(res.cmc) >= 0)
 
 
+# vectors with no direction: a zero norm, an infinite norm, a NaN norm
+UNRANKABLE = {"zero": [0.0, 0.0], "inf": [np.inf, 0.0], "nan": [np.nan, 1.0]}
+
+
+@pytest.mark.parametrize("bad", UNRANKABLE.values(), ids=UNRANKABLE.keys())
+@pytest.mark.parametrize("side", ["query", "gallery"])
+def test_retrieval_rejects_unrankable_vector(side, bad):
+    # unchecked, a zero or inf query lands its hit silently at rank 2
+    vectors = {"query": [unit([1.0, 0.0]), unit([0.0, 1.0])],
+               "gallery": [unit([1.0, 0.0]), unit([0.0, 1.0])]}
+    vectors[side][1] = np.array(bad)
+    with pytest.raises(ValueError, match=f"^{side} vector 1 has norm "):
+        evaluate_retrieval(list(zip(vectors["query"], [0, 1])),
+                           list(zip(vectors["gallery"], [0, 1])), max_rank=2)
+
+
+@pytest.mark.parametrize("max_rank", [0, -3])
+def test_retrieval_rejects_max_rank_below_one(max_rank):
+    g = unit([1.0, 0.0])
+    with pytest.raises(ValueError, match=f"^max_rank must be at least 1, got {max_rank}$"):
+        evaluate_retrieval([(g, 0)], [(g, 0)], max_rank=max_rank)
+
+
+def test_retrieval_peak_memory_below_three_similarity_matrices():
+    # the wide_gallery benchmark's shape: 450 x 450 with 3 true matches per
+    # query; only the matches are ranked, in (256, n_gallery) blocks
+    rng = np.random.default_rng(0)
+    ids = np.repeat(np.arange(150), 3)
+    queries = list(zip(rng.normal(size=(450, 32)), rng.permutation(ids).tolist()))
+    gallery = list(zip(rng.normal(size=(450, 32)), ids.tolist()))
+    tracemalloc.start()
+    try:
+        evaluate_retrieval(queries, gallery)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 450 * 450 * 8
+
+
 def _split(embeddings):
     return [e for e, _ in embeddings], [i for _, i in embeddings]
 
@@ -197,6 +238,15 @@ def test_distance_distribution_requires_both_kinds():
         distance_distribution([e, e], [0, 0])
     with pytest.raises(ValueError, match="intra-class and one inter-class"):
         distance_distribution([e, e], [0, 1])
+
+
+@pytest.mark.parametrize("bad", UNRANKABLE.values(), ids=UNRANKABLE.keys())
+def test_distance_distribution_rejects_unrankable_vector(bad):
+    # unchecked, the zero vector's pairs fall out of both histograms
+    # (1 of 2 positive and 2 of 4 negative pairs) and the positive mean is NaN
+    vectors = [[1.0, 0.0], bad, [0.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(ValueError, match="^embedding vector 1 has norm "):
+        distance_distribution(vectors, [0, 0, 1, 1])
 
 
 def test_mining_quality_all_correct():
