@@ -254,7 +254,7 @@ def _cmd_eval(args) -> int:
     results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
     # the layout of the dataset's frames.f32: little-endian float32, here
     # one row per tracklet in dataset order
-    matrix = np.asarray(vectors, dtype="<f4")
+    matrix = vectors.astype("<f4")
     payload = {
         "ir_to_vis": results["IR->VIS"].to_json(),
         "vis_to_ir": results["VIS->IR"].to_json(),

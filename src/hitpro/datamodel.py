@@ -674,4 +674,4 @@ def _parse_checkpoint(header: dict, blob: bytes):
         cameras.extend([cam] * len(group_ids))
     matrix = np.concatenate(blocks) if blocks else np.empty((0, 0))
     store = PrototypeStore.from_matrix(matrix, ids, modalities, cameras)
-    return params, store, _json_int(header["epoch"], "epoch", ValueError)
+    return params, store, _json_int(header["epoch"], "epoch", ValueError, 0)

@@ -29,16 +29,14 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .datamodel import TrainConfig, check_settings
-from .numerics import stable_softmax
+from .numerics import row_norms, stable_softmax
 
 LN_EPS = 1e-5
-_LAYER_FIELDS = (
-    "wq", "wk", "wv", "wo", "wf1", "wf2", "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-)
 # Least work ``N * seq_len * embed_dim * ffn_dim`` of a backward call that
 # hands its weight gradients to the helper thread: below it the hand-off
 # costs more than the second core saves (measured on a 2-vCPU host).
@@ -58,20 +56,6 @@ class NumericError(RuntimeError):
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-@dataclass
-class TteLayerParams:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    wf1: np.ndarray
-    wf2: np.ndarray
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
 
 
 class EncoderParams:
@@ -101,13 +85,14 @@ class EncoderParams:
         self.pool_hidden_dim = pool_hidden_dim
         self.seq_len = seq_len
         d, d_ff = embed_dim, ffn_dim
+        # a TTE layer's tensors in flat (= checkpoint section) order; layers[i] views them
         layer_shapes = dict(
             wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d), wf1=(d, d_ff), wf2=(d_ff, d),
             ln1_gain=(d,), ln1_bias=(d,), ln2_gain=(d,), ln2_bias=(d,),
         )
         shapes = [("proj", (d_in, d)), ("pos", (seq_len, d))]
         for i in range(n_tte_layers):
-            shapes += [(f"layers.{i}.{f}", layer_shapes[f]) for f in _LAYER_FIELDS]
+            shapes += [(f"layers.{i}.{f}", shape) for f, shape in layer_shapes.items()]
         shapes += [("wa1", (d, pool_hidden_dim)), ("ba1", (pool_hidden_dim,)),
                    ("wa2", (pool_hidden_dim,))]
         size = sum(math.prod(shape) for _, shape in shapes)
@@ -126,7 +111,7 @@ class EncoderParams:
         self.proj = views["proj"]  # (d_in, embed_dim)
         self.pos = views["pos"]  # (seq_len, embed_dim)
         self.layers = [
-            TteLayerParams(**{f: views[f"layers.{i}.{f}"] for f in _LAYER_FIELDS})
+            SimpleNamespace(**{f: views[f"layers.{i}.{f}"] for f in layer_shapes})
             for i in range(n_tte_layers)
         ]
         self.wa1 = views["wa1"]  # (embed_dim, pool_hidden_dim)
@@ -203,8 +188,8 @@ def encoder_init(
     # encoder permutation-symmetric over time (pos), and biases start at zero
     params.proj[...] = _xavier(rng, d_in, embed_dim, params.proj.shape)
     for layer in params.layers:
-        for f in ("wq", "wk", "wv", "wo"):
-            getattr(layer, f)[...] = _xavier(rng, embed_dim, embed_dim, (embed_dim, embed_dim))
+        for w in (layer.wq, layer.wk, layer.wv, layer.wo):
+            w[...] = _xavier(rng, embed_dim, embed_dim, w.shape)
         layer.wf1[...] = _xavier(rng, embed_dim, ffn_dim, layer.wf1.shape)
         layer.wf2[...] = _xavier(rng, ffn_dim, embed_dim, layer.wf2.shape)
         layer.ln1_gain[...] = 1.0
@@ -298,7 +283,6 @@ class ForwardCache:
     z: np.ndarray  # pre-ReLU pooling scores
     za: np.ndarray
     alphas: np.ndarray  # (N, seq_len) frame weights
-    pooled: np.ndarray
     pooled_norm: np.ndarray  # (N, 1)
     embedding: np.ndarray  # (N, embed_dim)
     single: bool  # the forward call took one (seq_len, d_in) matrix
@@ -341,7 +325,7 @@ def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, Forwa
         q = h_in @ layer.wq
         k = h_in @ layer.wk
         v = h_in @ layer.wv
-        attn = stable_softmax((q @ _t(k)) * scale, axis=-1)
+        attn = stable_softmax((q @ _t(k)) * scale)
         u = attn @ v
         r1 = h_in + u @ layer.wo
         h1, xhat1, inv_std1 = _layer_norm(r1, layer.ln1_gain, layer.ln1_bias)
@@ -363,8 +347,7 @@ def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, Forwa
     alphas = stable_softmax(za @ params.wa2)
     _check_finite(alphas, "frame_weighting")
     pooled = (alphas[:, None, :] @ h)[:, 0]
-    # sqrt of the same dot np.linalg.norm takes of one vector
-    pooled_norm = np.sqrt(_dot_rows(pooled, pooled))
+    pooled_norm = row_norms(pooled)
     if np.any(pooled_norm == 0.0):
         raise NumericError("output_normalization")
     embedding = pooled / pooled_norm
@@ -372,7 +355,7 @@ def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, Forwa
 
     cache = ForwardCache(
         x=x, layer_caches=layer_caches, h_last=h, z=z, za=za, alphas=alphas,
-        pooled=pooled, pooled_norm=pooled_norm, embedding=embedding, single=single,
+        pooled_norm=pooled_norm, embedding=embedding, single=single,
     )
     return (embedding[0] if single else embedding), cache
 

@@ -16,6 +16,7 @@ from .prototyping import embed_tracklets, tracklet_embedding
 # rows) and evaluate_retrieval (ranked matches): a few MB even for a gallery
 # of thousands.
 _ROW_BLOCK = 256
+N_BINS = 50  # fixed bins of distance_distribution's histograms over [0, 2]
 
 
 @dataclass
@@ -137,7 +138,7 @@ def evaluate_dataset(
 
 
 def evaluate_embeddings(
-    dataset: Dataset, vectors: list[np.ndarray], max_rank: int = 20
+    dataset: Dataset, vectors: np.ndarray, max_rank: int = 20
 ) -> dict[str, RetrievalResult]:
     """Both retrieval directions from one embedding per tracklet, in dataset order."""
     if not dataset.has_labels:
@@ -157,12 +158,12 @@ def evaluate_embeddings(
     return results
 
 
-def distance_distribution(vectors, identities, n_bins: int = 50) -> dict:
+def distance_distribution(vectors, identities) -> dict:
     """Exact histograms of the cosine distances (1 - cos) of every
     intra-class and every inter-class pair i < j.
 
     ``vectors`` is one embedding per row, ``identities`` their labels. Both
-    histograms use ``n_bins`` fixed bins over [0, 2]; distances are clipped
+    histograms use ``N_BINS`` fixed bins over [0, 2]; distances are clipped
     to [0, 2] first, so one that rounds below 0 (identical vectors) still
     counts, and each histogram sums to its pair count. The pairs are visited
     in row blocks of the upper triangle of the Gram matrix.
@@ -176,7 +177,7 @@ def distance_distribution(vectors, identities, n_bins: int = 50) -> dict:
         raise ValueError("need at least one intra-class and one inter-class pair")
 
     mat = _unit_rows(np.array(vectors, dtype=np.float64), "embedding")
-    hists = np.zeros((2, n_bins), dtype=np.int64)  # positive, negative
+    hists = np.zeros((2, N_BINS), dtype=np.int64)  # positive, negative
     sums = [0.0, 0.0]
     for a in range(0, n - 1, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, n)
@@ -186,10 +187,10 @@ def distance_distribution(vectors, identities, n_bins: int = 50) -> dict:
         same = ids[a:b, None] == ids[a:]
         for k, mask in enumerate((upper & same, upper & ~same)):
             picked = dist[mask]
-            hists[k] += np.histogram(picked, bins=n_bins, range=(0.0, 2.0))[0]
+            hists[k] += np.histogram(picked, bins=N_BINS, range=(0.0, 2.0))[0]
             sums[k] += float(picked.sum())
     return {
-        "bin_edges": np.linspace(0.0, 2.0, n_bins + 1),
+        "bin_edges": np.linspace(0.0, 2.0, N_BINS + 1),
         "positive_hist": hists[0],
         "negative_hist": hists[1],
         "n_positive_pairs": n_positive,

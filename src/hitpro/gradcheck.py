@@ -8,7 +8,9 @@ import numpy as np
 
 from .encoder import EncoderParams, encode, encode_backward, encoder_init
 
-DEFAULT_STEP = 1e-4
+# central-difference step, and the toy encoder shape checked at every depth
+STEP = 1e-4
+D_IN, EMBED_DIM, FFN_DIM, POOL_HIDDEN_DIM, SEQ_LEN = 4, 8, 16, 8, 3
 
 
 def _probe_value(params: EncoderParams, frames: np.ndarray, g: np.ndarray) -> float:
@@ -17,24 +19,24 @@ def _probe_value(params: EncoderParams, frames: np.ndarray, g: np.ndarray) -> fl
 
 
 def finite_difference_grads(
-    params: EncoderParams, frames: np.ndarray, g: np.ndarray, step: float = DEFAULT_STEP
+    params: EncoderParams, frames: np.ndarray, g: np.ndarray
 ) -> EncoderParams:
     """Numeric gradient of ``g . encode(params, frames)`` per parameter; for a
     stack of N frame matrices, of the sum over the N samples.
 
-    Perturbs each scalar in place by +-step (restoring it afterwards) and
+    Perturbs each scalar in place by +-``STEP`` (restoring it afterwards) and
     accumulates centered differences in float64.
     """
     grads = params.zeros_like()
     flat = params.flat
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         plus = _probe_value(params, frames, g)
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         minus = _probe_value(params, frames, g)
         flat[i] = orig
-        grads.flat[i] = (plus - minus) / (2.0 * step)
+        grads.flat[i] = (plus - minus) / (2.0 * STEP)
     return grads
 
 
@@ -46,17 +48,8 @@ def max_relative_error(analytic: EncoderParams, numeric: EncoderParams) -> float
     return worst
 
 
-def run_gradcheck(
-    seed: int = 7,
-    layer_counts: tuple[int, ...] = (0, 1, 2),
-    d_in: int = 4,
-    embed_dim: int = 8,
-    ffn_dim: int = 16,
-    pool_hidden_dim: int = 8,
-    seq_len: int = 3,
-    step: float = DEFAULT_STEP,
-) -> dict:
-    """Check every parameter gradient for each requested TTE depth.
+def run_gradcheck(seed: int = 7, layer_counts: tuple[int, ...] = (0, 1, 2)) -> dict:
+    """Check every parameter gradient of the toy encoder at each requested depth.
 
     Returns per-depth max relative errors plus the overall worst case and
     wall time.
@@ -64,21 +57,14 @@ def run_gradcheck(
     t0 = time.perf_counter()
     per_depth = {}
     for n_layers in layer_counts:
-        params = encoder_init(
-            d_in=d_in,
-            embed_dim=embed_dim,
-            ffn_dim=ffn_dim,
-            pool_hidden_dim=pool_hidden_dim,
-            n_tte_layers=n_layers,
-            seq_len=seq_len,
-            seed=seed + n_layers,
-        )
+        params = encoder_init(D_IN, EMBED_DIM, FFN_DIM, POOL_HIDDEN_DIM, n_layers, SEQ_LEN,
+                              seed=seed + n_layers)
         rng = np.random.default_rng(seed * 1000 + n_layers)
-        frames = rng.normal(size=(seq_len, d_in))
-        g = rng.normal(size=embed_dim)
+        frames = rng.normal(size=(SEQ_LEN, D_IN))
+        g = rng.normal(size=EMBED_DIM)
         _, cache = encode(params, frames)
         analytic = encode_backward(params, cache, g)
-        numeric = finite_difference_grads(params, frames, g, step=step)
+        numeric = finite_difference_grads(params, frames, g)
         per_depth[n_layers] = max_relative_error(analytic, numeric)
     return {
         "per_depth": per_depth,

@@ -21,7 +21,7 @@ from .datamodel import (
     TrainConfig,
     WeightedPositiveSet,
 )
-from .numerics import stable_softmax
+from .numerics import row_norms, stable_softmax
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
@@ -171,8 +171,7 @@ def build_mining_report(
         src = store.stacked[block]
         stop = start + len(src)
         source_rows[start:stop] = np.arange(block.start, block.stop)
-        # the dot np.linalg.norm takes, one row at a time
-        src_norms = np.sqrt(src[:, None, :] @ src[:, :, None])[:, :, 0]
+        src_norms = row_norms(src)
         cams = [c for c in targets if not (intra and c == source_camera)]
         for j, cam in enumerate(cams):
             ids, first, mat, norms = targets[cam]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datamodel import PrototypeStore, TrainConfig, WeightedPositiveSet
-from .numerics import softmax_and_log
+from .numerics import normalize_rows, softmax_and_log
 
 # batch item: (embedding, source tracklet_id)
 BatchItem = tuple[np.ndarray, str]
@@ -278,12 +278,7 @@ def apply_ema(
     """
     stacked = store.stacked
     for rows, items in plan.waves:
-        blended = (1.0 - momentum) * stacked[rows] + momentum * queries[items]
-        # the dot np.linalg.norm takes, one row at a time
-        norms = np.sqrt(blended[:, None, :] @ blended[:, :, None])[:, :, 0]
-        if not norms.all():
-            raise ValueError("cannot normalize a zero vector")
-        stacked[rows] = blended / norms
+        stacked[rows] = normalize_rows((1.0 - momentum) * stacked[rows] + momentum * queries[items])
 
 
 def _plan_one(

@@ -18,6 +18,7 @@ import numpy as np
 
 from .datamodel import Dataset, PrototypeStore, SubTracklet, TrainConfig, Tracklet
 from .encoder import EncoderParams, encode
+from .numerics import normalize_rows
 
 # Sub-tracklets per encoder call when embedding many tracklets: large enough
 # that per-call overhead is small, small enough that the forward activations
@@ -114,12 +115,7 @@ def embed_table(params: EncoderParams, table: FrameTable) -> np.ndarray:
     for k in range(int(table.k_eff.max(initial=0))):
         has_k = np.flatnonzero(table.k_eff > k)
         total[has_k] += embeddings[table.starts[has_k] + k]
-    mean = total / table.k_eff[:, None]
-    # the dot np.linalg.norm takes, one row at a time
-    norms = np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, :, 0]
-    if not norms.all():
-        raise ValueError("cannot normalize a zero vector")
-    return mean / norms
+    return normalize_rows(total / table.k_eff[:, None])
 
 
 def tracklet_embedding(
@@ -129,9 +125,9 @@ def tracklet_embedding(
     return embed_tracklets(params, [tracklet], cfg)[0]
 
 
-def embed_tracklets(params: EncoderParams, tracklets, cfg: TrainConfig) -> list[np.ndarray]:
-    """:func:`tracklet_embedding` of each tracklet, in input order."""
-    return list(embed_table(params, frame_table(tracklets, cfg)))
+def embed_tracklets(params: EncoderParams, tracklets, cfg: TrainConfig) -> np.ndarray:
+    """``(n_tracklets, d)``: the :func:`tracklet_embedding` of each tracklet, in input order."""
+    return embed_table(params, frame_table(tracklets, cfg))
 
 
 def build_prototypes(

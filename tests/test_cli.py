@@ -12,7 +12,9 @@ import hitpro
 import hitpro.encoder as encoder_mod
 from hitpro import cli
 from hitpro.cli import _numpy_to_list, _write_json, main
-from hitpro.datamodel import TrainConfig, load_checkpoint, load_dataset, read_manifest
+from hitpro.datamodel import (
+    TrainConfig, load_checkpoint, load_dataset, read_manifest, save_checkpoint,
+)
 from hitpro.evaluator import dataset_labels
 from hitpro.prototyping import embed_tracklets
 from hitpro.synthgen import GenConfig
@@ -356,6 +358,17 @@ def test_mine_writes_the_dict_payload_bytes(zero_noise_run, tmp_path, epoch):
 def test_mine_epoch_outside_schedule_writes_nothing(zero_noise_run, tmp_path, capsys, value):
     assert _mine(zero_noise_run, tmp_path / "m", "--epoch", value) == 2
     assert f"--epoch {value} outside [0, 2]" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_mine_blames_a_negative_checkpoint_epoch_not_the_flag(zero_noise_run, tmp_path, capsys):
+    cfg, data, checkpoint = zero_noise_run
+    params, store, _ = load_checkpoint(checkpoint)
+    save_checkpoint(params, store, -3, tmp_path / "bad.hpt")
+    assert main(["mine", "--config", cfg, "--data", str(data), "--checkpoint",
+                 str(tmp_path / "bad.hpt"), "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert "epoch must be at least 0, got -3" in err and "--epoch" not in err
     assert not (tmp_path / "m").exists()
 
 

@@ -745,6 +745,13 @@ def test_checkpoint_non_integer_header_number_rejected(tmp_path, mutate, value):
         load_checkpoint(bad)
 
 
+def test_checkpoint_negative_epoch_rejected(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", lambda h: _set_epoch(h, -3))
+    with pytest.raises(CheckpointError, match="epoch must be at least 0, got -3"):
+        load_checkpoint(bad)
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_tte_layers", 1.0), ("n_tte_layers", 3), ("embed_dim", True), ("seq_len", 0),
     ("seq_len", "6"),

@@ -186,6 +186,14 @@ def test_run_gradcheck_smoke():
     assert report["max_rel_error"] < 1e-4
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a ba1 gradient that is exactly zero analytically reads as finite-difference "
+    "noise over the 1e-8 denominator floor of max_relative_error"))
+@pytest.mark.parametrize("seed", [3, 5, 9])
+def test_run_gradcheck_passes_at_seeds_with_exact_zero_ba1_gradients(seed):
+    assert run_gradcheck(seed)["max_rel_error"] < 1e-4
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

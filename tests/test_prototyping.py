@@ -220,7 +220,8 @@ def test_frame_table_rows_are_selected_partition_frames(lengths, k, seq_len):
 def test_frame_table_of_no_tracklets_is_empty():
     table = prototyping.frame_table([], small_cfg())
     assert table.frames.shape == (0, 3, 4)
-    assert embed_tracklets(params_for(small_cfg()), [], small_cfg()) == []
+    vectors = embed_tracklets(params_for(small_cfg()), [], small_cfg())
+    assert vectors.dtype == np.float64 and vectors.shape == (0, 8)
 
 
 def _looped_frame_table(tracklets, k, seq_len, d_in):
