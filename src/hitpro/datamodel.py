@@ -562,7 +562,12 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 
 
 def save_checkpoint(params, store: PrototypeStore, epoch: int, path: str | Path) -> None:
-    """Serialize encoder parameters plus prototype store; float32 on disk."""
+    """Serialize encoder parameters plus prototype store; float32 on disk.
+
+    ``epoch`` must be at least 0, as :func:`load_checkpoint` requires;
+    otherwise this raises ``ValueError`` before the file is opened.
+    """
+    epoch = _json_int(int(epoch), "epoch", ValueError, minimum=0)
     sections: list[dict] = []
     blobs: list[bytes] = []
     offset = 0
@@ -586,7 +591,7 @@ def save_checkpoint(params, store: PrototypeStore, epoch: int, path: str | Path)
 
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "epoch": int(epoch),
+        "epoch": epoch,
         "encoder": params.dims(),
         "sections": sections,
         "store_groups": store_meta,

@@ -12,12 +12,17 @@ through exactly the arithmetic of a one-sample call, and the sums over
 samples run in stack order, so a stack gives bit for bit the embeddings and
 summed gradients of a loop of single calls.
 
+:func:`encode_table` is the forward-only path of prototype building and
+test-time feature extraction: the same products in the same order, in
+slices of ``ENCODE_CHUNK`` rows, keeping no cache.
+
 A large backward call (at least ``HELPER_MIN_WORK`` of ``N * seq_len *
 embed_dim * ffn_dim``, in a process allowed two or more cores) queues its
 weight-matrix gradients on one helper thread, started on first use, while
-the calling thread carries the input gradient down the layers. The helper
-runs the same products on the same arrays and sums them in the same order,
-so it changes no bit of the result.
+the calling thread carries the input gradient down the layers. A table of
+two or more slices that large hands its odd slices to the same thread. The
+helper runs the same products on the same arrays and sums them in the same
+order, so it changes no bit of the result.
 
 All arithmetic runs in float64 so analytic gradients can be checked against
 central finite differences; parameters are serialized as float32.
@@ -29,7 +34,9 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +50,9 @@ LN_EPS = 1e-5
 HELPER_MIN_WORK = 2**20
 # samples per product the helper takes into its scratch buffer at once
 _CHUNK = 8
+# rows per forward call of encode_table: large enough that per-call overhead
+# is small, small enough that one call's activations stay a few MB
+ENCODE_CHUNK = 64
 
 
 class NumericError(RuntimeError):
@@ -299,6 +309,23 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
         raise NumericError(stage)
 
 
+def _pool(params: EncoderParams, h: np.ndarray):
+    """Attention pooling over time and L2 normalization of the last layer's
+    ``(N, seq_len, embed_dim)`` output: ``(z, za, alphas, pooled_norm,
+    embedding)``. Raises :class:`NumericError` at the last three stages."""
+    z = h @ params.wa1 + params.ba1
+    za = np.maximum(z, 0.0)
+    alphas = stable_softmax(za @ params.wa2)
+    _check_finite(alphas, "frame_weighting")
+    pooled = (alphas[:, None, :] @ h)[:, 0]
+    pooled_norm = row_norms(pooled)
+    if np.any(pooled_norm == 0.0):
+        raise NumericError("output_normalization")
+    embedding = pooled / pooled_norm
+    _check_finite(embedding, "embedding")
+    return z, za, alphas, pooled_norm, embedding
+
+
 def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the full pipeline on a (seq_len, d_in) frame matrix, or on a
     stack (N, seq_len, d_in) of them.
@@ -342,22 +369,75 @@ def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, Forwa
             )
         )
 
-    z = h @ params.wa1 + params.ba1
-    za = np.maximum(z, 0.0)
-    alphas = stable_softmax(za @ params.wa2)
-    _check_finite(alphas, "frame_weighting")
-    pooled = (alphas[:, None, :] @ h)[:, 0]
-    pooled_norm = row_norms(pooled)
-    if np.any(pooled_norm == 0.0):
-        raise NumericError("output_normalization")
-    embedding = pooled / pooled_norm
-    _check_finite(embedding, "embedding")
-
+    z, za, alphas, pooled_norm, embedding = _pool(params, h)
     cache = ForwardCache(
         x=x, layer_caches=layer_caches, h_last=h, z=z, za=za, alphas=alphas,
         pooled_norm=pooled_norm, embedding=embedding, single=single,
     )
     return (embedding[0] if single else embedding), cache
+
+
+def encode_table(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
+    """``(N, embed_dim)``: the embeddings :func:`encode` gives an ``(N,
+    seq_len, d_in)`` stack, bit for bit, with no cache for a backward pass.
+
+    The stack goes through in slices of ``ENCODE_CHUNK`` rows. When a slice's
+    work ``ENCODE_CHUNK * seq_len * embed_dim * ffn_dim`` is at least
+    ``HELPER_MIN_WORK``, the process may run on two or more cores and there
+    are two slices or more, the helper thread encodes the odd slices while
+    the caller encodes the even ones, each into its own rows of the result.
+    A failure raises the first failing slice's error, in stack order, once
+    no slice is running.
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (params.seq_len, params.d_in):
+        raise ValueError(f"frames shape {np.shape(frames)} != "
+                         f"(N, seq_len={params.seq_len}, d_in={params.d_in})")
+    out = np.empty((len(x), params.embed_dim))
+
+    def encode_rows(start: int) -> None:
+        rows = slice(start, start + ENCODE_CHUNK)
+        out[rows] = _forward(params, x[rows])
+
+    jobs = [partial(encode_rows, start) for start in range(0, len(x), ENCODE_CHUNK)]
+    helper = None
+    if len(jobs) >= 2:
+        helper = _grad_helper(ENCODE_CHUNK * params.seq_len * params.embed_dim * params.ffn_dim)
+    if helper is None:
+        for job in jobs:
+            job()
+        return out
+    failures = [None] * len(jobs)
+    wait = helper.start(jobs[1::2])
+    try:
+        failures[0::2] = [_failure(job) for job in jobs[0::2]]
+    finally:
+        failures[1::2] = wait()
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return out
+
+
+def _forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """:func:`encode`'s products on a stack, in its order, keeping none
+    beyond the next product that reads it: the ``(N, embed_dim)`` embeddings."""
+    scale = 1.0 / math.sqrt(params.embed_dim)
+    h = x @ params.proj + params.pos
+    _check_finite(h, "projection")
+    for i, layer in enumerate(params.layers):
+        attn = stable_softmax((h @ layer.wq @ _t(h @ layer.wk)) * scale)
+        r1 = h + attn @ (h @ layer.wv) @ layer.wo
+        del h, attn
+        h1 = _layer_norm(r1, layer.ln1_gain, layer.ln1_bias)[0]
+        del r1
+        f1 = h1 @ layer.wf1
+        r2 = h1 + np.maximum(f1, 0.0, out=f1) @ layer.wf2
+        del h1, f1
+        h = _layer_norm(r2, layer.ln2_gain, layer.ln2_bias)[0]
+        del r2
+        _check_finite(h, f"tte_layer_{i}")
+    return _pool(params, h)[-1]
 
 
 def encode_backward(
@@ -459,17 +539,18 @@ def _backward(params, cache, g, grads, add_weight_grad) -> None:
 
 
 class _GradHelper:
-    """One daemon thread that runs :func:`_add_weight_grad` jobs for
-    :meth:`run`.
+    """One daemon thread that runs jobs, each a callable with its reply
+    queue, in the order they are queued: the weight-gradient products of
+    :meth:`run` and the table slices of :func:`encode_table`.
 
-    It takes the per-sample products ``_CHUNK`` samples at a time into one
-    scratch buffer it owns and reuses, behind a carry row that holds the
-    running total, and adds each chunk into the total with one
-    ``np.add.reduce`` over axis 0. That adds the rows one after another, so
-    the total has the bits of ``.sum(axis=0)`` over all the products. (numpy
-    sums a column of one-element rows pairwise instead, but every weight
-    matrix has ``embed_dim`` as one side, and at ``embed_dim == 1`` every
-    gradient is zero.)
+    A weight-gradient job takes the per-sample products ``_CHUNK`` samples
+    at a time into one scratch buffer the thread owns and reuses, behind a
+    carry row that holds the running total, and adds each chunk into the
+    total with one ``np.add.reduce`` over axis 0. That adds the rows one
+    after another, so the total has the bits of ``.sum(axis=0)`` over all
+    the products. (numpy sums a column of one-element rows pairwise instead,
+    but every weight matrix has ``embed_dim`` as one side, and at
+    ``embed_dim == 1`` every gradient is zero.)
     """
 
     def __init__(self):
@@ -480,7 +561,16 @@ class _GradHelper:
         self._new_queue = SimpleQueue
         self._jobs = SimpleQueue()
         self._scratch = np.empty(0)
-        threading.Thread(target=self._serve, name="hitpro-encoder-grads", daemon=True).start()
+        threading.Thread(target=self._serve, name="hitpro-encoder-helper", daemon=True).start()
+
+    def start(self, jobs: list) -> Callable[[], list]:
+        """Queue ``jobs`` for the thread; return a function that waits for
+        all of them and returns, in queue order, the exception each raised,
+        or None."""
+        replies = self._new_queue()
+        for job in jobs:
+            self._jobs.put((job, replies))
+        return lambda: [replies.get() for _ in jobs]
 
     def run(self, body) -> None:
         """Call ``body(add_weight_grad)``, whose calls queue jobs for the
@@ -491,7 +581,7 @@ class _GradHelper:
 
         def add_weight_grad(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             nonlocal queued
-            self._jobs.put((target, a, b, replies))
+            self._jobs.put((partial(self._add, target, a, b), replies))
             queued += 1
 
         try:
@@ -504,13 +594,8 @@ class _GradHelper:
 
     def _serve(self) -> None:
         while True:
-            target, a, b, replies = self._jobs.get()
-            try:
-                self._add(target, a, b)
-            except Exception as exc:  # noqa: BLE001 - re-raised in the caller
-                replies.put(exc)
-            else:
-                replies.put(None)
+            job, replies = self._jobs.get()
+            replies.put(_failure(job))
 
     def _add(self, target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         d, k = target.shape
@@ -526,6 +611,15 @@ class _GradHelper:
                 rows[0] = total
             np.add.reduce(rows[(0 if start else 1) : m + 1], axis=0, out=total)
         target += total
+
+
+def _failure(job) -> Exception | None:
+    """Run ``job``; return the exception it raised, else None."""
+    try:
+        job()
+    except Exception as exc:  # noqa: BLE001 - re-raised by the waiting caller
+        return exc
+    return None
 
 
 _helper: _GradHelper | None = None
@@ -552,8 +646,8 @@ def _cores() -> int:
 
 
 def _grad_helper(work: int) -> _GradHelper | None:
-    """The helper, started on first use, for a backward call of ``work``
-    when it gains from one; else None."""
+    """The helper, started on first use, for a backward call or a table
+    slice of ``work`` when it gains from one; else None."""
     global _helper
     if work < HELPER_MIN_WORK or _cores() < 2:
         return None

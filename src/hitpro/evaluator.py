@@ -89,13 +89,20 @@ def evaluate_retrieval(
     g_mat = np.stack([g for g, _ in gallery]).astype(np.float64)
     q_ids = np.array([i for _, i in queries])
     g_ids = np.array([i for _, i in gallery])
-    missing = set(q_ids.tolist()) - set(g_ids.tolist())
-    if missing:
-        raise ValueError(f"query identities absent from gallery: {sorted(missing)}")
+    # the gallery grouped by identity, each group in gallery order; query
+    # i's true matches are by_id[lo[i]:lo[i] + counts[i]]
+    by_id = np.argsort(g_ids, kind="stable")
+    lo = np.searchsorted(g_ids[by_id], q_ids)
+    counts = np.searchsorted(g_ids[by_id], q_ids, side="right") - lo
+    if not counts.all():
+        missing = sorted(set(q_ids[counts == 0].tolist()))
+        raise ValueError(f"query identities absent from gallery: {missing}")
     max_rank = min(max_rank, len(gallery))
 
     sims = _unit_rows(q_mat, "query") @ _unit_rows(g_mat, "gallery").T
-    rows, cols = np.nonzero(q_ids[:, None] == g_ids)  # query by query
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(len(queries)), counts)  # query by query
+    cols = by_id[np.arange(len(rows)) + np.repeat(lo - starts, counts)]
     ranks = np.empty(len(rows), dtype=np.intp)
     g_index = np.arange(len(gallery))
     for a in range(0, len(rows), _ROW_BLOCK):  # (_ROW_BLOCK, n_gallery) temporaries
@@ -105,8 +112,6 @@ def evaluate_retrieval(
             (block == s) & (g_index < c[:, None])).sum(axis=1)
     offset = rows * len(gallery)
     ranks = np.sort(offset + ranks) - offset  # each query's matches in rank order
-    counts = np.bincount(rows, minlength=len(queries))
-    starts = np.cumsum(counts) - counts
     cmc = np.cumsum(np.bincount(ranks[starts], minlength=max_rank)[:max_rank]) / len(queries)
     # the k-th match (from 0) in rank order is preceded by k matches
     precision = (np.arange(len(rows)) - np.repeat(starts, counts) + 1) / (ranks + 1)

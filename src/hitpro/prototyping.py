@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import Dataset, PrototypeStore, SubTracklet, TrainConfig, Tracklet
-from .encoder import EncoderParams, encode
+from .encoder import EncoderParams, encode_table
 from .numerics import normalize_rows
-
-# Sub-tracklets per encoder call when embedding many tracklets: large enough
-# that per-call overhead is small, small enough that the forward activations
-# of one chunk stay a few MB.
-ENCODE_CHUNK = 64
 
 
 def partition_tracklet(tracklet: Tracklet, k: int) -> list[SubTracklet]:
@@ -100,17 +95,11 @@ def embed_table(params: EncoderParams, table: FrameTable) -> np.ndarray:
     embedding, the one recipe of prototype construction and test-time
     feature extraction.
 
-    The table goes through the encoder in slices of ``ENCODE_CHUNK`` rows,
-    which bounds the forward activations held at once. Wave ``k`` of the
-    mean adds every tracklet's ``k``-th sub-tracklet embedding, so each sum
-    runs in sub-tracklet order, as a loop over one tracklet's would.
+    The rows go through :func:`encode_table`. Wave ``k`` of the mean adds
+    every tracklet's ``k``-th sub-tracklet embedding, so each sum runs in
+    sub-tracklet order, as a loop over one tracklet's would.
     """
-    n_rows = len(table.frames)
-    embeddings = np.empty((n_rows, params.embed_dim))
-    for start in range(0, n_rows, ENCODE_CHUNK):
-        embeddings[start : start + ENCODE_CHUNK] = encode(
-            params, table.frames[start : start + ENCODE_CHUNK]
-        )[0]
+    embeddings = encode_table(params, table.frames)
     total = np.zeros((len(table.k_eff), params.embed_dim))
     for k in range(int(table.k_eff.max(initial=0))):
         has_k = np.flatnonzero(table.k_eff > k)

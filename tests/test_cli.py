@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import hitpro.encoder as encoder_mod
 from hitpro import cli
 from hitpro.cli import _numpy_to_list, _write_json, main
 from hitpro.datamodel import (
-    TrainConfig, load_checkpoint, load_dataset, read_manifest, save_checkpoint,
+    TrainConfig, load_checkpoint, load_dataset, read_manifest,
 )
 from hitpro.evaluator import dataset_labels
 from hitpro.prototyping import embed_tracklets
@@ -363,8 +364,13 @@ def test_mine_epoch_outside_schedule_writes_nothing(zero_noise_run, tmp_path, ca
 
 def test_mine_blames_a_negative_checkpoint_epoch_not_the_flag(zero_noise_run, tmp_path, capsys):
     cfg, data, checkpoint = zero_noise_run
-    params, store, _ = load_checkpoint(checkpoint)
-    save_checkpoint(params, store, -3, tmp_path / "bad.hpt")
+    raw = checkpoint.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4 : 4 + header_len])
+    header["epoch"] = -3
+    new_header = json.dumps(header, sort_keys=True).encode()
+    (tmp_path / "bad.hpt").write_bytes(
+        struct.pack("<I", len(new_header)) + new_header + raw[4 + header_len :])
     assert main(["mine", "--config", cfg, "--data", str(data), "--checkpoint",
                  str(tmp_path / "bad.hpt"), "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
@@ -575,6 +581,38 @@ def test_train_writes_the_same_bytes_with_and_without_the_helper_thread(tmp_path
     per_run = DEEP["total_epochs"] * DEEP["iters_per_epoch"]
     assert helped == [False] * per_run + [True] * per_run
     assert runs["on"] == runs["off"]
+
+
+def test_eval_writes_the_same_bytes_with_and_without_the_helper_thread(tmp_path, monkeypatch):
+    deep = dict(DEEP, n_identities=10)  # 80 sub-tracklets: two encode_table slices
+    cfg = TrainConfig(**{k: v for k, v in deep.items() if k in TrainConfig.__dataclass_fields__})
+    n_rows = deep["n_identities"] * (deep["cams_vis"] + deep["cams_ir"]) * cfg.n_subtracklets
+    assert n_rows > encoder_mod.ENCODE_CHUNK
+    work = encoder_mod.ENCODE_CHUNK * cfg.seq_len * cfg.embed_dim * cfg.ffn_dim
+    assert work >= encoder_mod.HELPER_MIN_WORK
+    config = write_config(tmp_path / "cfg.json", **deep)
+    data, run = tmp_path / "data", tmp_path / "run"
+    common = ["--config", config, "--data", str(data)]
+    assert main(["gen", "--config", config, "--out", str(data)]) == 0
+    assert main(["train", *common, "--out", str(run)]) == 0
+    monkeypatch.setattr(encoder_mod, "_cores", lambda: 2)
+    handed = []  # per encode_table call that used the helper, the slices it took
+    start = encoder_mod._GradHelper.start
+
+    def spy(self, jobs):
+        handed.append(len(jobs))
+        return start(self, jobs)
+
+    monkeypatch.setattr(encoder_mod._GradHelper, "start", spy)
+    reports = {}
+    for label, limit in (("off", 2**62), ("on", encoder_mod.HELPER_MIN_WORK)):
+        monkeypatch.setattr(encoder_mod, "HELPER_MIN_WORK", limit)
+        out = tmp_path / label
+        assert main(["eval", *common, "--checkpoint", str(run / "checkpoint.hpt"),
+                     "--out", str(out)]) == 0
+        reports[label] = [(out / name).read_bytes() for name in ("report.json", "embeddings.f32")]
+        assert handed == ([] if label == "off" else [1])
+    assert reports["on"] == reports["off"]
 
 
 _NO_THREADS_CHILD = """

@@ -752,6 +752,15 @@ def test_checkpoint_negative_epoch_rejected(tmp_path):
         load_checkpoint(bad)
 
 
+def test_save_checkpoint_rejects_a_negative_epoch_and_writes_nothing(tmp_path):
+    params, store = checkpoint_pair()
+    with pytest.raises(ValueError, match="epoch must be at least 0, got -3"):
+        save_checkpoint(params, store, -3, tmp_path / "bad.hpt")
+    assert not (tmp_path / "bad.hpt").exists()
+    save_checkpoint(params, store, np.int64(0), tmp_path / "zero.hpt")
+    assert load_checkpoint(tmp_path / "zero.hpt")[2] == 0
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_tte_layers", 1.0), ("n_tte_layers", 3), ("embed_dim", True), ("seq_len", 0),
     ("seq_len", "6"),

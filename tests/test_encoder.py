@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -536,3 +537,93 @@ def test_forked_child_starts_its_own_helper(monkeypatch):
         os.waitpid(pid, 0)
         pytest.fail("the forked child hung waiting for a helper thread it does not have")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def _spy_table_jobs(monkeypatch):
+    """Record how many slices each :func:`encode_table` call hands to the helper."""
+    handed = []
+    start = encoder_mod._GradHelper.start
+
+    def spy(self, jobs):
+        handed.append(len(jobs))
+        return start(self, jobs)
+
+    monkeypatch.setattr(encoder_mod._GradHelper, "start", spy)
+    return handed
+
+
+@pytest.mark.parametrize("on", [False, True])
+@pytest.mark.parametrize("n_layers", [1, 2])
+# with 5-row slices: one slice, then two, three, four and five
+@pytest.mark.parametrize("n_rows", [0, 4, 10, 11, 20, 23])
+def test_encode_table_gives_the_per_row_encode_bytes(monkeypatch, on, n_layers, n_rows):
+    _force_helper(monkeypatch, on)
+    monkeypatch.setattr(encoder_mod, "ENCODE_CHUNK", 5)
+    handed = _spy_table_jobs(monkeypatch)
+    p = small_params(n_tte_layers=n_layers, seed=n_rows)
+    frames = np.random.default_rng(n_rows).normal(size=(n_rows, 3, 4))
+    got = encoder_mod.encode_table(p, frames)
+    assert got.shape == (n_rows, 8) and got.dtype == np.float64
+    per_row = [encode(p, f)[0] for f in frames]
+    assert got.tobytes() == (np.stack(per_row) if per_row else np.empty((0, 8))).tobytes()
+    n_slices = -(-n_rows // 5)
+    assert handed == ([n_slices // 2] if on and n_slices >= 2 else [])
+
+
+@pytest.mark.parametrize("poison, stage", [
+    (lambda f: f.__setitem__((1, 2, 0), np.nan), "projection"),
+    (lambda f: f.__imul__(1e200), "tte_layer_0"),
+    (lambda f: f.__imul__(0.0), "output_normalization"),  # pos starts at zero
+], ids=["nan", "overflow", "zero"])
+def test_encode_table_names_the_stage_encode_names(poison, stage):
+    p = small_params(n_tte_layers=1)
+    frames = np.random.default_rng(5).normal(size=(4, 3, 4))
+    poison(frames)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (encode, encoder_mod.encode_table):
+            with pytest.raises(NumericError) as err:
+                run(p, frames)
+            assert err.value.stage == stage
+
+
+@pytest.mark.parametrize("on", [False, True])
+def test_encode_table_raises_the_first_failing_slice(monkeypatch, on):
+    _force_helper(monkeypatch, on)
+    monkeypatch.setattr(encoder_mod, "ENCODE_CHUNK", 4)
+    forward = encoder_mod._forward
+
+    def late_on_the_helper(params, x):  # the caller meets slice 2 first
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        return forward(params, x)
+
+    monkeypatch.setattr(encoder_mod, "_forward", late_on_the_helper)
+    handed = _spy_table_jobs(monkeypatch)
+    p = small_params(n_tte_layers=2)
+    clean = np.random.default_rng(6).normal(size=(16, 3, 4))
+    frames = clean.copy()
+    frames[5, 0, 1] = np.inf  # slice 1
+    frames[8:12] = 0.0  # slice 2: a zero pooled vector
+    with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):
+        encoder_mod.encode_table(p, frames)
+    assert err.value.stage == "projection"
+    expected = np.stack([encode(p, f)[0] for f in clean])
+    assert encoder_mod.encode_table(p, clean).tobytes() == expected.tobytes()
+    assert handed == ([2, 2] if on else [])
+
+
+def test_encode_table_keeps_no_backward_cache():
+    # one 64-row slice of the deep_encoder benchmark shape
+    p = encoder_init(24, 64, 128, 64, n_tte_layers=2, seq_len=16, seed=2)
+    frames = np.random.default_rng(7).normal(size=(64, 16, 24))
+    activation = 64 * 16 * 64 * 8  # bytes of one (64, 16, 64) float64 array
+    peaks = {}
+    for run in (encode, encoder_mod.encode_table):
+        run(p, frames)
+        tracemalloc.start()
+        try:
+            run(p, frames)
+            peaks[run.__name__] = tracemalloc.get_traced_memory()[1] / activation
+        finally:
+            tracemalloc.stop()
+    assert peaks["encode_table"] < 8 < 20 < peaks["encode"], peaks

@@ -9,6 +9,7 @@ from hitpro.datamodel import (
     Dataset, Modality, Prototype, PrototypeStore, TrainConfig, Tracklet, load_dataset,
     save_dataset,
 )
+import hitpro.encoder as encoder_mod
 from hitpro import prototyping
 from hitpro.encoder import encode, encoder_init, select_frames
 from hitpro.numerics import l2_normalize
@@ -176,16 +177,37 @@ def _looped_tracklet_embedding(params, t, cfg):
 @pytest.mark.parametrize("chunk", [None, 5])
 def test_embed_tracklets_across_chunks_matches_per_tracklet(monkeypatch, chunk):
     if chunk is not None:  # chunk boundaries inside a tracklet's sub-tracklets
-        monkeypatch.setattr(prototyping, "ENCODE_CHUNK", chunk)
+        monkeypatch.setattr(encoder_mod, "ENCODE_CHUNK", chunk)
     cfg = small_cfg(n_subtracklets=3, n_tte_layers=2)
     ds = make_dataset(n_per_group=12)  # 48 tracklets, 144 sub-tracklets
     params = params_for(cfg)
     n_subs = sum(len(partition_tracklet(t, cfg.n_subtracklets)) for t in ds.tracklets)
-    assert n_subs > 2 * prototyping.ENCODE_CHUNK
+    assert n_subs > 2 * encoder_mod.ENCODE_CHUNK
     vectors = embed_tracklets(params, ds.tracklets, cfg)
     assert len(vectors) == len(ds.tracklets)
     for t, vec in zip(ds.tracklets, vectors):
         np.testing.assert_array_equal(vec, tracklet_embedding(params, t, cfg))
+        np.testing.assert_array_equal(vec, _looped_tracklet_embedding(params, t, cfg))
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+# 5 and 6 slices, of which the helper takes the odd ones
+@pytest.mark.parametrize("n_per_group, chunk, handed", [(2, 5, 2), (3, 6, 3)])
+def test_embed_tracklets_on_the_helper_matches_per_tracklet(monkeypatch, n_layers, n_per_group,
+                                                             chunk, handed):
+    monkeypatch.setattr(encoder_mod, "ENCODE_CHUNK", chunk)
+    monkeypatch.setattr(encoder_mod, "HELPER_MIN_WORK", 0)
+    monkeypatch.setattr(encoder_mod, "_cores", lambda: 2)
+    started = []
+    start = encoder_mod._GradHelper.start
+    monkeypatch.setattr(encoder_mod._GradHelper, "start",
+                        lambda self, jobs: started.append(len(jobs)) or start(self, jobs))
+    cfg = small_cfg(n_subtracklets=3, n_tte_layers=n_layers)
+    ds = make_dataset(n_per_group=n_per_group)  # 12 * n_per_group rows
+    params = params_for(cfg)
+    vectors = embed_tracklets(params, ds.tracklets, cfg)
+    assert started == [handed]
+    for t, vec in zip(ds.tracklets, vectors, strict=True):
         np.testing.assert_array_equal(vec, _looped_tracklet_embedding(params, t, cfg))
 
 
@@ -265,11 +287,11 @@ def test_zero_mean_embedding_raises(monkeypatch):
     cfg = small_cfg(n_subtracklets=2)
     t = make_tracklet(6)
 
-    def opposite_encode(params, frames):
+    def opposite_encode_table(params, frames):
         emb = np.zeros((len(frames), cfg.embed_dim))
         emb[:, 0] = [(-1.0) ** i for i in range(len(frames))]
-        return emb, None
+        return emb
 
-    monkeypatch.setattr(prototyping, "encode", opposite_encode)
+    monkeypatch.setattr(prototyping, "encode_table", opposite_encode_table)
     with pytest.raises(ValueError, match="zero vector"):
         embed_tracklets(params_for(cfg), [t], cfg)
