@@ -636,6 +636,8 @@ def _parse_checkpoint(header: dict, blob: bytes):
     arrays: dict[str, np.ndarray] = {}
     for sec in header["sections"]:
         name = sec["name"]
+        if name in arrays:
+            raise ValueError(f"section {name!r} is listed twice")
         shape = tuple(
             _json_int(n, f"section {name!r} shape entry", ValueError, 0) for n in sec["shape"]
         )
@@ -657,7 +659,7 @@ def _parse_checkpoint(header: dict, blob: bytes):
     blocks, ids, modalities, cameras = [], [], [], []
     for group in header["store_groups"]:
         modality = Modality(group["modality"])
-        cam = _json_int(group["camera_id"], "store group camera_id", ValueError)
+        cam = _json_int(group["camera_id"], "store group camera_id", ValueError, 0)
         group_ids = group["tracklet_ids"]
         name = f"store.{modality.value}.{cam}"
         if name not in arrays:

@@ -17,8 +17,8 @@ test-time feature extraction: the same products in the same order, in
 slices of ``ENCODE_CHUNK`` rows, keeping no cache.
 
 A large backward call (at least ``HELPER_MIN_WORK`` of ``N * seq_len *
-embed_dim * ffn_dim``, in a process allowed two or more cores) queues its
-weight-matrix gradients on one helper thread, started on first use, while
+embed_dim * ffn_dim``, in a process allowed two or more cores) submits its
+weight-matrix gradients to one helper thread, started on first use, while
 the calling thread carries the input gradient down the layers. A table of
 two or more slices that large hands its odd slices to the same thread. The
 helper runs the same products on the same arrays and sums them in the same
@@ -34,9 +34,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 from types import SimpleNamespace
-from typing import Callable
 
 import numpy as np
 
@@ -276,8 +274,7 @@ class _LayerCache:
     xhat1: np.ndarray
     inv_std1: np.ndarray
     h1: np.ndarray
-    f1: np.ndarray  # pre-ReLU
-    f1a: np.ndarray
+    f1a: np.ndarray  # ReLU of h1 @ wf1
     xhat2: np.ndarray
     inv_std2: np.ndarray
 
@@ -290,8 +287,7 @@ class ForwardCache:
     x: np.ndarray  # (N, seq_len, d_in)
     layer_caches: list[_LayerCache]
     h_last: np.ndarray
-    z: np.ndarray  # pre-ReLU pooling scores
-    za: np.ndarray
+    za: np.ndarray  # ReLU of the pooling head's hidden layer
     alphas: np.ndarray  # (N, seq_len) frame weights
     pooled_norm: np.ndarray  # (N, 1)
     embedding: np.ndarray  # (N, embed_dim)
@@ -311,10 +307,10 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
 
 def _pool(params: EncoderParams, h: np.ndarray):
     """Attention pooling over time and L2 normalization of the last layer's
-    ``(N, seq_len, embed_dim)`` output: ``(z, za, alphas, pooled_norm,
+    ``(N, seq_len, embed_dim)`` output: ``(za, alphas, pooled_norm,
     embedding)``. Raises :class:`NumericError` at the last three stages."""
-    z = h @ params.wa1 + params.ba1
-    za = np.maximum(z, 0.0)
+    za = h @ params.wa1 + params.ba1
+    np.maximum(za, 0.0, out=za)
     alphas = stable_softmax(za @ params.wa2)
     _check_finite(alphas, "frame_weighting")
     pooled = (alphas[:, None, :] @ h)[:, 0]
@@ -323,7 +319,7 @@ def _pool(params: EncoderParams, h: np.ndarray):
         raise NumericError("output_normalization")
     embedding = pooled / pooled_norm
     _check_finite(embedding, "embedding")
-    return z, za, alphas, pooled_norm, embedding
+    return za, alphas, pooled_norm, embedding
 
 
 def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -356,22 +352,22 @@ def encode(params: EncoderParams, frames: np.ndarray) -> tuple[np.ndarray, Forwa
         u = attn @ v
         r1 = h_in + u @ layer.wo
         h1, xhat1, inv_std1 = _layer_norm(r1, layer.ln1_gain, layer.ln1_bias)
-        f1 = h1 @ layer.wf1
-        f1a = np.maximum(f1, 0.0)
+        f1a = h1 @ layer.wf1
+        np.maximum(f1a, 0.0, out=f1a)
         r2 = h1 + f1a @ layer.wf2
         h, xhat2, inv_std2 = _layer_norm(r2, layer.ln2_gain, layer.ln2_bias)
         _check_finite(h, f"tte_layer_{i}")
         layer_caches.append(
             _LayerCache(
                 h_in=h_in, q=q, k=k, v=v, attn=attn, u=u,
-                xhat1=xhat1, inv_std1=inv_std1, h1=h1, f1=f1, f1a=f1a,
+                xhat1=xhat1, inv_std1=inv_std1, h1=h1, f1a=f1a,
                 xhat2=xhat2, inv_std2=inv_std2,
             )
         )
 
-    z, za, alphas, pooled_norm, embedding = _pool(params, h)
+    za, alphas, pooled_norm, embedding = _pool(params, h)
     cache = ForwardCache(
-        x=x, layer_caches=layer_caches, h_last=h, z=z, za=za, alphas=alphas,
+        x=x, layer_caches=layer_caches, h_last=h, za=za, alphas=alphas,
         pooled_norm=pooled_norm, embedding=embedding, single=single,
     )
     return (embedding[0] if single else embedding), cache
@@ -399,23 +395,20 @@ def encode_table(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
         rows = slice(start, start + ENCODE_CHUNK)
         out[rows] = _forward(params, x[rows])
 
-    jobs = [partial(encode_rows, start) for start in range(0, len(x), ENCODE_CHUNK)]
-    helper = None
-    if len(jobs) >= 2:
-        helper = _grad_helper(ENCODE_CHUNK * params.seq_len * params.embed_dim * params.ffn_dim)
+    starts = range(0, len(x), ENCODE_CHUNK)
+    work = ENCODE_CHUNK * params.seq_len * params.embed_dim * params.ffn_dim
+    helper = _grad_helper(work) if len(starts) >= 2 else None
     if helper is None:
-        for job in jobs:
-            job()
+        for start in starts:
+            encode_rows(start)
         return out
-    failures = [None] * len(jobs)
-    wait = helper.start(jobs[1::2])
+    failures = [None] * len(starts)
+    futures = [helper.submit(encode_rows, start) for start in starts[1::2]]
     try:
-        failures[0::2] = [_failure(job) for job in jobs[0::2]]
+        failures[0::2] = [_failure(encode_rows, start) for start in starts[0::2]]
     finally:
-        failures[1::2] = wait()
-    for failure in failures:
-        if failure is not None:
-            raise failure
+        failures[1::2] = [future.exception() for future in futures]
+    _raise_first(failures)
     return out
 
 
@@ -476,8 +469,14 @@ def encode_backward(
     helper = _grad_helper(len(g) * params.seq_len * params.embed_dim * params.ffn_dim)
     if helper is None:
         _backward(params, cache, g, grads, _add_weight_grad)
-    else:
-        helper.run(lambda add_weight_grad: _backward(params, cache, g, grads, add_weight_grad))
+        return grads
+    futures = []
+    try:
+        _backward(params, cache, g, grads,
+                  lambda *args: futures.append(helper.submit(_add, *args)))
+    finally:  # no job may write into grads after this returns or raises
+        failures = [future.exception() for future in futures]
+    _raise_first(failures)
     return grads
 
 
@@ -504,7 +503,7 @@ def _backward(params, cache, g, grads, add_weight_grad) -> None:
     ds = alphas * (dalpha - _dot_rows(dalpha, alphas))
     grads.wa2 += (_t(cache.za) @ ds[:, :, None])[:, :, 0].sum(axis=0)
     dza = ds[:, :, None] * params.wa2
-    dz = dza * (cache.z > 0.0)
+    dz = dza * (cache.za > 0.0)
     add_weight_grad(grads.wa1, h_last, dz)
     grads.ba1 += dz.sum(axis=1).sum(axis=0)
     dh = dh + dz @ params.wa1.T
@@ -516,7 +515,7 @@ def _backward(params, cache, g, grads, add_weight_grad) -> None:
         glayer.ln2_gain += dg2
         glayer.ln2_bias += db2
         add_weight_grad(glayer.wf2, lc.f1a, dr2)
-        df1 = (dr2 @ layer.wf2.T) * (lc.f1 > 0.0)
+        df1 = (dr2 @ layer.wf2.T) * (lc.f1a > 0.0)
         add_weight_grad(glayer.wf1, lc.h1, df1)
         dh1 = dr2 + df1 @ layer.wf1.T
         dr1, dg1, db1 = _layer_norm_backward(dh1, lc.xhat1, lc.inv_std1, layer.ln1_gain)
@@ -538,97 +537,61 @@ def _backward(params, cache, g, grads, add_weight_grad) -> None:
     grads.pos += dh.sum(axis=0)
 
 
-class _GradHelper:
-    """One daemon thread that runs jobs, each a callable with its reply
-    queue, in the order they are queued: the weight-gradient products of
-    :meth:`run` and the table slices of :func:`encode_table`.
+# the scratch buffer of _add; only the helper thread runs _add
+_scratch = np.empty(0)
 
-    A weight-gradient job takes the per-sample products ``_CHUNK`` samples
-    at a time into one scratch buffer the thread owns and reuses, behind a
-    carry row that holds the running total, and adds each chunk into the
-    total with one ``np.add.reduce`` over axis 0. That adds the rows one
-    after another, so the total has the bits of ``.sum(axis=0)`` over all
-    the products. (numpy sums a column of one-element rows pairwise instead,
-    but every weight matrix has ``embed_dim`` as one side, and at
+
+def _add(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``target += sum_n a[n].T @ b[n]``, run on the helper thread only.
+
+    The per-sample products go ``_CHUNK`` samples at a time into one reused
+    scratch buffer, behind a carry row holding the running total, and each
+    chunk is added into the total with one ``np.add.reduce`` over axis 0.
+    That adds the rows one after another, so the total has the bits of
+    ``.sum(axis=0)``. (numpy sums a column of one-element rows pairwise
+    instead, but every weight matrix has ``embed_dim`` as one side, and at
     ``embed_dim == 1`` every gradient is zero.)
     """
-
-    def __init__(self):
-        # imported here, so that a process that never starts the helper
-        # does not pay for it
-        from queue import SimpleQueue
-
-        self._new_queue = SimpleQueue
-        self._jobs = SimpleQueue()
-        self._scratch = np.empty(0)
-        threading.Thread(target=self._serve, name="hitpro-encoder-helper", daemon=True).start()
-
-    def start(self, jobs: list) -> Callable[[], list]:
-        """Queue ``jobs`` for the thread; return a function that waits for
-        all of them and returns, in queue order, the exception each raised,
-        or None."""
-        replies = self._new_queue()
-        for job in jobs:
-            self._jobs.put((job, replies))
-        return lambda: [replies.get() for _ in jobs]
-
-    def run(self, body) -> None:
-        """Call ``body(add_weight_grad)``, whose calls queue jobs for the
-        thread, then wait for every queued job, so that none writes into its
-        target after this returns or raises; re-raise the first job failure."""
-        replies = self._new_queue()
-        queued = 0
-
-        def add_weight_grad(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-            nonlocal queued
-            self._jobs.put((partial(self._add, target, a, b), replies))
-            queued += 1
-
-        try:
-            body(add_weight_grad)
-        finally:
-            failures = [replies.get() for _ in range(queued)]
-        for failure in failures:
-            if failure is not None:
-                raise failure
-
-    def _serve(self) -> None:
-        while True:
-            job, replies = self._jobs.get()
-            replies.put(_failure(job))
-
-    def _add(self, target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-        d, k = target.shape
-        size = d * k
-        if self._scratch.size < (_CHUNK + 2) * size:
-            self._scratch = np.empty((_CHUNK + 2) * size)
-        total = self._scratch[:size].reshape(d, k)
-        rows = self._scratch[size : (_CHUNK + 2) * size].reshape(_CHUNK + 1, d, k)
-        for start in range(0, len(a), _CHUNK):
-            m = min(_CHUNK, len(a) - start)
-            np.matmul(_t(a[start : start + m]), b[start : start + m], out=rows[1 : m + 1])
-            if start:
-                rows[0] = total
-            np.add.reduce(rows[(0 if start else 1) : m + 1], axis=0, out=total)
-        target += total
+    global _scratch
+    d, k = target.shape
+    size = d * k
+    if _scratch.size < (_CHUNK + 2) * size:
+        _scratch = np.empty((_CHUNK + 2) * size)
+    total = _scratch[:size].reshape(d, k)
+    rows = _scratch[size : (_CHUNK + 2) * size].reshape(_CHUNK + 1, d, k)
+    for start in range(0, len(a), _CHUNK):
+        m = min(_CHUNK, len(a) - start)
+        np.matmul(_t(a[start : start + m]), b[start : start + m], out=rows[1 : m + 1])
+        if start:
+            rows[0] = total
+        np.add.reduce(rows[(0 if start else 1) : m + 1], axis=0, out=total)
+    target += total
 
 
-def _failure(job) -> Exception | None:
-    """Run ``job``; return the exception it raised, else None."""
+def _failure(fn, *args) -> Exception | None:
+    """Call ``fn(*args)``; return the exception it raised, else None."""
     try:
-        job()
-    except Exception as exc:  # noqa: BLE001 - re-raised by the waiting caller
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - re-raised by _raise_first
         return exc
     return None
 
 
-_helper: _GradHelper | None = None
+def _raise_first(failures) -> None:
+    """Raise the first exception of ``failures``, which holds None for none."""
+    for failure in failures:
+        if failure is not None:
+            raise failure
+
+
+_helper = None  # see _grad_helper
 _helper_lock = threading.Lock()
 
 
 def _forget_helper() -> None:
-    """In a forked child: the parent's helper thread did not come along, so
-    the next large call starts a new one."""
+    """In a forked child: the parent's helper thread did not come along, and
+    the child's copy of its executor would queue jobs that no thread serves,
+    so the next large call starts a new one."""
     global _helper, _helper_lock
     _helper, _helper_lock = None, threading.Lock()
 
@@ -645,13 +608,18 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _grad_helper(work: int) -> _GradHelper | None:
-    """The helper, started on first use, for a backward call or a table
-    slice of ``work`` when it gains from one; else None."""
+def _grad_helper(work: int):
+    """The helper, a one-thread ``concurrent.futures.ThreadPoolExecutor``
+    started on first use, for a backward call or a table slice of ``work``
+    when it gains from one; else None."""
     global _helper
     if work < HELPER_MIN_WORK or _cores() < 2:
         return None
     with _helper_lock:
         if _helper is None:
-            _helper = _GradHelper()
+            # imported here, so that a process that never starts the helper
+            # does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="hitpro-encoder-helper")
     return _helper

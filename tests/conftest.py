@@ -1,5 +1,8 @@
+import threading
+
 import numpy as np
 
+import hitpro.encoder as encoder_mod
 from hitpro.datamodel import Modality, Prototype, PrototypeStore
 
 
@@ -36,3 +39,22 @@ def assert_same_store(store, reference):
             for tid in reference.ids(modality, cam):
                 assert store.locate(tid) == reference.locate(tid)
                 assert store.position(tid) == reference.position(tid)
+
+
+def on_the_helper() -> bool:
+    """Whether the calling thread is the encoder's helper thread."""
+    return threading.current_thread().name.startswith("hitpro-encoder-helper")
+
+
+def spy_helper_slices(monkeypatch):
+    """Record, for each slice that :func:`hitpro.encoder.encode_table`
+    encodes from now on, whether the helper thread encoded it."""
+    on_helper = []
+    forward = encoder_mod._forward
+
+    def spy(params, x):
+        on_helper.append(on_the_helper())
+        return forward(params, x)
+
+    monkeypatch.setattr(encoder_mod, "_forward", spy)
+    return on_helper

@@ -20,6 +20,7 @@ from hitpro.evaluator import dataset_labels
 from hitpro.prototyping import embed_tracklets
 from hitpro.synthgen import GenConfig
 
+from conftest import spy_helper_slices
 from reference_loops import loop_mining_payload
 
 
@@ -596,14 +597,7 @@ def test_eval_writes_the_same_bytes_with_and_without_the_helper_thread(tmp_path,
     assert main(["gen", "--config", config, "--out", str(data)]) == 0
     assert main(["train", *common, "--out", str(run)]) == 0
     monkeypatch.setattr(encoder_mod, "_cores", lambda: 2)
-    handed = []  # per encode_table call that used the helper, the slices it took
-    start = encoder_mod._GradHelper.start
-
-    def spy(self, jobs):
-        handed.append(len(jobs))
-        return start(self, jobs)
-
-    monkeypatch.setattr(encoder_mod._GradHelper, "start", spy)
+    on_helper = spy_helper_slices(monkeypatch)  # per table slice, whether the helper took it
     reports = {}
     for label, limit in (("off", 2**62), ("on", encoder_mod.HELPER_MIN_WORK)):
         monkeypatch.setattr(encoder_mod, "HELPER_MIN_WORK", limit)
@@ -611,7 +605,8 @@ def test_eval_writes_the_same_bytes_with_and_without_the_helper_thread(tmp_path,
         assert main(["eval", *common, "--checkpoint", str(run / "checkpoint.hpt"),
                      "--out", str(out)]) == 0
         reports[label] = [(out / name).read_bytes() for name in ("report.json", "embeddings.f32")]
-        assert handed == ([] if label == "off" else [1])
+        assert sorted(on_helper) == [False, label == "on"]  # the second slice
+        on_helper.clear()
     assert reports["on"] == reports["off"]
 
 

@@ -714,6 +714,34 @@ def test_checkpoint_non_finite_header_number_rejected(tmp_path, mutate, value):
         load_checkpoint(bad)
 
 
+def test_checkpoint_negative_camera_rejected(tmp_path):
+    # the group and its section both renamed, so nothing else is missing
+    path = _saved_checkpoint(tmp_path)
+
+    def camera_minus_one(header):
+        group = next(g for g in header["store_groups"]
+                     if g["modality"] == "VIS" and g["camera_id"] == 1)
+        group["camera_id"] = -1
+        section = next(s for s in header["sections"] if s["name"] == "store.VIS.1")
+        section["name"] = "store.VIS.-1"
+
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", camera_minus_one)
+    with pytest.raises(CheckpointError, match="camera_id must be at least 0, got -1"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_section_listed_twice_rejected(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+
+    def repeat_proj(header):
+        proj = next(s for s in header["sections"] if s["name"] == "encoder.proj")
+        header["sections"].append(dict(proj, offset=proj["offset"] + 4))  # one float later
+
+    bad = _rewrite_header(path, tmp_path / "bad.hpt", repeat_proj)
+    with pytest.raises(CheckpointError, match="section 'encoder.proj' is listed twice"):
+        load_checkpoint(bad)
+
+
 def _set_first_shape_entry(header, value):
     header["sections"][0]["shape"][0] = value
 

@@ -21,6 +21,7 @@ from hitpro.encoder import (
 )
 from hitpro.gradcheck import finite_difference_grads, max_relative_error, run_gradcheck
 
+from conftest import on_the_helper
 from oracles import straightline_encode
 
 
@@ -396,20 +397,21 @@ def test_helper_runs_only_for_large_calls_on_several_cores(monkeypatch):
     assert encoder_mod._grad_helper(10 * limit) is None
 
 
-_HELPER_ADD = encoder_mod._GradHelper._add
+_HELPER_ADD = encoder_mod._add
 
 
 def _slow_jobs(monkeypatch, fail_shape=None):
     """Make every helper job sleep first, and the jobs whose target has
     ``fail_shape`` raise instead of adding."""
 
-    def slow_add(self, target, a, b):
+    def slow_add(target, a, b):
+        assert on_the_helper()
         time.sleep(0.005)
         if target.shape == fail_shape:
             raise RuntimeError("job failed on purpose")
-        _HELPER_ADD(self, target, a, b)
+        _HELPER_ADD(target, a, b)
 
-    monkeypatch.setattr(encoder_mod._GradHelper, "_add", slow_add)
+    monkeypatch.setattr(encoder_mod, "_add", slow_add)
 
 
 def _unchanged_after_return(out):
@@ -475,14 +477,13 @@ def test_one_wide_embedding_has_zero_gradients(n_layers):
 
 def test_concurrent_callers_share_the_helper_and_get_their_own_bytes(monkeypatch):
     _force_helper(monkeypatch, on=True)
-    made = []
+    served_by = set()  # the threads that ran a weight-gradient job
 
-    class CountedHelper(encoder_mod._GradHelper):
-        def __init__(self):
-            made.append(self)
-            super().__init__()
+    def recorded_add(target, a, b):
+        served_by.add(threading.current_thread())
+        _HELPER_ADD(target, a, b)
 
-    monkeypatch.setattr(encoder_mod, "_GradHelper", CountedHelper)
+    monkeypatch.setattr(encoder_mod, "_add", recorded_add)
     monkeypatch.setattr(encoder_mod, "_helper", None)  # the callers race to start it
     rng = np.random.default_rng(9)
     cases = []
@@ -495,7 +496,7 @@ def test_concurrent_callers_share_the_helper_and_get_their_own_bytes(monkeypatch
         out = p.zeros_like()
         encoder_mod._backward(p, cache, g, out, encoder_mod._add_weight_grad)
         expected.append(out.flat.tobytes())
-    assert made == []
+    assert served_by == set() and encoder_mod._helper is None
     mismatches = []
 
     def call(i):
@@ -515,7 +516,9 @@ def test_concurrent_callers_share_the_helper_and_get_their_own_bytes(monkeypatch
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
-    assert len(made) == 1 and encoder_mod._helper is made[0]
+    # one helper thread served every caller
+    (thread,) = served_by
+    assert thread.name.startswith("hitpro-encoder-helper") and encoder_mod._helper is not None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -539,17 +542,25 @@ def test_forked_child_starts_its_own_helper(monkeypatch):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def _spy_table_jobs(monkeypatch):
-    """Record how many slices each :func:`encode_table` call hands to the helper."""
-    handed = []
-    start = encoder_mod._GradHelper.start
+def _spy_table_slices(monkeypatch):
+    """Record the address of each slice :func:`encode_table` encodes, and
+    whether the helper thread encoded it."""
+    ran = []
+    forward = encoder_mod._forward
 
-    def spy(self, jobs):
-        handed.append(len(jobs))
-        return start(self, jobs)
+    def spy(params, x):
+        ran.append((x.ctypes.data, on_the_helper()))
+        return forward(params, x)
 
-    monkeypatch.setattr(encoder_mod._GradHelper, "start", spy)
-    return handed
+    monkeypatch.setattr(encoder_mod, "_forward", spy)
+    return ran
+
+
+def _helper_slices(ran, frames, chunk):
+    """The indexes of the ``chunk``-row slices of ``frames`` that the helper
+    thread encoded, in order."""
+    return sorted((at - frames.ctypes.data) // (chunk * frames.strides[0])
+                  for at, on_helper in ran if on_helper)
 
 
 @pytest.mark.parametrize("on", [False, True])
@@ -559,7 +570,7 @@ def _spy_table_jobs(monkeypatch):
 def test_encode_table_gives_the_per_row_encode_bytes(monkeypatch, on, n_layers, n_rows):
     _force_helper(monkeypatch, on)
     monkeypatch.setattr(encoder_mod, "ENCODE_CHUNK", 5)
-    handed = _spy_table_jobs(monkeypatch)
+    ran = _spy_table_slices(monkeypatch)
     p = small_params(n_tte_layers=n_layers, seed=n_rows)
     frames = np.random.default_rng(n_rows).normal(size=(n_rows, 3, 4))
     got = encoder_mod.encode_table(p, frames)
@@ -567,7 +578,8 @@ def test_encode_table_gives_the_per_row_encode_bytes(monkeypatch, on, n_layers, 
     per_row = [encode(p, f)[0] for f in frames]
     assert got.tobytes() == (np.stack(per_row) if per_row else np.empty((0, 8))).tobytes()
     n_slices = -(-n_rows // 5)
-    assert handed == ([n_slices // 2] if on and n_slices >= 2 else [])
+    assert len(ran) == n_slices
+    assert _helper_slices(ran, frames, 5) == (list(range(1, n_slices, 2)) if on else [])
 
 
 @pytest.mark.parametrize("poison, stage", [
@@ -593,12 +605,12 @@ def test_encode_table_raises_the_first_failing_slice(monkeypatch, on):
     forward = encoder_mod._forward
 
     def late_on_the_helper(params, x):  # the caller meets slice 2 first
-        if threading.current_thread() is not threading.main_thread():
+        if on_the_helper():
             time.sleep(0.05)
         return forward(params, x)
 
     monkeypatch.setattr(encoder_mod, "_forward", late_on_the_helper)
-    handed = _spy_table_jobs(monkeypatch)
+    ran = _spy_table_slices(monkeypatch)
     p = small_params(n_tte_layers=2)
     clean = np.random.default_rng(6).normal(size=(16, 3, 4))
     frames = clean.copy()
@@ -607,9 +619,11 @@ def test_encode_table_raises_the_first_failing_slice(monkeypatch, on):
     with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):
         encoder_mod.encode_table(p, frames)
     assert err.value.stage == "projection"
+    assert _helper_slices(ran, frames, 4) == ([1, 3] if on else [])
+    ran.clear()
     expected = np.stack([encode(p, f)[0] for f in clean])
     assert encoder_mod.encode_table(p, clean).tobytes() == expected.tobytes()
-    assert handed == ([2, 2] if on else [])
+    assert _helper_slices(ran, clean, 4) == ([1, 3] if on else [])
 
 
 def test_encode_table_keeps_no_backward_cache():

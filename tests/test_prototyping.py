@@ -20,7 +20,7 @@ from hitpro.prototyping import (
     tracklet_embedding,
 )
 
-from conftest import assert_same_store
+from conftest import assert_same_store, spy_helper_slices
 
 
 def make_tracklet(n_frames, tid="t0", d_in=4, modality=Modality.VIS, cam=0, seed=0):
@@ -198,15 +198,12 @@ def test_embed_tracklets_on_the_helper_matches_per_tracklet(monkeypatch, n_layer
     monkeypatch.setattr(encoder_mod, "ENCODE_CHUNK", chunk)
     monkeypatch.setattr(encoder_mod, "HELPER_MIN_WORK", 0)
     monkeypatch.setattr(encoder_mod, "_cores", lambda: 2)
-    started = []
-    start = encoder_mod._GradHelper.start
-    monkeypatch.setattr(encoder_mod._GradHelper, "start",
-                        lambda self, jobs: started.append(len(jobs)) or start(self, jobs))
+    on_helper = spy_helper_slices(monkeypatch)
     cfg = small_cfg(n_subtracklets=3, n_tte_layers=n_layers)
     ds = make_dataset(n_per_group=n_per_group)  # 12 * n_per_group rows
     params = params_for(cfg)
     vectors = embed_tracklets(params, ds.tracklets, cfg)
-    assert started == [handed]
+    assert len(on_helper) == -(-12 * n_per_group // chunk) and sum(on_helper) == handed
     for t, vec in zip(ds.tracklets, vectors, strict=True):
         np.testing.assert_array_equal(vec, _looped_tracklet_embedding(params, t, cfg))
 

@@ -1,0 +1,77 @@
+"""The claim rule of ``tools/bench_pairs.py``: ``summarize`` on hand-built pairs."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _pairs(name, parent, change, failed=((0, 0),) * 4):
+    """One pair per value, each side a result object holding ``name`` and ``failed``."""
+    return [
+        {side: {"metrics": {name: {"value": value}}, "failed": fails}
+         for side, value, fails in zip(("parent", "change"), values, fail_pair)}
+        for values, fail_pair in zip(zip(parent, change), failed)
+    ]
+
+
+# parent quartiles (inclusive method) 1.75 and 3.25; per pair the change is
+# better, tied, worse and better by more than the parent's IQR
+PARENT = [1.0, 2.0, 3.0, 4.0]
+CHANGE = [0.5, 2.0, 3.5, 1.0]
+
+
+def test_medians_and_parent_iqr():
+    s = bench_pairs.summarize(_pairs("t", PARENT, CHANGE), [{"name": "t", "better": "lower"}])
+    assert s["t"]["pairs"] == 4
+    assert s["t"]["parent_median"] == 2.5
+    assert s["t"]["change_median"] == 1.5
+    assert s["t"]["median_gain"] == 1.0
+    assert s["t"]["parent_iqr"] == 1.5
+
+
+def test_wins_count_strictly_better_pairs_and_ties_count_for_neither_side():
+    s = bench_pairs.summarize(_pairs("t", PARENT, CHANGE), [{"name": "t", "better": "lower"}])["t"]
+    assert (s["change_wins"], s["ties"], s["change_wins_by_more_than_parent_iqr"]) == (2, 1, 1)
+    # sides swapped: the change wins only the pair the parent won, the tie stays a tie
+    s = bench_pairs.summarize(_pairs("t", CHANGE, PARENT), [{"name": "t", "better": "lower"}])["t"]
+    assert (s["change_wins"], s["ties"]) == (1, 1)
+
+
+def test_a_higher_is_better_metric_flips_the_sign():
+    s = bench_pairs.summarize(_pairs("r", PARENT, CHANGE), [{"name": "r", "better": "higher"}])
+    r = s["r"]
+    assert r["median_gain"] == -1.0
+    assert (r["change_wins"], r["ties"], r["change_wins_by_more_than_parent_iqr"]) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_equal_medians_give_a_zero_gain_not_a_negative_zero(better):
+    s = bench_pairs.summarize(_pairs("m", PARENT, PARENT[::-1]), [{"name": "m", "better": better}])
+    assert s["m"]["median_gain"] == 0.0
+    assert math.copysign(1.0, s["m"]["median_gain"]) == 1.0
+
+
+def test_failed_totals_per_side():
+    pairs = _pairs("t", PARENT, CHANGE, failed=[(0, 0), (1, 0), (0, 4), (2, 0)])
+    s = bench_pairs.summarize(pairs, [{"name": "t", "better": "lower"}])
+    assert s["failed"] == {"parent": 3, "change": 4}
+    pairs = _pairs("t", PARENT, CHANGE)
+    assert bench_pairs.summarize(pairs, [])["failed"] == {"parent": 0, "change": 0}
+
+
+def test_every_metric_gets_its_own_entry():
+    pairs = _pairs("a", PARENT, CHANGE)
+    for pair, extra in zip(pairs, [5.0, 6.0, 7.0, 8.0]):
+        for side in ("parent", "change"):
+            pair[side]["metrics"]["b"] = {"value": extra}
+    s = bench_pairs.summarize(pairs, [{"name": "a", "better": "lower"},
+                                      {"name": "b", "better": "higher"}])
+    assert set(s) == {"a", "b", "failed"}
+    assert s["b"]["ties"] == 4 and s["b"]["change_wins"] == 0 and s["b"]["parent_iqr"] == 1.5
