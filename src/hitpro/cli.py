@@ -26,6 +26,8 @@ from .datamodel import (
     TrainConfig,
     load_checkpoint,
     load_dataset,
+    load_encoder,
+    read_frames,
     read_manifest,
     save_checkpoint,
     save_dataset,
@@ -33,7 +35,7 @@ from .datamodel import (
 from .evaluator import dataset_labels, distance_distribution, evaluate_embeddings, mining_quality
 from .gradcheck import run_gradcheck
 from .mining import MiningReport, build_mining_report
-from .prototyping import embed_tracklets
+from .prototyping import embed_table, table_of_rows
 from .synthgen import GenConfig, generate_dataset
 from .trainer import train
 
@@ -245,27 +247,27 @@ def _cmd_mine(args) -> int:
 
 def _cmd_eval(args) -> int:
     gen_cfg, cfg = _resolve_configs(args)
-    params, _store, _epoch = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
-    for key, value in (("seq_len", cfg.seq_len), ("d_in", dataset.d_in)):
+    # columns from disk to matrices: no Tracklet, no PrototypeStore
+    params = load_encoder(args.checkpoint)
+    manifest = read_manifest(args.data)
+    rows = read_frames(manifest)
+    for key, value in (("seq_len", cfg.seq_len), ("d_in", manifest.d_in)):
         if value != getattr(params, key):
             raise ValueError(f"{key} must be {getattr(params, key)}, the checkpoint's, got {value}")
-    vectors = embed_tracklets(params, dataset.tracklets, cfg)
-    results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
+    vectors = embed_table(params, table_of_rows(rows, manifest.n_frames, cfg))
+    results = evaluate_embeddings(manifest, vectors, max_rank=args.max_rank)
     # the layout of the dataset's frames.f32: little-endian float32, here
     # one row per tracklet in dataset order
     matrix = vectors.astype("<f4")
     payload = {
         "ir_to_vis": results["IR->VIS"].to_json(),
         "vis_to_ir": results["VIS->IR"].to_json(),
-        "distance_distribution": distance_distribution(
-            vectors, [t.gt_identity for t in dataset.tracklets]
-        ),
+        "distance_distribution": distance_distribution(vectors, manifest.gt_identity),
         "embeddings": {
             "file": EMBEDDINGS_FILE,
             "dtype": "<f4",
             "shape": list(matrix.shape),
-            "tracklet_ids": [t.tracklet_id for t in dataset.tracklets],
+            "tracklet_ids": list(manifest.tracklet_ids),
         },
     }
     out = Path(args.out)

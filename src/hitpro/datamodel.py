@@ -7,8 +7,10 @@ On-disk formats:
   ``{tracklet_id, modality, camera_id, n_frames, gt_identity?}``; it names
   no file, and other keys are ignored. Undecodable bytes, wrong types, a
   ``d_in`` or ``n_frames`` below 1, a negative camera count or
-  ``gt_identity``, repeated ids and out-of-range cameras raise
-  :class:`DatasetError`.
+  ``gt_identity``, any integer of 2**63 or more (or a total ``n_frames``
+  that large), repeated ids and out-of-range cameras raise
+  :class:`DatasetError`. It is read into int64 columns, not one object
+  per entry.
 * ``frames.f32``: every tracklet's ``n_frames x d_in`` frame rows,
   little-endian float32, row-major, back to back in manifest order; a
   tracklet's first row is the sum of ``n_frames`` before it, and the file
@@ -356,21 +358,25 @@ class TrainConfig:
         return replace(self, **kwargs)
 
 
-def _index_tracklets(tracklets, n_cameras_vis: int, n_cameras_ir: int) -> dict:
-    """``tracklet_id -> tracklet``; a repeated id, or a camera id outside its
-    modality's range, raises :class:`DatasetError`."""
-    by_id = {}
-    for t in tracklets:
-        if t.tracklet_id in by_id:
-            raise DatasetError(f"duplicate tracklet_id {t.tracklet_id!r}")
-        by_id[t.tracklet_id] = t
-        n_cams = n_cameras_vis if t.modality is Modality.VIS else n_cameras_ir
-        if not (0 <= t.camera_id < n_cams):
-            raise DatasetError(
-                f"tracklet {t.tracklet_id}: camera_id {t.camera_id} out of range "
-                f"for {t.modality.value} ({n_cams} cameras)"
-            )
-    return by_id
+def _check_ids_and_cameras(ids, is_vis, cameras, n_cameras_vis: int, n_cameras_ir: int) -> None:
+    """A repeated tracklet id, or a camera id outside its modality's range,
+    raises :class:`DatasetError` naming the first such tracklet in order (a
+    repeated id before its camera). ``ids`` is a sequence of strings,
+    ``is_vis`` and ``cameras`` are columns: VIS (else IR) and camera id."""
+    repeated = np.zeros(len(ids), dtype=bool)
+    if len(set(ids)) < len(ids):
+        first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # id -> its first index
+        repeated = np.array([first[tid] != i for i, tid in enumerate(ids)])
+    n_cams = np.where(is_vis, n_cameras_vis, n_cameras_ir)
+    bad = np.flatnonzero(repeated | (cameras < 0) | (cameras >= n_cams))
+    if bad.size:
+        i = int(bad[0])
+        if repeated[i]:
+            raise DatasetError(f"duplicate tracklet_id {ids[i]!r}")
+        raise DatasetError(
+            f"tracklet {ids[i]}: camera_id {cameras[i]} out of range "
+            f"for {'VIS' if is_vis[i] else 'IR'} ({n_cams[i]} cameras)"
+        )
 
 
 @dataclass(frozen=True)
@@ -383,7 +389,12 @@ class Dataset:
     tracklets: tuple[Tracklet, ...]
 
     def __post_init__(self):
-        by_id = _index_tracklets(self.tracklets, self.n_cameras_vis, self.n_cameras_ir)
+        ids = [t.tracklet_id for t in self.tracklets]
+        _check_ids_and_cameras(
+            ids, np.array([t.modality is Modality.VIS for t in self.tracklets], dtype=bool),
+            np.array([t.camera_id for t in self.tracklets], dtype=np.int64),
+            self.n_cameras_vis, self.n_cameras_ir,
+        )
         groups: dict[tuple[Modality, int], list[Tracklet]] = {}
         for t in self.tracklets:
             if t.frames.shape[1] != self.d_in:
@@ -391,7 +402,7 @@ class Dataset:
                     f"tracklet {t.tracklet_id}: feature dim {t.frames.shape[1]} != d_in {self.d_in}"
                 )
             groups.setdefault((t.modality, t.camera_id), []).append(t)
-        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_by_id", dict(zip(ids, self.tracklets)))
         object.__setattr__(self, "_groups", groups)
 
     def n_cameras(self, modality: Modality) -> int:
@@ -444,12 +455,15 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
 
 
 def _json_int(value, what: str, error: type[Exception], minimum: Optional[int] = None) -> int:
-    """A JSON integer read from a file; floats, strings, booleans and values
-    below ``minimum`` raise ``error``."""
+    """A JSON integer read from a file; floats, strings, booleans, values
+    below ``minimum`` and values outside int64 raise ``error``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise error(f"{what} must be at least {minimum}, got {value}")
+    if value < (-2**63 if minimum is None else minimum):
+        raise error(f"{what} must be at least {-2**63 if minimum is None else minimum}, "
+                    f"got {value}")
+    if value >= 2**63:
+        raise error(f"{what} must be below 2**63, got {value}")
     return value
 
 
@@ -466,26 +480,78 @@ class ManifestEntry:
     gt_identity: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: no field-wise ==
 class Manifest:
-    """A parsed and validated ``manifest.json``: the header values, one
-    entry per tracklet in file order, and the path of ``frames.f32``,
-    which has not been read."""
+    """A parsed and validated ``manifest.json``: the header values, the
+    entries as columns in file order, and the path of ``frames.f32``, which
+    has not been read. Entry ``i`` is ``tracklet_ids[i]`` and row ``i`` of
+    each column; ``gt_identity`` is -1 where the entry has no label."""
 
     d_in: int
     n_cameras_vis: int
     n_cameras_ir: int
-    tracklets: tuple[ManifestEntry, ...]
+    tracklet_ids: tuple[str, ...]
+    is_vis: np.ndarray  # (n,) bool: VIS, else IR
+    camera_id: np.ndarray  # (n,) int64
+    n_frames: np.ndarray  # (n,) int64
+    offset: np.ndarray  # (n,) int64
+    gt_identity: np.ndarray  # (n,) int64
     payload: Path
 
     @property
+    def tracklets(self) -> tuple[ManifestEntry, ...]:
+        """One :class:`ManifestEntry` per entry, in file order."""
+        return tuple(
+            ManifestEntry(tid, Modality.VIS if vis else Modality.IR, cam, n, offset,
+                          None if gt < 0 else gt)
+            for tid, vis, cam, n, offset, gt in zip(
+                self.tracklet_ids, self.is_vis.tolist(), self.camera_id.tolist(),
+                self.n_frames.tolist(), self.offset.tolist(), self.gt_identity.tolist())
+        )
+
+    @property
     def has_labels(self) -> bool:
-        return all(t.gt_identity is not None for t in self.tracklets)
+        return bool((self.gt_identity >= 0).all())
+
+
+# an entry's fields in the order they are checked, each with the test of
+# its column: per entry, whether the JSON value is valid (a missing field
+# reads as None)
+_ENTRY_FIELDS = (
+    ("tracklet_id", lambda col: [type(v) is str for v in col]),
+    ("n_frames", lambda col: [type(v) is int and 1 <= v < 2**63 for v in col]),
+    ("modality", lambda col: [v == "VIS" or v == "IR" for v in col]),
+    ("camera_id", lambda col: [type(v) is int and -2**63 <= v < 2**63 for v in col]),
+    ("gt_identity", lambda col: [v is None or type(v) is int and 0 <= v < 2**63 for v in col]),
+)
+
+
+def _field_error(entry, i: int, key: str) -> DatasetError:
+    """The error of field ``key`` of manifest entry ``i``, whose column test
+    failed: reading the field as the format requires raises it."""
+    try:
+        value = entry.get(key) if key == "gt_identity" else entry[key]
+        if key == "tracklet_id":
+            raise TypeError(f"tracklet_id must be a string, got {value!r}")
+        if key == "modality":
+            Modality(value)
+        _json_int(value, f"entry {i} {key}", DatasetError,
+                  {"n_frames": 1, "gt_identity": 0}.get(key))
+    except (KeyError, TypeError, ValueError) as exc:
+        return DatasetError(f"manifest entry {i} is malformed: {exc!r}")
+    except DatasetError as exc:
+        return exc
 
 
 def read_manifest(manifest_path: str | Path) -> Manifest:
     """Parse a dataset's manifest (its directory or ``manifest.json``) and
-    validate its encoding, types, counts, ids and camera ranges."""
+    validate its encoding, types, counts, ids and camera ranges.
+
+    The entries are checked as columns, one per field. A bad entry raises
+    the :class:`DatasetError` of its first bad field, for the first bad
+    entry in file order; repeated ids and camera ranges are checked after
+    every entry's fields.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
@@ -503,36 +569,37 @@ def read_manifest(manifest_path: str | Path) -> Manifest:
     d_in = _json_int(manifest["d_in"], "d_in", DatasetError, minimum=1)
     n_cameras_vis = _json_int(manifest["n_cameras_vis"], "n_cameras_vis", DatasetError, 0)
     n_cameras_ir = _json_int(manifest["n_cameras_ir"], "n_cameras_ir", DatasetError, 0)
-    entries = []
-    offset = 0
-    for i, entry in enumerate(manifest["tracklets"]):
-        try:
-            tid = entry["tracklet_id"]
-            if not isinstance(tid, str):
-                raise TypeError(f"tracklet_id must be a string, got {tid!r}")
-            n_frames = _json_int(entry["n_frames"], f"entry {i} n_frames", DatasetError,
-                                 minimum=1)
-            modality = Modality(entry["modality"])
-            camera_id = _json_int(entry["camera_id"], f"entry {i} camera_id", DatasetError)
-            gt_identity = entry.get("gt_identity")
-            if gt_identity is not None:
-                gt_identity = _json_int(gt_identity, f"entry {i} gt_identity", DatasetError, 0)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"manifest entry {i} is malformed: {exc!r}") from exc
-        entries.append(ManifestEntry(tid, modality, camera_id, n_frames, offset, gt_identity))
-        offset += n_frames
-    _index_tracklets(entries, n_cameras_vis, n_cameras_ir)
-    return Manifest(d_in, n_cameras_vis, n_cameras_ir, tuple(entries),
+    entries = manifest["tracklets"]
+    rows = [e if type(e) is dict else {} for e in entries]
+    columns = {key: [row.get(key) for row in rows] for key, _ in _ENTRY_FIELDS}
+    valid = [ok(columns[key]) for key, ok in _ENTRY_FIELDS]
+    if not all(map(all, valid)):
+        bad = ~np.array(valid, dtype=bool)  # (field, entry)
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise _field_error(entries[i], i, _ENTRY_FIELDS[int(np.flatnonzero(bad[:, i])[0])][0])
+    n_rows = sum(columns["n_frames"])
+    if n_rows >= 2**63:
+        raise DatasetError(f"manifest implies {n_rows} frames; {PAYLOAD_FILE} "
+                           "cannot hold 2**63 or more")
+    ids = tuple(columns["tracklet_id"])
+    is_vis = np.array([m == "VIS" for m in columns["modality"]], dtype=bool)
+    camera_id = np.array(columns["camera_id"], dtype=np.int64)
+    n_frames = np.array(columns["n_frames"], dtype=np.int64)
+    gt_identity = np.array([-1 if v is None else v for v in columns["gt_identity"]],
+                           dtype=np.int64)
+    _check_ids_and_cameras(ids, is_vis, camera_id, n_cameras_vis, n_cameras_ir)
+    arrays = (is_vis, camera_id, n_frames, np.cumsum(n_frames) - n_frames, gt_identity)
+    for array in arrays:
+        array.flags.writeable = False
+    return Manifest(d_in, n_cameras_vis, n_cameras_ir, ids, *arrays,
                     manifest_path.parent / PAYLOAD_FILE)
 
 
-def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load a dataset: :func:`read_manifest`, then ``frames.f32`` in one
-    read, whose size must match the manifest's ``n_frames`` and ``d_in`` and
-    whose values must all be finite. Each tracklet's frames are a read-only
-    view of that one buffer."""
-    manifest = read_manifest(manifest_path)
-    d_in, n_rows = manifest.d_in, sum(e.n_frames for e in manifest.tracklets)
+def read_frames(manifest: Manifest) -> np.ndarray:
+    """A dataset's ``frames.f32`` in one read, as a read-only ``(rows,
+    d_in)`` float32 matrix. Its size must match the manifest's ``n_frames``
+    and ``d_in``, and its values must all be finite."""
+    d_in, n_rows = manifest.d_in, int(manifest.n_frames.sum())
     raw = manifest.payload.read_bytes()  # a missing payload raises FileNotFoundError
     expected = 4 * d_in * n_rows
     if len(raw) != expected:
@@ -544,8 +611,16 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if not np.isfinite(rows).all():
         row = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
         raise DatasetError(f"payload {PAYLOAD_FILE} holds a non-finite value in frame row {row}")
+    return rows
+
+
+def load_dataset(manifest_path: str | Path) -> Dataset:
+    """Load a dataset: :func:`read_manifest`, then :func:`read_frames`. Each
+    tracklet's frames are a read-only view of that one buffer."""
+    manifest = read_manifest(manifest_path)
+    rows = read_frames(manifest)
     return Dataset(
-        d_in=d_in,
+        d_in=manifest.d_in,
         n_cameras_vis=manifest.n_cameras_vis,
         n_cameras_ir=manifest.n_cameras_ir,
         tracklets=tuple(
@@ -609,6 +684,19 @@ def load_checkpoint(path: str | Path):
 
     A malformed file raises :class:`CheckpointError`.
     """
+    params, store_rows, epoch = _read_checkpoint(path)
+    return params, PrototypeStore.from_matrix(*store_rows), epoch
+
+
+def load_encoder(path: str | Path):
+    """The encoder parameters of a checkpoint, after every check that
+    :func:`load_checkpoint` makes on every section; builds no store."""
+    return _read_checkpoint(path)[0]
+
+
+def _read_checkpoint(path: str | Path):
+    """``(params, (matrix, ids, modalities, cameras), epoch)`` of a
+    checkpoint: the store as :meth:`PrototypeStore.from_matrix` takes it."""
     raw = Path(path).read_bytes()
     if len(raw) < 4:
         raise CheckpointError(f"corrupt checkpoint {path}: shorter than header length field")
@@ -656,7 +744,7 @@ def _parse_checkpoint(header: dict, blob: bytes):
     }
     params = EncoderParams.from_named_arrays(header["encoder"], encoder_arrays)
 
-    blocks, ids, modalities, cameras = [], [], [], []
+    blocks, ids, modalities, cameras, names = [], [], [], [], set()
     for group in header["store_groups"]:
         modality = Modality(group["modality"])
         cam = _json_int(group["camera_id"], "store group camera_id", ValueError, 0)
@@ -664,6 +752,9 @@ def _parse_checkpoint(header: dict, blob: bytes):
         name = f"store.{modality.value}.{cam}"
         if name not in arrays:
             raise KeyError(f"missing store section {name!r}")
+        if name in names:
+            raise ValueError(f"store group of section {name!r} is listed twice")
+        names.add(name)
         if not isinstance(group_ids, list) or not all(isinstance(t, str) for t in group_ids):
             raise ValueError(f"tracklet ids of section {name!r} must be a list of strings")
         mat = arrays[name]
@@ -680,5 +771,10 @@ def _parse_checkpoint(header: dict, blob: bytes):
         modalities.extend([modality] * len(group_ids))
         cameras.extend([cam] * len(group_ids))
     matrix = np.concatenate(blocks) if blocks else np.empty((0, 0))
-    store = PrototypeStore.from_matrix(matrix, ids, modalities, cameras)
-    return params, store, _json_int(header["epoch"], "epoch", ValueError, 0)
+    seen = set()  # a repeated id, which the store would refuse
+    for tid in ids:
+        if tid in seen:
+            raise ValueError(f"duplicate prototype for tracklet {tid}")
+        seen.add(tid)
+    epoch = _json_int(header["epoch"], "epoch", ValueError, 0)
+    return params, (matrix, ids, modalities, cameras), epoch

@@ -52,6 +52,8 @@ def dataset_labels(dataset: Dataset | Manifest) -> Optional[dict[str, int]]:
     """
     if not dataset.has_labels:
         return None
+    if isinstance(dataset, Manifest):
+        return dict(zip(dataset.tracklet_ids, dataset.gt_identity.tolist()))
     return {t.tracklet_id: t.gt_identity for t in dataset.tracklets}
 
 
@@ -68,27 +70,50 @@ def _unit_rows(mat: np.ndarray, side: str) -> np.ndarray:
     return mat
 
 
+def _int64_ids(ids: list, side: str) -> np.ndarray:
+    """``ids`` as an int64 column; an id that is not an integer within int64
+    raises ``ValueError``, since no wider or mixed array keeps ids exact."""
+    try:
+        column = np.array(ids, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        column = None
+    if column is None or column.tolist() != ids:
+        raise ValueError(f"{side} identities must be integers within int64")
+    return column
+
+
 def evaluate_retrieval(
     queries: list[tuple[np.ndarray, int]],
     gallery: list[tuple[np.ndarray, int]],
     max_rank: int = 20,
 ) -> RetrievalResult:
-    """Rank the gallery by cosine similarity per query; ties break by
-    gallery index. Every query identity must occur in the gallery, and every
-    vector needs a finite, nonzero norm.
+    """:func:`retrieval_metrics` of ``(vector, identity)`` pairs; each
+    identity must be an integer within int64."""
+    return retrieval_metrics(
+        np.array([q for q, _ in queries], dtype=np.float64),
+        _int64_ids([i for _, i in queries], "query"),
+        np.array([g for g, _ in gallery], dtype=np.float64),
+        _int64_ids([i for _, i in gallery], "gallery"),
+        max_rank,
+    )
+
+
+def retrieval_metrics(q_mat, q_ids, g_mat, g_ids, max_rank: int = 20) -> RetrievalResult:
+    """Rank the gallery rows ``g_mat`` by cosine similarity to each query
+    row of ``q_mat``; ties break by gallery index. ``q_ids`` and ``g_ids``
+    are integer identity columns. Every query identity must occur in the
+    gallery, and every vector needs a finite, nonzero norm.
 
     Only the true matches are ranked: match ``(i, j)`` sits at 0-based rank
     ``#{k : sims[i, k] > sims[i, j]} + #{k < j : sims[i, k] == sims[i, j]}``,
     its place under a stable sort of the row by descending similarity.
     """
-    if not queries or not gallery:
+    if not len(q_mat) or not len(g_mat):
         raise ValueError("queries and gallery must be non-empty")
     if max_rank < 1:
         raise ValueError(f"max_rank must be at least 1, got {max_rank}")
-    q_mat = np.stack([q for q, _ in queries]).astype(np.float64)
-    g_mat = np.stack([g for g, _ in gallery]).astype(np.float64)
-    q_ids = np.array([i for _, i in queries])
-    g_ids = np.array([i for _, i in gallery])
+    q_ids, g_ids = np.asarray(q_ids), np.asarray(g_ids)
+    n_query, n_gallery = len(q_mat), len(g_mat)
     # the gallery grouped by identity, each group in gallery order; query
     # i's true matches are by_id[lo[i]:lo[i] + counts[i]]
     by_id = np.argsort(g_ids, kind="stable")
@@ -97,27 +122,29 @@ def evaluate_retrieval(
     if not counts.all():
         missing = sorted(set(q_ids[counts == 0].tolist()))
         raise ValueError(f"query identities absent from gallery: {missing}")
-    max_rank = min(max_rank, len(gallery))
+    max_rank = min(max_rank, n_gallery)
 
-    sims = _unit_rows(q_mat, "query") @ _unit_rows(g_mat, "gallery").T
+    # copies: _unit_rows scales in place
+    sims = (_unit_rows(np.array(q_mat, dtype=np.float64), "query")
+            @ _unit_rows(np.array(g_mat, dtype=np.float64), "gallery").T)
     starts = np.cumsum(counts) - counts
-    rows = np.repeat(np.arange(len(queries)), counts)  # query by query
+    rows = np.repeat(np.arange(n_query), counts)  # query by query
     cols = by_id[np.arange(len(rows)) + np.repeat(lo - starts, counts)]
     ranks = np.empty(len(rows), dtype=np.intp)
-    g_index = np.arange(len(gallery))
+    g_index = np.arange(n_gallery)
     for a in range(0, len(rows), _ROW_BLOCK):  # (_ROW_BLOCK, n_gallery) temporaries
         r, c = rows[a:a + _ROW_BLOCK], cols[a:a + _ROW_BLOCK]
         block, s = sims[r], sims[r, c][:, None]
         ranks[a:a + _ROW_BLOCK] = (block > s).sum(axis=1) + (
             (block == s) & (g_index < c[:, None])).sum(axis=1)
-    offset = rows * len(gallery)
+    offset = rows * n_gallery
     ranks = np.sort(offset + ranks) - offset  # each query's matches in rank order
-    cmc = np.cumsum(np.bincount(ranks[starts], minlength=max_rank)[:max_rank]) / len(queries)
+    cmc = np.cumsum(np.bincount(ranks[starts], minlength=max_rank)[:max_rank]) / n_query
     # the k-th match (from 0) in rank order is preceded by k matches
     precision = (np.arange(len(rows)) - np.repeat(starts, counts) + 1) / (ranks + 1)
     # average precisions grouped by match count: one (n_queries, count)
     # mean per count adds each query's values as a mean over them alone
-    aps = np.empty(len(queries))
+    aps = np.empty(n_query)
     # not np.unique: on this input it imports numpy.ma, ~1 MB of peak RSS
     for count in sorted(set(counts.tolist())):
         same = np.flatnonzero(counts == count)
@@ -126,8 +153,8 @@ def evaluate_retrieval(
         direction="",
         cmc=cmc,
         mean_ap=float(np.mean(aps)),
-        n_query=len(queries),
-        n_gallery=len(gallery),
+        n_query=n_query,
+        n_gallery=n_gallery,
     )
 
 
@@ -143,21 +170,21 @@ def evaluate_dataset(
 
 
 def evaluate_embeddings(
-    dataset: Dataset, vectors: np.ndarray, max_rank: int = 20
+    dataset: Dataset | Manifest, vectors: np.ndarray, max_rank: int = 20
 ) -> dict[str, RetrievalResult]:
-    """Both retrieval directions from one embedding per tracklet, in dataset order."""
+    """Both retrieval directions from one embedding per tracklet, in dataset
+    order; a boolean mask picks each side's rows of ``vectors``."""
     if not dataset.has_labels:
         raise ValueError("retrieval evaluation requires gt_identity on every tracklet")
-    embedded: dict[Modality, list[tuple[np.ndarray, int]]] = {m: [] for m in Modality}
-    for t, v in zip(dataset.tracklets, vectors):
-        embedded[t.modality].append((v, t.gt_identity))
-
+    if isinstance(dataset, Manifest):
+        is_vis, identities = dataset.is_vis, dataset.gt_identity
+    else:
+        is_vis = np.array([t.modality is Modality.VIS for t in dataset.tracklets], dtype=bool)
+        identities = _int64_ids([t.gt_identity for t in dataset.tracklets], "dataset")
     results = {}
-    for direction, q_mod, g_mod in (
-        ("IR->VIS", Modality.IR, Modality.VIS),
-        ("VIS->IR", Modality.VIS, Modality.IR),
-    ):
-        res = evaluate_retrieval(embedded[q_mod], embedded[g_mod], max_rank)
+    for direction, query in (("IR->VIS", ~is_vis), ("VIS->IR", is_vis)):
+        res = retrieval_metrics(vectors[query], identities[query], vectors[~query],
+                                identities[~query], max_rank)
         res.direction = direction
         results[direction] = res
     return results

@@ -62,15 +62,23 @@ class FrameTable:
 
 
 def frame_table(tracklets, cfg: TrainConfig) -> FrameTable:
-    """The :class:`FrameTable` of ``tracklets`` under ``cfg``'s K and ``seq_len``.
+    """The :class:`FrameTable` of ``tracklets`` under ``cfg``'s K and
+    ``seq_len``: :func:`table_of_rows` of their concatenated frames."""
+    rows = np.concatenate([t.frames for t in tracklets]) if tracklets else None
+    return table_of_rows(rows, [t.n_frames for t in tracklets], cfg)
+
+
+def table_of_rows(rows, n_frames, cfg: TrainConfig) -> FrameTable:
+    """The :class:`FrameTable` of tracklets whose frames lie back to back in
+    ``rows``, ``n_frames[i]`` rows for tracklet ``i``, as in ``frames.f32``.
 
     Every sub-tracklet's bounds and ``select_frames`` indices are computed
     at once in integer arithmetic (the evenly spaced index by the same
     float64 operations as ``select_frames``), and one fancy index gathers
-    every row from the tracklets' concatenated frames.
+    every row from ``rows``.
     """
     seq_len = cfg.seq_len
-    lengths = np.array([t.n_frames for t in tracklets], dtype=np.intp)
+    lengths = np.asarray(n_frames, dtype=np.intp)
     k_eff = np.minimum(lengths, cfg.n_subtracklets)
     starts = np.cumsum(k_eff) - k_eff
     if not len(lengths):
@@ -86,7 +94,7 @@ def frame_table(tracklets, cfg: TrainConfig) -> FrameTable:
     j = np.arange(seq_len)
     spaced = (j * (size[:, None] - 1) / max(seq_len - 1, 1) + 0.5).astype(np.intp)
     picked = np.where(size[:, None] >= seq_len, spaced, j % size[:, None])
-    frames = np.concatenate([t.frames for t in tracklets])[first[:, None] + picked]
+    frames = rows[first[:, None] + picked]
     return FrameTable(frames=frames.astype(np.float64), starts=starts, k_eff=k_eff)
 
 

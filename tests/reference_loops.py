@@ -1,17 +1,25 @@
 """The per-row loops that the stacked loss, EMA update and mining replaced,
 the training loop that re-sampled and re-stacked frames every iteration, the
-frame-by-frame dataset generator, the per-query retrieval ranking and the
-dict-per-row ``mining_report.json`` payload.
+frame-by-frame dataset generator, the per-query retrieval ranking, the
+dict-per-row ``mining_report.json`` payload and the entry-by-entry manifest
+reader.
 
 Kept as bitwise references: each runs one matrix-vector product per batch
 entry or source row, the arithmetic the array paths must reproduce to the
 last bit; the payload is the text the ``hitpro mine`` writer must reproduce
-byte for byte.
+byte for byte, and the manifest reader the entries and error texts that
+``read_manifest``'s columns must reproduce.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
-from hitpro.datamodel import Dataset, Modality, PositiveKind, Prototype, PrototypeStore, Tracklet
+from hitpro.datamodel import (
+    Dataset, DatasetError, ManifestEntry, Modality, PositiveKind, Prototype, PrototypeStore,
+    Tracklet,
+)
 from hitpro.encoder import encode, encode_backward, encoder_init, select_frames
 from hitpro.evaluator import dataset_labels, mining_quality
 from hitpro.mining import MiningRow, build_mining_report, rho_schedule, soft_weights
@@ -364,3 +372,71 @@ def loop_ranking(sims, q_ids, g_ids, max_rank):
         ranks = np.nonzero(matches)[0] + 1
         aps.append(float(np.mean(rel_cum[ranks - 1] / ranks)))
     return cmc_hits / len(q_ids), float(np.mean(aps))
+
+
+def _loop_int(value, what, minimum=None):
+    """A JSON integer of the manifest, within ``minimum`` (else int64's
+    least value) and below 2**63."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DatasetError(f"{what} must be an integer, got {value!r}")
+    least = -2**63 if minimum is None else minimum
+    if value < least:
+        raise DatasetError(f"{what} must be at least {least}, got {value}")
+    if value >= 2**63:
+        raise DatasetError(f"{what} must be below 2**63, got {value}")
+    return value
+
+
+def loop_read_manifest(manifest_path):
+    """``(d_in, n_cameras_vis, n_cameras_ir, entries, payload)`` of a
+    manifest read one entry at a time: each entry's fields checked in turn
+    into one ``ManifestEntry``, the running ``offset`` summed in Python
+    ints, then ids and camera ranges entry by entry."""
+    manifest_path = Path(manifest_path)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DatasetError(f"malformed manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"manifest {manifest_path} is not a JSON object")
+    for key in ("d_in", "n_cameras_vis", "n_cameras_ir", "tracklets"):
+        if key not in manifest:
+            raise DatasetError(f"manifest missing required key {key!r}")
+    if not isinstance(manifest["tracklets"], list):
+        raise DatasetError("manifest 'tracklets' is not a list")
+    d_in = _loop_int(manifest["d_in"], "d_in", minimum=1)
+    n_cameras_vis = _loop_int(manifest["n_cameras_vis"], "n_cameras_vis", 0)
+    n_cameras_ir = _loop_int(manifest["n_cameras_ir"], "n_cameras_ir", 0)
+    entries = []
+    offset = 0
+    for i, entry in enumerate(manifest["tracklets"]):
+        try:
+            tid = entry["tracklet_id"]
+            if not isinstance(tid, str):
+                raise TypeError(f"tracklet_id must be a string, got {tid!r}")
+            n_frames = _loop_int(entry["n_frames"], f"entry {i} n_frames", minimum=1)
+            modality = Modality(entry["modality"])
+            camera_id = _loop_int(entry["camera_id"], f"entry {i} camera_id")
+            gt_identity = entry.get("gt_identity")
+            if gt_identity is not None:
+                gt_identity = _loop_int(gt_identity, f"entry {i} gt_identity", 0)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"manifest entry {i} is malformed: {exc!r}") from exc
+        entries.append(ManifestEntry(tid, modality, camera_id, n_frames, offset, gt_identity))
+        offset += n_frames
+    if offset >= 2**63:
+        raise DatasetError(f"manifest implies {offset} frames; frames.f32 "
+                           "cannot hold 2**63 or more")
+    seen = set()
+    for e in entries:
+        if e.tracklet_id in seen:
+            raise DatasetError(f"duplicate tracklet_id {e.tracklet_id!r}")
+        seen.add(e.tracklet_id)
+        n_cams = n_cameras_vis if e.modality is Modality.VIS else n_cameras_ir
+        if not (0 <= e.camera_id < n_cams):
+            raise DatasetError(
+                f"tracklet {e.tracklet_id}: camera_id {e.camera_id} out of range "
+                f"for {e.modality.value} ({n_cams} cameras)"
+            )
+    return (d_in, n_cameras_vis, n_cameras_ir, tuple(entries),
+            manifest_path.parent / "frames.f32")

@@ -11,7 +11,7 @@ import pytest
 
 import hitpro
 import hitpro.encoder as encoder_mod
-from hitpro import cli
+from hitpro import cli, datamodel
 from hitpro.cli import _numpy_to_list, _write_json, main
 from hitpro.datamodel import (
     TrainConfig, load_checkpoint, load_dataset, read_manifest,
@@ -321,6 +321,92 @@ def test_eval_dataset_without_labels_creates_no_out(zero_noise_run, tmp_path, ca
     assert main(["eval", "--config", cfg, "--data", str(unlabeled),
                  "--checkpoint", str(checkpoint), "--out", str(out)]) == 2
     assert "gt_identity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_builds_no_tracklet_manifest_entry_or_store(zero_noise_run, tmp_path, monkeypatch):
+    # eval goes from the manifest's columns and the payload's rows to
+    # matrices; the spies do see the object path of load_dataset and
+    # load_checkpoint
+    cfg, data, checkpoint = zero_noise_run
+    built = []
+
+    def spy(cls, method):
+        original = getattr(cls, method)
+
+        def recorded(self, *args, **kwargs):
+            built.append(cls.__name__)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, recorded)
+
+    spy(datamodel.Tracklet, "__post_init__")
+    spy(datamodel.Dataset, "__post_init__")
+    spy(datamodel.ManifestEntry, "__init__")
+    spy(datamodel.PrototypeStore, "_fill")  # both constructors fill the store
+    assert _eval(zero_noise_run, tmp_path / "e") == 0
+    assert built == []
+    load_dataset(data)
+    load_checkpoint(checkpoint)
+    assert {"Tracklet", "Dataset", "ManifestEntry", "PrototypeStore"} <= set(built)
+
+
+@pytest.mark.parametrize("label", [2**63, 2**63 + 1])
+def test_eval_rejects_a_label_of_2_63_or_more(zero_noise_run, tmp_path, capsys, label):
+    # they do not fit int64, and mixed with small ids in one numpy array
+    # 2**63 and 2**63 + 1 round to one float64 identity
+    cfg, data, checkpoint = zero_noise_run
+    bad, out = tmp_path / "bad", tmp_path / "e"
+    bad.mkdir()
+    manifest = json.loads((data / "manifest.json").read_text())
+    first = next(i for i, e in enumerate(manifest["tracklets"]) if e["gt_identity"] == 0)
+    for entry in manifest["tracklets"]:
+        if entry["gt_identity"] == 0:
+            entry["gt_identity"] = label + (entry["modality"] == "IR")
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    (bad / "frames.f32").write_bytes((data / "frames.f32").read_bytes())
+    assert main(["eval", "--config", cfg, "--data", str(bad), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 2
+    assert f"error: entry {first} gt_identity must be below 2**63" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _damaged_checkpoint(checkpoint, out, section=None, row=None, value=None, mutate=None):
+    """A copy of ``checkpoint`` with every float of row ``row`` of
+    ``section`` set to ``value``, or with ``mutate(header)`` applied."""
+    raw = bytearray(checkpoint.read_bytes())
+    (header_len,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4 : 4 + header_len])
+    if mutate is not None:
+        mutate(header)
+        new_header = json.dumps(header, sort_keys=True).encode()
+        raw = struct.pack("<I", len(new_header)) + new_header + raw[4 + header_len :]
+    else:
+        [sec] = [s for s in header["sections"] if s["name"] == section]
+        width = sec["shape"][1]
+        at = 4 + header_len + sec["offset"] + 4 * width * row
+        raw[at : at + 4 * width] = np.full(width, value, dtype="<f4").tobytes()
+    out.write_bytes(bytes(raw))
+    return out
+
+
+def _id_in_two_groups(header):
+    groups = header["store_groups"]
+    groups[1]["tracklet_ids"][0] = groups[0]["tracklet_ids"][0]
+
+
+@pytest.mark.parametrize("damage, named", [
+    (dict(section="store.VIS.1", row=2, value=0.0), "section 'store.VIS.1' row 2 has zero norm"),
+    (dict(section="store.IR.0", row=0, value=np.nan), "section 'store.IR.0' holds non-finite"),
+    (dict(mutate=_id_in_two_groups), "duplicate prototype for tracklet vis_c0_i0000_r0"),
+], ids=["zero_norm_row", "nan", "id_in_two_groups"])
+def test_eval_refuses_a_damaged_checkpoint_store(zero_noise_run, tmp_path, capsys, damage, named):
+    # eval builds no store, but still checks every store section
+    cfg, data, checkpoint = zero_noise_run
+    bad, out = _damaged_checkpoint(checkpoint, tmp_path / "bad.hpt", **damage), tmp_path / "e"
+    assert main(["eval", "--config", cfg, "--data", str(data), "--checkpoint", str(bad),
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

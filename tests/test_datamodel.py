@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hitpro.datamodel import (
@@ -20,6 +20,8 @@ from hitpro.datamodel import (
     Tracklet,
     load_checkpoint,
     load_dataset,
+    load_encoder,
+    read_frames,
     read_manifest,
     save_checkpoint,
     save_dataset,
@@ -29,6 +31,7 @@ from hitpro.evaluator import dataset_labels
 from hitpro.synthgen import GenConfig
 
 from conftest import assert_same_store
+from reference_loops import loop_read_manifest
 
 
 def make_tracklet(tid="t0", modality=Modality.VIS, cam=0, n_frames=4, d_in=3, gt=None, seed=0):
@@ -900,3 +903,172 @@ def test_damaged_checkpoint_loads_or_raises_checkpoint_error(
         load_checkpoint(path)
     except CheckpointError:
         pass
+
+
+# the int64 bound of every manifest integer, and its neighbours
+HUGE = [2**63 - 1, 2**63, 2**63 + 1, 2**64, -2**63, -2**63 - 1]
+
+
+@pytest.mark.parametrize("field", ["n_frames", "camera_id", "gt_identity"])
+@pytest.mark.parametrize("value", [2**63, 2**63 + 1, 2**64])
+def test_manifest_entry_integer_of_2_63_or_more_rejected(tmp_path, field, value):
+    data = _manifest_with(tmp_path, lambda e: e.update({field: value}))
+    with pytest.raises(DatasetError, match=rf"^entry 0 {field} must be below 2\*\*63, got {value}$"):
+        read_manifest(data)
+
+
+@pytest.mark.parametrize("key", ["d_in", "n_cameras_vis", "n_cameras_ir"])
+def test_manifest_header_integer_of_2_63_or_more_rejected(tmp_path, key):
+    data = _manifest_with(tmp_path, lambda e: None)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest[key] = 2**63
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=rf"^{key} must be below 2\*\*63, got {2**63}$"):
+        read_manifest(data)
+
+
+def test_manifest_camera_below_int64_rejected(tmp_path):
+    data = _manifest_with(tmp_path, lambda e: e.update(camera_id=-2**63 - 1))
+    with pytest.raises(DatasetError, match=f"entry 0 camera_id must be at least {-2**63}"):
+        read_manifest(data)
+    data = _manifest_with(tmp_path, lambda e: e.update(camera_id=-2**63))
+    with pytest.raises(DatasetError, match=f"camera_id {-2**63} out of range"):
+        read_manifest(data)
+
+
+def test_manifest_total_frames_past_int64_rejected_not_wrapped(tmp_path):
+    # each count fits int64, their sum does not: an int64 running sum would
+    # wrap to a small offset
+    ds = make_dataset(n=4)
+    save_dataset(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for entry, n in zip(manifest["tracklets"], (2**62, 2**62, 2**62, 4)):
+        entry["n_frames"] = n
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    total = 3 * 2**62 + 4
+    for read in (read_manifest, load_dataset):
+        with pytest.raises(DatasetError, match=f"manifest implies {total} frames; frames.f32"):
+            read(tmp_path)
+
+
+def test_manifest_columns_are_int64_and_entries_yield_python_values(tmp_path):
+    ds = Dataset(d_in=3, n_cameras_vis=2, n_cameras_ir=2, tracklets=(
+        make_tracklet("a", Modality.IR, 1, 2, gt=2**63 - 1),
+        make_tracklet("b", Modality.VIS, 0, 3),
+    ))
+    save_dataset(ds, tmp_path)
+    manifest = read_manifest(tmp_path)
+    assert manifest.tracklet_ids == ("a", "b")
+    assert manifest.is_vis.tolist() == [False, True]
+    for column, values in ((manifest.camera_id, [1, 0]), (manifest.n_frames, [2, 3]),
+                           (manifest.offset, [0, 2]), (manifest.gt_identity, [2**63 - 1, -1])):
+        assert column.dtype == np.int64 and column.tolist() == values
+        assert not column.flags.writeable
+    assert not manifest.has_labels
+    assert [type(v) for e in manifest.tracklets
+            for v in (e.camera_id, e.n_frames, e.offset)] == [int] * 6
+    assert [e.gt_identity for e in manifest.tracklets] == [2**63 - 1, None]
+
+
+def test_read_frames_is_the_payload_as_one_read_only_matrix(tmp_path):
+    ds = make_dataset(n=3)
+    save_dataset(ds, tmp_path)
+    rows = read_frames(read_manifest(tmp_path))
+    assert rows.dtype == np.dtype("<f4") and not rows.flags.writeable
+    np.testing.assert_array_equal(rows, np.concatenate([t.frames for t in ds.tracklets]))
+
+
+# values a damaged manifest field may take: wrong types, nulls, huge ints,
+# valid and invalid strings, and a repeat of another entry's id
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 1.5, 2.0, "x", "VIS", "IR", "UV", "t1", "t2",
+                     [], [1], {}, {"a": 1}]),
+    st.sampled_from(HUGE + [2**62]),
+    st.integers(-3, 6),
+)
+_MANIFEST_DAMAGE = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 3),
+              st.sampled_from(["tracklet_id", "modality", "camera_id", "n_frames",
+                               "gt_identity"]), _FIELD_VALUES),
+    st.tuples(st.just("drop"), st.integers(0, 3),
+              st.sampled_from(["tracklet_id", "modality", "camera_id", "n_frames",
+                               "gt_identity"]), st.just(None)),
+    st.tuples(st.just("entry"), st.integers(0, 3), st.just(None),
+              st.sampled_from([None, 5, "t0", [], ["tracklet_id"], 2**63])),
+    st.tuples(st.just("header"), st.just(0),
+              st.sampled_from(["d_in", "n_cameras_vis", "n_cameras_ir"]), _FIELD_VALUES),
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_manifest(tmp_path_factory):
+    data = tmp_path_factory.mktemp("manifest_oracle")
+    save_dataset(make_dataset(), data)
+    return data, json.loads((data / "manifest.json").read_text())
+
+
+@settings(max_examples=400, deadline=None)
+@given(damages=st.lists(_MANIFEST_DAMAGE, min_size=1, max_size=4))
+@example(damages=[("set", 1, "camera_id", "x"), ("set", 1, "modality", "UV")])
+@example(damages=[("set", 3, "gt_identity", -1), ("set", 1, "tracklet_id", 5)])
+@example(damages=[("set", 0, "n_frames", 2**62), ("set", 2, "n_frames", 2**62)])
+@example(damages=[("set", 2, "tracklet_id", "t1"), ("set", 3, "camera_id", 9)])
+def test_columnar_manifest_reader_equals_the_entry_loop(oracle_manifest, damages):
+    # the same entries, or the same DatasetError text: with two bad entries,
+    # both name the lower one
+    data, intact = oracle_manifest
+    manifest = json.loads(json.dumps(intact))
+    for how, index, key, value in damages:
+        if how == "set":
+            manifest["tracklets"][index][key] = value
+        elif how == "drop":
+            manifest["tracklets"][index].pop(key, None)
+        elif how == "entry":
+            manifest["tracklets"][index] = value
+            break  # later damages would index into a non-object
+        else:
+            manifest[key] = value
+    path = data / "damaged.json"
+    path.write_text(json.dumps(manifest))
+    outcomes = []
+    for read in (read_manifest, loop_read_manifest):
+        try:
+            result = read(path)
+        except DatasetError as exc:
+            outcomes.append(("error", str(exc)))
+        else:
+            if read is read_manifest:
+                result = (result.d_in, result.n_cameras_vis, result.n_cameras_ir,
+                          result.tracklets, result.payload)
+            outcomes.append(("manifest", result))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_load_encoder_is_load_checkpoints_params(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    params, _, _ = load_checkpoint(path)
+    encoder = load_encoder(path)
+    assert encoder.dims() == params.dims()
+    for (name, a), (other, b) in zip(encoder.named_arrays(), params.named_arrays()):
+        assert name == other
+        np.testing.assert_array_equal(a, b)
+
+
+def _repeat_first_id_in_second_group(header):
+    groups = header["store_groups"]
+    groups[1]["tracklet_ids"][0] = groups[0]["tracklet_ids"][0]
+
+
+def _list_first_group_twice(header):
+    header["store_groups"].append(dict(header["store_groups"][0]))
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (_repeat_first_id_in_second_group, "duplicate prototype for tracklet VIS_0_0"),
+    (_list_first_group_twice, "store group of section 'store.VIS.0' is listed twice"),
+], ids=["id_in_two_groups", "group_listed_twice"])
+def test_checkpoint_store_groups_checked_without_building_the_store(tmp_path, mutate, match):
+    bad = _rewrite_header(_saved_checkpoint(tmp_path), tmp_path / "bad.hpt", mutate)
+    for load in (load_checkpoint, load_encoder):
+        with pytest.raises(CheckpointError, match=match):
+            load(bad)

@@ -345,3 +345,32 @@ def test_distance_distribution_matches_enumerated_pairs_across_blocks():
     n = evaluator._ROW_BLOCK + 44  # one full block of the default size, then a short one
     labels = rng.integers(0, 40, size=n)
     _assert_matches_pair_loop([rng.normal(size=6) for _ in labels], labels.tolist())
+
+
+def test_retrieval_ids_of_2_63_or_more_are_refused_not_merged():
+    # np.array([2**63, 0]) is float64, where 2**63 and 2**63 + 1 are one
+    # value: the query below had rank-1 1.0 with no true match in the gallery
+    e0, e1, e2 = unit([1.0, 0.0]), unit([0.9, 0.1]), unit([0.0, 1.0])
+    with pytest.raises(ValueError, match="^query identities must be integers within int64$"):
+        evaluate_retrieval([(e0, 2**63 + 1)], [(e1, 2**63), (e2, 0)])
+    with pytest.raises(ValueError, match="^gallery identities must be integers within int64$"):
+        evaluate_retrieval([(e0, 0)], [(e1, 2**63), (e2, 0)])
+    for bad in (1.5, "1", None):
+        with pytest.raises(ValueError, match="query identities must be integers"):
+            evaluate_retrieval([(e0, bad)], [(e1, 1)])
+    res = evaluate_retrieval([(e0, 2**63 - 1)], [(e2, -2**63), (e1, 2**63 - 1)], max_rank=2)
+    assert res.cmc.tolist() == [1.0, 1.0]
+
+
+def test_retrieval_metrics_on_matrices_is_evaluate_retrieval():
+    rng = np.random.default_rng(5)
+    q_mat, g_mat = rng.normal(size=(7, 4)), rng.normal(size=(11, 4))
+    q_ids, g_ids = rng.integers(0, 3, size=7), np.arange(11) % 3
+    kept = q_mat.copy(), g_mat.copy()
+    a = evaluator.retrieval_metrics(q_mat, q_ids, g_mat, g_ids, max_rank=6)
+    b = evaluate_retrieval(list(zip(q_mat, q_ids.tolist())), list(zip(g_mat, g_ids.tolist())),
+                           max_rank=6)
+    assert a.cmc.tobytes() == b.cmc.tobytes() and a.mean_ap == b.mean_ap
+    assert (a.n_query, a.n_gallery) == (7, 11)
+    # the caller's matrices are not scaled in place
+    assert q_mat.tobytes() == kept[0].tobytes() and g_mat.tobytes() == kept[1].tobytes()

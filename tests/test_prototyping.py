@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hitpro.datamodel import (
     Dataset, Modality, Prototype, PrototypeStore, TrainConfig, Tracklet, load_dataset,
-    save_dataset,
+    read_frames, read_manifest, save_dataset,
 )
 import hitpro.encoder as encoder_mod
 from hitpro import prototyping
@@ -16,7 +16,9 @@ from hitpro.numerics import l2_normalize
 from hitpro.prototyping import (
     build_prototypes,
     embed_tracklets,
+    frame_table,
     partition_tracklet,
+    table_of_rows,
     tracklet_embedding,
 )
 
@@ -292,3 +294,15 @@ def test_zero_mean_embedding_raises(monkeypatch):
     monkeypatch.setattr(prototyping, "encode_table", opposite_encode_table)
     with pytest.raises(ValueError, match="zero vector"):
         embed_tracklets(params_for(cfg), [t], cfg)
+
+
+def test_table_of_rows_on_the_payload_is_frame_table(tmp_path):
+    # eval gathers straight from frames.f32; training from its tracklets
+    ds, cfg = make_dataset(), small_cfg(n_subtracklets=3, seq_len=4)
+    save_dataset(ds, tmp_path)
+    manifest = read_manifest(tmp_path)
+    direct = table_of_rows(read_frames(manifest), manifest.n_frames, cfg)
+    table = frame_table(load_dataset(tmp_path).tracklets, cfg)
+    for name in ("frames", "starts", "k_eff"):
+        assert getattr(direct, name).dtype == getattr(table, name).dtype
+        assert getattr(direct, name).tobytes() == getattr(table, name).tobytes()

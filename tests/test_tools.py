@@ -1,4 +1,5 @@
-"""The claim rule of ``tools/bench_pairs.py``: ``summarize`` on hand-built pairs."""
+"""The claim rule of ``tools/bench_pairs.py``: ``summarize`` on hand-built
+pairs; and the path normalization of ``tools/cmp_artifacts.py``."""
 
 import importlib.util
 import math
@@ -6,10 +7,18 @@ from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _tool("bench_pairs")
+cmp_artifacts = _tool("cmp_artifacts")
 
 
 def _pairs(name, parent, change, failed=((0, 0),) * 4):
@@ -75,3 +84,38 @@ def test_every_metric_gets_its_own_entry():
                                       {"name": "b", "better": "higher"}])
     assert set(s) == {"a", "b", "failed"}
     assert s["b"]["ties"] == 4 and s["b"]["change_wins"] == 0 and s["b"]["parent_iqr"] == 1.5
+
+
+def _side(root, config_text, stdout_text, payload=b"\x00\x01"):
+    """One side's ``report`` outputs under ``root``, naming paths under it."""
+    report = root / "wide" / "report"
+    report.mkdir(parents=True)
+    (report / "effective_config.json").write_text(config_text.format(root=root))
+    (report / cmp_artifacts.STDOUT).write_text(stdout_text.format(root=root))
+    (report / "embeddings.f32").write_bytes(payload)
+    return root
+
+
+def test_cmp_artifacts_replaces_each_sides_output_root(tmp_path):
+    config = '{{\n  "data": "{root}/wide/data",\n  "out": "{root}/wide/report",\n  "seed": 0\n}}\n'
+    stdout = "wrote mining report for epoch 2 to {root}/wide/mine/mining_report.json\n"
+    sides = [_side(tmp_path / f"out{i}", config, stdout) for i in range(2)]
+    for file in ("effective_config.json", cmp_artifacts.STDOUT, "embeddings.f32"):
+        a, b = (cmp_artifacts.artifact(root, "wide", "report", file) for root in sides)
+        assert a == b
+    text = cmp_artifacts.artifact(sides[0], "wide", "report", "effective_config.json")
+    assert b'"out": "<out>/wide/report"' in text and str(tmp_path).encode() not in text
+    assert cmp_artifacts.normalized(b"<- " + str(sides[1]).encode() + b"/x", sides[1]) == (
+        b"<- <out>/x")
+
+
+def test_cmp_artifacts_still_sees_a_changed_value_or_payload(tmp_path):
+    a = _side(tmp_path / "out0", '{{"seed": 0, "out": "{root}"}}', "rank1=0.5000\n")
+    b = _side(tmp_path / "out1", '{{"seed": 1, "out": "{root}"}}', "rank1=0.5001\n", b"\x00\x02")
+    for file in ("effective_config.json", cmp_artifacts.STDOUT, "embeddings.f32"):
+        assert (cmp_artifacts.artifact(a, "wide", "report", file)
+                != cmp_artifacts.artifact(b, "wide", "report", file))
+    # binary artifacts are compared as written: never normalized
+    assert "embeddings.f32" not in cmp_artifacts.NAMES_PATHS
+    assert all(cmp_artifacts.STDOUT in files and "effective_config.json" in files
+               for files in cmp_artifacts.ARTIFACTS.values())

@@ -7,7 +7,9 @@ Usage: python tools/cmp_artifacts.py [REV]   (REV defaults to HEAD)
 directory. Under each ``src/``, with one BLAS thread, ``gen``, ``train``,
 ``eval`` and ``mine`` run on ``configs/zero_noise.json``,
 ``configs/noisy_benchmark.json`` and the ``perfbench/workloads.py`` configs
-at seed 0. Prints one line per artifact and exits 1 if any differs.
+at seed 0. Besides each verb's files, its ``effective_config.json`` and the
+line it prints are compared, with the side's output root in them replaced
+by ``<out>``. Prints one line per artifact and exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -22,12 +24,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# per verb: its output directory and the files compared there; STDOUT is
+# the line the verb printed
+STDOUT = "stdout.txt"
 ARTIFACTS = {
-    "data": ("manifest.json", "frames.f32"),
-    "run": ("checkpoint.hpt", "metrics.json"),
-    "report": ("report.json", "embeddings.f32"),
-    "mine": ("mining_report.json",),
+    "data": ("manifest.json", "frames.f32", "effective_config.json", STDOUT),
+    "run": ("checkpoint.hpt", "metrics.json", "effective_config.json", STDOUT),
+    "report": ("report.json", "embeddings.f32", "effective_config.json", STDOUT),
+    "mine": ("mining_report.json", "effective_config.json", STDOUT),
 }
+# the files that name paths under the side's output root
+NAMES_PATHS = ("effective_config.json", STDOUT)
 # run hitpro's CLI from the src/ directory given as the first argument
 CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); from hitpro.cli import main; "
          "sys.exit(main(sys.argv[2:]))")
@@ -48,16 +55,31 @@ def configs(out: Path) -> dict[str, Path]:
 
 
 def run_all(src: Path, config: Path, out: Path) -> None:
-    """``gen``, ``train``, ``eval`` and ``mine`` on ``config`` into ``out``."""
+    """``gen``, ``train``, ``eval`` and ``mine`` on ``config`` into ``out``,
+    each verb's stdout kept as ``STDOUT`` in its output directory."""
     data, run = out / "data", out / "run"
     common = ["--config", str(config), "--data", str(data)]
     checkpoint = ["--checkpoint", str(run / "checkpoint.hpt")]
-    for argv in (["gen", "--config", str(config), "--out", str(data)],
-                 ["train", *common, "--out", str(run)],
-                 ["eval", *common, *checkpoint, "--out", str(out / "report")],
-                 ["mine", *common, *checkpoint, "--out", str(out / "mine")]):
-        subprocess.run([sys.executable, "-c", CHILD, str(src), *argv], env=ENV, check=True,
-                       stdout=subprocess.DEVNULL)
+    for sub, argv in (("data", ["gen", "--config", str(config), "--out", str(data)]),
+                      ("run", ["train", *common, "--out", str(run)]),
+                      ("report", ["eval", *common, *checkpoint, "--out", str(out / "report")]),
+                      ("mine", ["mine", *common, *checkpoint, "--out", str(out / "mine")])):
+        proc = subprocess.run([sys.executable, "-c", CHILD, str(src), *argv], env=ENV,
+                              check=True, stdout=subprocess.PIPE)
+        (out / sub / STDOUT).write_bytes(proc.stdout)
+
+
+def normalized(data: bytes, root: Path) -> bytes:
+    """``data`` with every occurrence of the output root ``root`` replaced
+    by ``<out>``, so the two sides' files can be compared byte for byte."""
+    return data.replace(str(root).encode(), b"<out>")
+
+
+def artifact(root: Path, name: str, sub: str, file: str) -> bytes:
+    """The bytes of one artifact under the side's output root, normalized
+    if the file names paths."""
+    data = (root / name / sub / file).read_bytes()
+    return normalized(data, root) if file in NAMES_PATHS else data
 
 
 def main(argv: list[str]) -> int:
@@ -75,8 +97,8 @@ def main(argv: list[str]) -> int:
                 run_all(src, config, tmp / f"out{i}" / name)
             for sub, files in ARTIFACTS.items():
                 for file in files:
-                    a, b = (tmp / f"out{i}" / name / sub / file for i in range(2))
-                    same = a.read_bytes() == b.read_bytes()
+                    a, b = (artifact(tmp / f"out{i}", name, sub, file) for i in range(2))
+                    same = a == b
                     differ |= not same
                     print(f"{'identical' if same else 'DIFFERS  '}  {name}/{sub}/{file}")
     return 1 if differ else 0
