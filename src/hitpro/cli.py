@@ -27,7 +27,6 @@ from .datamodel import (
     load_checkpoint,
     load_dataset,
     load_encoder,
-    read_frames,
     read_manifest,
     save_checkpoint,
     save_dataset,
@@ -204,7 +203,7 @@ def _cmd_gen(args) -> int:
     dataset = generate_dataset(gen_cfg)
     save_dataset(dataset, out)
     _write_effective_config(out, "gen", gen_cfg, train_cfg, args)
-    print(f"wrote {len(dataset.tracklets)} tracklets to {out}")
+    print(f"wrote {len(dataset.tracklet_ids)} tracklets to {out}")
     return 0
 
 
@@ -249,25 +248,24 @@ def _cmd_eval(args) -> int:
     gen_cfg, cfg = _resolve_configs(args)
     # columns from disk to matrices: no Tracklet, no PrototypeStore
     params = load_encoder(args.checkpoint)
-    manifest = read_manifest(args.data)
-    rows = read_frames(manifest)
-    for key, value in (("seq_len", cfg.seq_len), ("d_in", manifest.d_in)):
+    dataset = load_dataset(args.data)
+    for key, value in (("seq_len", cfg.seq_len), ("d_in", dataset.d_in)):
         if value != getattr(params, key):
             raise ValueError(f"{key} must be {getattr(params, key)}, the checkpoint's, got {value}")
-    vectors = embed_table(params, table_of_rows(rows, manifest.n_frames, cfg))
-    results = evaluate_embeddings(manifest, vectors, max_rank=args.max_rank)
+    vectors = embed_table(params, table_of_rows(dataset.frames, dataset.n_frames, cfg))
+    results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
     # the layout of the dataset's frames.f32: little-endian float32, here
     # one row per tracklet in dataset order
     matrix = vectors.astype("<f4")
     payload = {
         "ir_to_vis": results["IR->VIS"].to_json(),
         "vis_to_ir": results["VIS->IR"].to_json(),
-        "distance_distribution": distance_distribution(vectors, manifest.gt_identity),
+        "distance_distribution": distance_distribution(vectors, dataset.gt_identity),
         "embeddings": {
             "file": EMBEDDINGS_FILE,
             "dtype": "<f4",
             "shape": list(matrix.shape),
-            "tracklet_ids": list(manifest.tracklet_ids),
+            "tracklet_ids": list(dataset.tracklet_ids),
         },
     }
     out = Path(args.out)

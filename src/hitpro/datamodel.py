@@ -15,7 +15,7 @@ On-disk formats:
   little-endian float32, row-major, back to back in manifest order; a
   tracklet's first row is the sum of ``n_frames`` before it, and the file
   size is exactly ``4 * d_in * sum(n_frames)`` bytes. It is read in one
-  piece, and each loaded tracklet's frames are a read-only view of it.
+  piece, and a loaded :class:`Dataset` holds it as one read-only matrix.
 * ``checkpoint.hpt``: 4-byte little-endian header length, UTF-8 JSON header,
   then concatenated float32 blobs addressed by named sections.
 
@@ -59,7 +59,8 @@ class Modality(enum.Enum):
 
 @dataclass(frozen=True)
 class Tracklet:
-    """A camera/modality-tagged sequence of frame feature vectors.
+    """A camera/modality-tagged sequence of frame feature vectors, as
+    :class:`Dataset` takes and hands them out.
 
     ``gt_identity`` is evaluation-only ground truth; the training path never
     reads it (asserted by the label-blindness test).
@@ -76,8 +77,6 @@ class Tracklet:
             raise DatasetError(
                 f"tracklet {self.tracklet_id}: frames must be a non-empty 2-D matrix"
             )
-        if self.gt_identity is not None and self.gt_identity < 0:
-            raise DatasetError(f"tracklet {self.tracklet_id}: negative gt_identity")
 
     @property
     def n_frames(self) -> int:
@@ -379,79 +378,7 @@ def _check_ids_and_cameras(ids, is_vis, cameras, n_cameras_vis: int, n_cameras_i
         )
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable collection of tracklets plus manifest header values."""
-
-    d_in: int
-    n_cameras_vis: int
-    n_cameras_ir: int
-    tracklets: tuple[Tracklet, ...]
-
-    def __post_init__(self):
-        ids = [t.tracklet_id for t in self.tracklets]
-        _check_ids_and_cameras(
-            ids, np.array([t.modality is Modality.VIS for t in self.tracklets], dtype=bool),
-            np.array([t.camera_id for t in self.tracklets], dtype=np.int64),
-            self.n_cameras_vis, self.n_cameras_ir,
-        )
-        groups: dict[tuple[Modality, int], list[Tracklet]] = {}
-        for t in self.tracklets:
-            if t.frames.shape[1] != self.d_in:
-                raise DatasetError(
-                    f"tracklet {t.tracklet_id}: feature dim {t.frames.shape[1]} != d_in {self.d_in}"
-                )
-            groups.setdefault((t.modality, t.camera_id), []).append(t)
-        object.__setattr__(self, "_by_id", dict(zip(ids, self.tracklets)))
-        object.__setattr__(self, "_groups", groups)
-
-    def n_cameras(self, modality: Modality) -> int:
-        return self.n_cameras_vis if modality is Modality.VIS else self.n_cameras_ir
-
-    def by_modality(self, modality: Modality) -> list[Tracklet]:
-        return [t for t in self.tracklets if t.modality is modality]
-
-    def group(self, modality: Modality, camera_id: int) -> list[Tracklet]:
-        """The camera's tracklets in dataset order."""
-        return list(self._groups.get((modality, camera_id), ()))
-
-    def get(self, tracklet_id: str) -> Tracklet:
-        return self._by_id[tracklet_id]
-
-    @property
-    def has_labels(self) -> bool:
-        return all(t.gt_identity is not None for t in self.tracklets)
-
-
 PAYLOAD_FILE = "frames.f32"
-
-
-def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write manifest.json plus the frames.f32 payload; returns manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    with open(out / PAYLOAD_FILE, "wb") as fh:
-        for t in dataset.tracklets:
-            fh.write(np.ascontiguousarray(t.frames, dtype="<f4"))
-            entry = {
-                "tracklet_id": t.tracklet_id,
-                "modality": t.modality.value,
-                "camera_id": t.camera_id,
-                "n_frames": t.n_frames,
-            }
-            if t.gt_identity is not None:
-                entry["gt_identity"] = t.gt_identity
-            entries.append(entry)
-    manifest = {
-        "d_in": dataset.d_in,
-        "n_cameras_vis": dataset.n_cameras_vis,
-        "n_cameras_ir": dataset.n_cameras_ir,
-        "tracklets": entries,
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return manifest_path
 
 
 def _json_int(value, what: str, error: type[Exception], minimum: Optional[int] = None) -> int:
@@ -482,10 +409,11 @@ class ManifestEntry:
 
 @dataclass(frozen=True, eq=False)  # array fields: no field-wise ==
 class Manifest:
-    """A parsed and validated ``manifest.json``: the header values, the
-    entries as columns in file order, and the path of ``frames.f32``, which
-    has not been read. Entry ``i`` is ``tracklet_ids[i]`` and row ``i`` of
-    each column; ``gt_identity`` is -1 where the entry has no label."""
+    """A dataset's ``manifest.json``: the header values, the entries as
+    read-only columns in file order, and the path of ``frames.f32``, which
+    has not been read (None for a dataset built in process). Entry ``i`` is
+    ``tracklet_ids[i]`` and row ``i`` of each column; ``gt_identity`` is -1
+    where the entry has no label; ``offset`` is derived from ``n_frames``."""
 
     d_in: int
     n_cameras_vis: int
@@ -494,24 +422,38 @@ class Manifest:
     is_vis: np.ndarray  # (n,) bool: VIS, else IR
     camera_id: np.ndarray  # (n,) int64
     n_frames: np.ndarray  # (n,) int64
-    offset: np.ndarray  # (n,) int64
+    offset: np.ndarray = field(init=False)  # (n,) int64
     gt_identity: np.ndarray  # (n,) int64
-    payload: Path
+    payload: Optional[Path]
+
+    def __post_init__(self):
+        object.__setattr__(self, "offset", np.cumsum(self.n_frames) - self.n_frames)
+        for column in (self.is_vis, self.camera_id, self.n_frames, self.offset, self.gt_identity):
+            column.flags.writeable = False
+
+    @property
+    def modalities(self) -> list[Modality]:
+        """Each entry's modality, in entry order."""
+        return [Modality.VIS if vis else Modality.IR for vis in self.is_vis.tolist()]
+
+    def _entries(self):
+        """Each entry's ``(tracklet_id, modality, camera_id, n_frames,
+        offset, gt_identity)`` as Python values, ``None`` for no label."""
+        return zip(self.tracklet_ids, self.modalities, self.camera_id.tolist(),
+                   self.n_frames.tolist(), self.offset.tolist(),
+                   [None if gt < 0 else gt for gt in self.gt_identity.tolist()])
 
     @property
     def tracklets(self) -> tuple[ManifestEntry, ...]:
         """One :class:`ManifestEntry` per entry, in file order."""
-        return tuple(
-            ManifestEntry(tid, Modality.VIS if vis else Modality.IR, cam, n, offset,
-                          None if gt < 0 else gt)
-            for tid, vis, cam, n, offset, gt in zip(
-                self.tracklet_ids, self.is_vis.tolist(), self.camera_id.tolist(),
-                self.n_frames.tolist(), self.offset.tolist(), self.gt_identity.tolist())
-        )
+        return tuple(ManifestEntry(*entry) for entry in self._entries())
 
     @property
     def has_labels(self) -> bool:
         return bool((self.gt_identity >= 0).all())
+
+    def n_cameras(self, modality: Modality) -> int:
+        return self.n_cameras_vis if modality is Modality.VIS else self.n_cameras_ir
 
 
 # an entry's fields in the order they are checked, each with the test of
@@ -543,29 +485,16 @@ def _field_error(entry, i: int, key: str) -> DatasetError:
         return exc
 
 
-def read_manifest(manifest_path: str | Path) -> Manifest:
-    """Parse a dataset's manifest (its directory or ``manifest.json``) and
-    validate its encoding, types, counts, ids and camera ranges.
+def _checked_manifest(manifest: dict, payload: Optional[Path]) -> Manifest:
+    """The :class:`Manifest` of a manifest's header counts and ``tracklets``
+    list, each value as ``manifest.json`` holds it, after every check of
+    the format but the JSON document's own.
 
     The entries are checked as columns, one per field. A bad entry raises
     the :class:`DatasetError` of its first bad field, for the first bad
-    entry in file order; repeated ids and camera ranges are checked after
-    every entry's fields.
+    entry in order; repeated ids and camera ranges are checked after every
+    entry's fields.
     """
-    manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DatasetError(f"malformed manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DatasetError(f"manifest {manifest_path} is not a JSON object")
-    for key in ("d_in", "n_cameras_vis", "n_cameras_ir", "tracklets"):
-        if key not in manifest:
-            raise DatasetError(f"manifest missing required key {key!r}")
-    if not isinstance(manifest["tracklets"], list):
-        raise DatasetError("manifest 'tracklets' is not a list")
     d_in = _json_int(manifest["d_in"], "d_in", DatasetError, minimum=1)
     n_cameras_vis = _json_int(manifest["n_cameras_vis"], "n_cameras_vis", DatasetError, 0)
     n_cameras_ir = _json_int(manifest["n_cameras_ir"], "n_cameras_ir", DatasetError, 0)
@@ -588,11 +517,120 @@ def read_manifest(manifest_path: str | Path) -> Manifest:
     gt_identity = np.array([-1 if v is None else v for v in columns["gt_identity"]],
                            dtype=np.int64)
     _check_ids_and_cameras(ids, is_vis, camera_id, n_cameras_vis, n_cameras_ir)
-    arrays = (is_vis, camera_id, n_frames, np.cumsum(n_frames) - n_frames, gt_identity)
-    for array in arrays:
-        array.flags.writeable = False
-    return Manifest(d_in, n_cameras_vis, n_cameras_ir, ids, *arrays,
-                    manifest_path.parent / PAYLOAD_FILE)
+    return Manifest(d_in, n_cameras_vis, n_cameras_ir, ids, is_vis, camera_id, n_frames,
+                    gt_identity, payload)
+
+
+def _check_finite(rows: np.ndarray) -> None:
+    """A NaN or infinite frame value raises :class:`DatasetError` naming its row."""
+    if not np.isfinite(rows).all():
+        row = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+        raise DatasetError(f"payload {PAYLOAD_FILE} holds a non-finite value in frame row {row}")
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Dataset(Manifest):
+    """The :class:`Manifest` columns plus ``frames``: every entry's frame
+    rows back to back, as ``frames.f32`` holds them (entry ``i`` owns rows
+    ``offset[i] : offset[i] + n_frames[i]``).
+
+    ``Dataset(d_in=, n_cameras_vis=, n_cameras_ir=, tracklets=)`` holds
+    :class:`Tracklet` objects to what their files would hold: the manifest
+    values pass :func:`read_manifest`'s checks, and the frames, as float32,
+    have ``d_in`` columns and are finite. ``tracklets``, ``group``, ``get``
+    and ``by_modality`` build :class:`Tracklet` views of ``frames``.
+    """
+
+    frames: np.ndarray  # (sum(n_frames), d_in) float32, read-only
+
+    def __init__(self, d_in: int, n_cameras_vis: int, n_cameras_ir: int, tracklets):
+        tracklets = tuple(tracklets)
+        manifest = _checked_manifest({
+            "d_in": d_in, "n_cameras_vis": n_cameras_vis, "n_cameras_ir": n_cameras_ir,
+            "tracklets": [{"tracklet_id": t.tracklet_id, "modality": t.modality.value,
+                           "camera_id": t.camera_id, "n_frames": t.n_frames,
+                           "gt_identity": t.gt_identity} for t in tracklets],
+        }, None)
+        for t in tracklets:
+            if t.frames.shape[1] != d_in:
+                raise DatasetError(
+                    f"tracklet {t.tracklet_id}: feature dim {t.frames.shape[1]} != d_in {d_in}"
+                )
+        with np.errstate(over="ignore"):  # beyond float32 is inf, which fails below
+            frames = np.concatenate([t.frames for t in tracklets] or [np.empty((0, d_in))],
+                                    dtype="<f4")
+        _check_finite(frames)
+        frames.flags.writeable = False
+        self.__dict__.update(vars(manifest), frames=frames)
+
+    @classmethod
+    def from_manifest(cls, manifest: Manifest, frames: np.ndarray) -> "Dataset":
+        """The dataset of a checked manifest's columns and its read-only
+        float32 frame rows; checks nothing more."""
+        dataset = cls.__new__(cls)
+        dataset.__dict__.update(vars(manifest), frames=frames)
+        return dataset
+
+    def _views(self, keep) -> list[Tracklet]:
+        """A :class:`Tracklet` per entry that ``keep`` (one bool per entry)
+        holds, in dataset order; its frames are a read-only view of ``frames``."""
+        return [Tracklet(tid, modality, cam, self.frames[offset : offset + n], gt)
+                for (tid, modality, cam, n, offset, gt), kept in zip(self._entries(), keep)
+                if kept]
+
+    @property
+    def tracklets(self) -> tuple[Tracklet, ...]:
+        return tuple(self._views([True] * len(self.tracklet_ids)))
+
+    def by_modality(self, modality: Modality) -> list[Tracklet]:
+        return self._views((self.is_vis == (modality is Modality.VIS)).tolist())
+
+    def group(self, modality: Modality, camera_id: int) -> list[Tracklet]:
+        """The camera's tracklets in dataset order."""
+        keep = (self.is_vis == (modality is Modality.VIS)) & (self.camera_id == camera_id)
+        return self._views(keep.tolist())
+
+    def get(self, tracklet_id: str) -> Tracklet:
+        found = self._views([tid == tracklet_id for tid in self.tracklet_ids])
+        if not found:
+            raise KeyError(tracklet_id)
+        return found[0]
+
+
+def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
+    """Write manifest.json plus the frames.f32 payload; returns manifest path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    dataset.frames.tofile(out / PAYLOAD_FILE)
+    entries = [{"tracklet_id": tid, "modality": modality.value, "camera_id": cam, "n_frames": n,
+                **({} if gt is None else {"gt_identity": gt})}
+               for tid, modality, cam, n, _, gt in dataset._entries()]
+    manifest = {"d_in": dataset.d_in, "n_cameras_vis": dataset.n_cameras_vis,
+                "n_cameras_ir": dataset.n_cameras_ir, "tracklets": entries}
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    return manifest_path
+
+
+def read_manifest(manifest_path: str | Path) -> Manifest:
+    """Parse a dataset's manifest (its directory or ``manifest.json``) and
+    validate its encoding, types, counts, ids and camera ranges
+    (:func:`_checked_manifest`)."""
+    manifest_path = Path(manifest_path)
+    if manifest_path.is_dir():
+        manifest_path = manifest_path / "manifest.json"
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DatasetError(f"malformed manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"manifest {manifest_path} is not a JSON object")
+    for key in ("d_in", "n_cameras_vis", "n_cameras_ir", "tracklets"):
+        if key not in manifest:
+            raise DatasetError(f"manifest missing required key {key!r}")
+    if not isinstance(manifest["tracklets"], list):
+        raise DatasetError("manifest 'tracklets' is not a list")
+    return _checked_manifest(manifest, manifest_path.parent / PAYLOAD_FILE)
 
 
 def read_frames(manifest: Manifest) -> np.ndarray:
@@ -608,32 +646,15 @@ def read_frames(manifest: Manifest) -> np.ndarray:
             f"({n_rows} frames, d_in={d_in})"
         )
     rows = np.frombuffer(raw, dtype="<f4").reshape(n_rows, d_in)
-    if not np.isfinite(rows).all():
-        row = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
-        raise DatasetError(f"payload {PAYLOAD_FILE} holds a non-finite value in frame row {row}")
+    _check_finite(rows)
     return rows
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load a dataset: :func:`read_manifest`, then :func:`read_frames`. Each
-    tracklet's frames are a read-only view of that one buffer."""
+    """Load a dataset: :func:`read_manifest`, then :func:`read_frames`,
+    each check made once; builds no per-entry object."""
     manifest = read_manifest(manifest_path)
-    rows = read_frames(manifest)
-    return Dataset(
-        d_in=manifest.d_in,
-        n_cameras_vis=manifest.n_cameras_vis,
-        n_cameras_ir=manifest.n_cameras_ir,
-        tracklets=tuple(
-            Tracklet(
-                tracklet_id=e.tracklet_id,
-                modality=e.modality,
-                camera_id=e.camera_id,
-                frames=rows[e.offset : e.offset + e.n_frames],
-                gt_identity=e.gt_identity,
-            )
-            for e in manifest.tracklets
-        ),
-    )
+    return Dataset.from_manifest(manifest, read_frames(manifest))
 
 
 def save_checkpoint(params, store: PrototypeStore, epoch: int, path: str | Path) -> None:

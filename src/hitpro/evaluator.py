@@ -7,10 +7,10 @@ from typing import Optional
 
 import numpy as np
 
-from .datamodel import Dataset, DatasetError, Manifest, Modality, TrainConfig
+from .datamodel import Dataset, DatasetError, Manifest, TrainConfig
 from .encoder import EncoderParams
 from .mining import MiningReport
-from .prototyping import embed_tracklets, tracklet_embedding
+from .prototyping import embed_table, table_of_rows, tracklet_embedding
 
 # Rows per block of the (256, n) temporaries in distance_distribution (Gram
 # rows) and evaluate_retrieval (ranked matches): a few MB even for a gallery
@@ -44,17 +44,16 @@ class RetrievalResult:
 embed_tracklet = tracklet_embedding
 
 
-def dataset_labels(dataset: Dataset | Manifest) -> Optional[dict[str, int]]:
-    """Tracklet id -> identity map, or None unless every tracklet is labeled.
+def dataset_labels(dataset: Manifest) -> Optional[dict[str, int]]:
+    """Tracklet id -> identity map of a manifest or dataset, or None unless
+    every tracklet is labeled.
 
     The single place the training loop and ``hitpro mine`` (which reads
     only the manifest) obtain labels from, and only for diagnostics.
     """
     if not dataset.has_labels:
         return None
-    if isinstance(dataset, Manifest):
-        return dict(zip(dataset.tracklet_ids, dataset.gt_identity.tolist()))
-    return {t.tracklet_id: t.gt_identity for t in dataset.tracklets}
+    return dict(zip(dataset.tracklet_ids, dataset.gt_identity.tolist()))
 
 
 def _unit_rows(mat: np.ndarray, side: str) -> np.ndarray:
@@ -165,22 +164,19 @@ def evaluate_dataset(
     max_rank: int = 20,
 ) -> dict[str, RetrievalResult]:
     """Both retrieval directions with labeled tracklet embeddings."""
-    vectors = embed_tracklets(params, dataset.tracklets, cfg)
-    return evaluate_embeddings(dataset, vectors, max_rank)
+    table = table_of_rows(dataset.frames, dataset.n_frames, cfg)
+    return evaluate_embeddings(dataset, embed_table(params, table), max_rank)
 
 
 def evaluate_embeddings(
-    dataset: Dataset | Manifest, vectors: np.ndarray, max_rank: int = 20
+    dataset: Manifest, vectors: np.ndarray, max_rank: int = 20
 ) -> dict[str, RetrievalResult]:
-    """Both retrieval directions from one embedding per tracklet, in dataset
-    order; a boolean mask picks each side's rows of ``vectors``."""
+    """Both retrieval directions from one embedding per entry of a manifest
+    or dataset, in entry order; a boolean mask over its VIS/IR column picks
+    each side's rows of ``vectors``."""
     if not dataset.has_labels:
         raise ValueError("retrieval evaluation requires gt_identity on every tracklet")
-    if isinstance(dataset, Manifest):
-        is_vis, identities = dataset.is_vis, dataset.gt_identity
-    else:
-        is_vis = np.array([t.modality is Modality.VIS for t in dataset.tracklets], dtype=bool)
-        identities = _int64_ids([t.gt_identity for t in dataset.tracklets], "dataset")
+    is_vis, identities = dataset.is_vis, dataset.gt_identity
     results = {}
     for direction, query in (("IR->VIS", ~is_vis), ("VIS->IR", is_vis)):
         res = retrieval_metrics(vectors[query], identities[query], vectors[~query],

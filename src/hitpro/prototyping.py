@@ -135,11 +135,6 @@ def build_prototypes(
     ``table`` is the dataset's frame table when the caller already has it.
     """
     if table is None:
-        table = frame_table(dataset.tracklets, cfg)
-    tracklets = dataset.tracklets
-    return PrototypeStore.from_matrix(
-        embed_table(params, table),
-        [t.tracklet_id for t in tracklets],
-        [t.modality for t in tracklets],
-        [t.camera_id for t in tracklets],
-    )
+        table = table_of_rows(dataset.frames, dataset.n_frames, cfg)
+    return PrototypeStore.from_matrix(embed_table(params, table), dataset.tracklet_ids,
+                                      dataset.modalities, dataset.camera_id.tolist())

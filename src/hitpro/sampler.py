@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, Modality, SubTracklet, TrainConfig
+from .datamodel import Dataset, Manifest, Modality, SubTracklet, TrainConfig
 
 # One camera's tracklets, in dataset order: (first table row, K_eff) of each.
 CameraRows = tuple[np.ndarray, np.ndarray]
@@ -27,18 +27,17 @@ class BatchSpec:
 
 
 def camera_rows(
-    dataset: Dataset, modality: Modality, starts: np.ndarray, k_eff: np.ndarray
+    dataset: Manifest, modality: Modality, starts: np.ndarray, k_eff: np.ndarray
 ) -> list[CameraRows]:
     """The table rows of each camera of ``modality`` that holds tracklets, in
-    camera order. ``starts`` and ``k_eff`` are indexed like
-    ``dataset.tracklets``."""
-    members: dict[int, list[int]] = {}
-    for i, t in enumerate(dataset.tracklets):
-        if t.modality is modality:
-            members.setdefault(t.camera_id, []).append(i)
-    if not members:
+    camera order. ``starts`` and ``k_eff`` are indexed like the dataset's
+    entries."""
+    in_modality = dataset.is_vis == (modality is Modality.VIS)
+    if not in_modality.any():
         raise ValueError(f"no tracklets in modality {modality.value}")
-    return [(starts[idx], k_eff[idx]) for idx in (members[cam] for cam in sorted(members))]
+    cameras = sorted(set(dataset.camera_id[in_modality].tolist()))
+    members = (np.flatnonzero(in_modality & (dataset.camera_id == cam)) for cam in cameras)
+    return [(starts[idx], k_eff[idx]) for idx in members]
 
 
 def sample_rows(cameras: list[CameraRows], cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
@@ -72,11 +71,11 @@ def sample_batch(
     """:func:`sample_rows` over the sub-tracklets of ``partitions``, as
     ``(sub-tracklet, source tracklet_id)`` entries."""
     subs: list[tuple[SubTracklet, str]] = []
-    starts = np.zeros(len(dataset.tracklets), dtype=np.intp)
-    k_eff = np.zeros(len(dataset.tracklets), dtype=np.intp)
-    for i, t in enumerate(dataset.tracklets):
-        if t.modality is modality:
-            starts[i], k_eff[i] = len(subs), len(partitions[t.tracklet_id])
-            subs.extend((sub, t.tracklet_id) for sub in partitions[t.tracklet_id])
+    starts = np.zeros(len(dataset.tracklet_ids), dtype=np.intp)
+    k_eff = np.zeros(len(dataset.tracklet_ids), dtype=np.intp)
+    for i in np.flatnonzero(dataset.is_vis == (modality is Modality.VIS)).tolist():
+        tid = dataset.tracklet_ids[i]
+        starts[i], k_eff[i] = len(subs), len(partitions[tid])
+        subs.extend((sub, tid) for sub in partitions[tid])
     rows = sample_rows(camera_rows(dataset, modality, starts, k_eff), cfg, rng)
     return BatchSpec(modality=modality, entries=tuple(subs[r] for r in rows.tolist()))

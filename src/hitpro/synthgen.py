@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, Modality, Tracklet, check_settings, setting
+from .datamodel import Dataset, Manifest, Modality, check_settings, setting
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ def _tracklet_rng(cfg: GenConfig, tracklet_index: int) -> np.random.Generator:
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:
-    """Build the full dataset; deterministic given ``cfg.seed``. The frames
-    of all tracklets are row blocks of one read-only float32 matrix."""
+    """Build the full dataset, its entries as columns and its frames as one
+    read-only float32 matrix; deterministic given ``cfg.seed``."""
     global_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
 
     latents = global_rng.normal(size=(cfg.n_identities, cfg.d_latent))
@@ -87,7 +87,7 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     # tracklet index = (identity * n_cameras + camera) * reps + rep
     reps = cfg.tracklets_per_identity_per_camera
     n = cfg.n_identities * len(cameras) * reps
-    lengths = np.empty(n, dtype=np.intp)
+    lengths = np.empty(n, dtype=np.int64)
     steps = np.zeros((n, cfg.frame_len_max, cfg.d_latent))
     noise = []
     for index in range(n):
@@ -110,7 +110,8 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
         points[:, t] = centers + walk
     points = points[np.arange(cfg.frame_len_max) < lengths[:, None]]  # frame rows in order
 
-    vis_rows = np.repeat(camera_of < cfg.cams_vis, lengths)
+    is_vis = camera_of < cfg.cams_vis
+    vis_rows = np.repeat(is_vis, lengths)
     frames = np.empty((len(points), cfg.d_in))
     for modality, rows in ((Modality.VIS, vis_rows), (Modality.IR, ~vis_rows)):
         frames[rows] = (maps[modality] @ points[rows][:, :, None])[:, :, 0]
@@ -121,21 +122,10 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
         raise ValueError("generated frames overflow float32; lower the noise and scale keys")
     frames.flags.writeable = False
 
-    tracklets = []
-    end = 0
-    for index, length in enumerate(lengths.tolist()):
-        identity, (modality, cam) = int(identity_of[index]), cameras[camera_of[index]]
-        tracklets.append(Tracklet(
-            tracklet_id=f"{modality.value.lower()}_c{cam}_i{identity:04d}_r{index % reps}",
-            modality=modality,
-            camera_id=cam,
-            frames=frames[end : end + length],
-            gt_identity=identity,
-        ))
-        end += length
-    return Dataset(
-        d_in=cfg.d_in,
-        n_cameras_vis=cfg.cams_vis,
-        n_cameras_ir=cfg.cams_ir,
-        tracklets=tuple(tracklets),
-    )
+    camera_id = np.where(is_vis, camera_of, camera_of - cfg.cams_vis)
+    ids = tuple(f"{'vis' if vis else 'ir'}_c{cam}_i{identity:04d}_r{index % reps}"
+                for index, (vis, cam, identity) in enumerate(
+                    zip(is_vis.tolist(), camera_id.tolist(), identity_of.tolist())))
+    manifest = Manifest(cfg.d_in, cfg.cams_vis, cfg.cams_ir, ids, is_vis, camera_id, lengths,
+                        identity_of, None)
+    return Dataset.from_manifest(manifest, frames)

@@ -19,7 +19,7 @@ from .encoder import EncoderParams, encode, encode_backward, encoder_init
 from .evaluator import dataset_labels, mining_quality
 from .mining import MiningReport, build_mining_report, rho_schedule
 from .objective import Targets, apply_ema, batch_loss, loss_schedule, plan_batches
-from .prototyping import build_prototypes, frame_table
+from .prototyping import build_prototypes, table_of_rows
 from .sampler import camera_rows, sample_rows
 
 
@@ -80,7 +80,7 @@ def mined_targets(reports: list[MiningReport], n_rows: int) -> Targets:
 def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Run the full schedule; deterministic given ``cfg.seed``. Raises on
     non-finite losses or gradients, naming epoch and iteration."""
-    if not dataset.by_modality(Modality.VIS) or not dataset.by_modality(Modality.IR):
+    if dataset.is_vis.all() or not dataset.is_vis.any():
         raise ValueError("training requires tracklets in both modalities")
 
     params = encoder_init(
@@ -96,14 +96,14 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     grads = params.zeros_like()
     gt = dataset_labels(dataset)
     epochs: list[dict] = []
-    table = frame_table(dataset.tracklets, cfg)
+    table = table_of_rows(dataset.frames, dataset.n_frames, cfg)
     cameras = [camera_rows(dataset, m, table.starts, table.k_eff)
                for m in (Modality.VIS, Modality.IR)]
     store = build_prototypes(params, dataset, cfg, table)
     # every epoch's store lays the tracklets out alike: the store row of each
     # table row, and each row's own prototype as its intra-camera target
     n = len(store)
-    store_rows = np.array([store.position(t.tracklet_id) for t in dataset.tracklets],
+    store_rows = np.array([store.position(tid) for tid in dataset.tracklet_ids],
                           dtype=np.intp)[table.owners]
     own = Targets(np.arange(n + 1), np.arange(n), np.ones(n))
 

@@ -6,11 +6,17 @@ calibrated once and is frozen here.
 """
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hitpro
 from hitpro.cli import main as cli_main
 from hitpro.datamodel import Modality, PositiveKind, Prototype, PrototypeStore, TrainConfig
 from hitpro.encoder import encoder_init
@@ -78,30 +84,46 @@ def trained_rank1(dataset, cfg) -> float:
     return float(evaluate_dataset(result.params, dataset, cfg)["IR->VIS"].cmc[0])
 
 
+ABLATIONS = (
+    ("ic_only", {"use_imcc": False, "use_cm": False}),
+    ("cm_only", {"use_imcc": False}),
+    ("no_dts", {"use_dts": False, "fixed_threshold": 0.7}),
+    ("no_swa", {"use_swa": False}),
+)
+
+
+def noisy_job(job):
+    """One job of ``noisy_runs``: for ``(seed, None)`` the seed's untrained
+    and trained rank-1, for ``(seed, overrides)`` the trained rank-1 of an
+    ablation. Returns it with the job's own seconds, generation included."""
+    seed, overrides = job
+    t0 = time.perf_counter()
+    dataset = generate_dataset(noisy_gen_config(seed))
+    if overrides is None:
+        cfg = noisy_train_config(seed)
+        result = {"baseline": untrained_rank1(dataset, cfg), "full": trained_rank1(dataset, cfg)}
+    else:
+        result = trained_rank1(dataset, noisy_train_config(seed, **overrides))
+    return result, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def noisy_runs():
-    """Five seeded full runs plus the seed-0 ablations; shared by 6 and 7."""
-    t0 = time.perf_counter()
-    runs = {}
-    for seed in NOISY_SEEDS:
-        dataset = generate_dataset(noisy_gen_config(seed))
-        cfg = noisy_train_config(seed)
-        runs[seed] = {
-            "baseline": untrained_rank1(dataset, cfg),
-            "full": trained_rank1(dataset, cfg),
-        }
-    elapsed_full = time.perf_counter() - t0
+    """Five seeded full runs plus the seed-0 ablations; shared by 6 and 7.
 
-    dataset = generate_dataset(noisy_gen_config(PRIMARY_SEED))
-    ablations = {}
-    for name, overrides in (
-        ("ic_only", {"use_imcc": False, "use_cm": False}),
-        ("cm_only", {"use_imcc": False}),
-        ("no_dts", {"use_dts": False, "fixed_threshold": 0.7}),
-        ("no_swa", {"use_swa": False}),
-    ):
-        ablations[name] = trained_rank1(dataset, noisy_train_config(PRIMARY_SEED, **overrides))
-    return {"runs": runs, "ablations": ablations, "elapsed_full_s": elapsed_full}
+    The nine jobs run on two spawned processes, results in job order.
+    ``elapsed_full_s`` is the sum of the five full runs' own times.
+    """
+    jobs = [(seed, None) for seed in NOISY_SEEDS]
+    jobs += [(PRIMARY_SEED, overrides) for _, overrides in ABLATIONS]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        done = pool.map_async(noisy_job, jobs, chunksize=1).get(timeout=1200)
+    full, ablations = done[:len(NOISY_SEEDS)], done[len(NOISY_SEEDS):]
+    return {
+        "runs": {seed: result for seed, (result, _) in zip(NOISY_SEEDS, full)},
+        "ablations": {name: result for (name, _), (result, _) in zip(ABLATIONS, ablations)},
+        "elapsed_full_s": sum(seconds for _, seconds in full),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -348,16 +370,19 @@ def test_criterion_8_scheduling_exactness():
 # criterion 9: determinism
 
 
+DETERMINISM_CONFIG = dict(
+    n_identities=10, cams_vis=2, cams_ir=2, d_in=10, d_latent=5,
+    tracklets_per_identity_per_camera=1, frame_len_min=6, frame_len_max=9,
+    camera_offset_scale=0.3, modality_transform_scale=0.3,
+    frame_noise=0.2, walk_step=0.1,
+    embed_dim=12, ffn_dim=24, pool_hidden_dim=12, n_tte_layers=1,
+    seq_len=4, n_subtracklets=2, total_epochs=2, iters_per_epoch=4,
+    intra_start_epoch=0, cross_start_epoch=1, lr=0.005, seed=21,
+)
+
+
 def test_criterion_9_determinism(tmp_path):
-    config = dict(
-        n_identities=10, cams_vis=2, cams_ir=2, d_in=10, d_latent=5,
-        tracklets_per_identity_per_camera=1, frame_len_min=6, frame_len_max=9,
-        camera_offset_scale=0.3, modality_transform_scale=0.3,
-        frame_noise=0.2, walk_step=0.1,
-        embed_dim=12, ffn_dim=24, pool_hidden_dim=12, n_tte_layers=1,
-        seq_len=4, n_subtracklets=2, total_epochs=2, iters_per_epoch=4,
-        intra_start_epoch=0, cross_start_epoch=1, lr=0.005, seed=21,
-    )
+    config = DETERMINISM_CONFIG
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
 
@@ -390,3 +415,36 @@ def test_criterion_9_determinism(tmp_path):
     assert (tmp_path / "e1" / "report.json").read_bytes() == (
         tmp_path / "e2" / "report.json").read_bytes()
     report(9, "datasets, checkpoints and reports byte-identical across threads")
+
+
+# train, then eval, in a fresh interpreter that imports hitpro from argv[1]
+_TRAIN_EVAL_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from hitpro.cli import main
+config, data, out = sys.argv[2:]
+assert main(["train", "--config", config, "--data", data, "--out", out + "/run"]) == 0
+assert main(["eval", "--config", config, "--data", data,
+             "--checkpoint", out + "/run/checkpoint.hpt", "--out", out + "/eval"]) == 0
+"""
+
+
+def test_criterion_9_artifacts_byte_identical_across_blas_threads(tmp_path):
+    # criterion 9's --threads never reaches BLAS; OPENBLAS_NUM_THREADS is
+    # read once, when a process loads the library
+    cfg_path, data = tmp_path / "cfg.json", tmp_path / "data"
+    cfg_path.write_text(json.dumps(DETERMINISM_CONFIG))
+    assert cli_main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    src = Path(hitpro.__file__).resolve().parent.parent
+    artifacts = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAIN_EVAL_CHILD, str(src), str(cfg_path), str(data), str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        artifacts[threads] = [(out / path).read_bytes() for path in (
+            "run/checkpoint.hpt", "run/metrics.json", "eval/report.json")]
+    assert artifacts["1"] == artifacts["2"]
+    report(9, "checkpoint, metrics and report byte-identical at 1 and 2 BLAS threads")

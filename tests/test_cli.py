@@ -324,10 +324,12 @@ def test_eval_dataset_without_labels_creates_no_out(zero_noise_run, tmp_path, ca
     assert not out.exists()
 
 
-def test_eval_builds_no_tracklet_manifest_entry_or_store(zero_noise_run, tmp_path, monkeypatch):
-    # eval goes from the manifest's columns and the payload's rows to
-    # matrices; the spies do see the object path of load_dataset and
-    # load_checkpoint
+@pytest.mark.parametrize("verb", ["eval", "train"])
+def test_eval_and_train_build_no_tracklet_or_manifest_entry(zero_noise_run, tmp_path,
+                                                             monkeypatch, verb):
+    # both verbs go from the manifest's columns and the payload's rows to
+    # matrices, and eval builds no prototype store either; the spies do see
+    # the .tracklets views and load_checkpoint
     cfg, data, checkpoint = zero_noise_run
     built = []
 
@@ -341,14 +343,19 @@ def test_eval_builds_no_tracklet_manifest_entry_or_store(zero_noise_run, tmp_pat
         monkeypatch.setattr(cls, method, recorded)
 
     spy(datamodel.Tracklet, "__post_init__")
-    spy(datamodel.Dataset, "__post_init__")
     spy(datamodel.ManifestEntry, "__init__")
     spy(datamodel.PrototypeStore, "_fill")  # both constructors fill the store
-    assert _eval(zero_noise_run, tmp_path / "e") == 0
-    assert built == []
-    load_dataset(data)
+    if verb == "eval":
+        assert _eval(zero_noise_run, tmp_path / "e") == 0
+        assert built == []
+    else:
+        assert main(["train", "--config", cfg, "--data", str(data),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert set(built) == {"PrototypeStore"}
+    load_dataset(data).tracklets
+    read_manifest(data).tracklets
     load_checkpoint(checkpoint)
-    assert {"Tracklet", "Dataset", "ManifestEntry", "PrototypeStore"} <= set(built)
+    assert {"Tracklet", "ManifestEntry", "PrototypeStore"} <= set(built)
 
 
 @pytest.mark.parametrize("label", [2**63, 2**63 + 1])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import struct
@@ -150,6 +151,66 @@ def test_camera_range_validation():
     t = make_tracklet(cam=5)
     with pytest.raises(DatasetError, match="camera_id"):
         Dataset(d_in=3, n_cameras_vis=2, n_cameras_ir=2, tracklets=(t,))
+
+
+def _frames_of_t1(value, dtype):
+    """make_dataset()'s "t1" frames as ``dtype``, frame 1 (dataset row 5) set to ``value``."""
+    frames = make_dataset().tracklets[1].frames.astype(dtype)
+    frames[1, 0] = value
+    return frames
+
+
+def _load_error(tmp_path, tracklets) -> str:
+    """The DatasetError text of loading the files that hold ``tracklets``:
+    the manifest values as JSON, the frames as float32."""
+    entries = [{"tracklet_id": t.tracklet_id, "modality": t.modality.value,
+                "camera_id": t.camera_id, "n_frames": t.n_frames, "gt_identity": t.gt_identity}
+               for t in tracklets]
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"d_in": 3, "n_cameras_vis": 2, "n_cameras_ir": 2, "tracklets": entries}))
+    with np.errstate(over="ignore"):
+        rows = np.concatenate([t.frames for t in tracklets]).astype("<f4")
+    (tmp_path / "frames.f32").write_bytes(rows.tobytes())
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(tmp_path)
+    return str(exc.value)
+
+
+# one value of tracklet "t1" that the files cannot hold, and the text of
+# the DatasetError that loading such files gives
+@pytest.mark.parametrize("key, value, text", [
+    ("frames", _frames_of_t1(np.nan, "<f4"),
+     "payload frames.f32 holds a non-finite value in frame row 5"),
+    ("frames", _frames_of_t1(1e39, np.float64),
+     "payload frames.f32 holds a non-finite value in frame row 5"),
+    ("gt_identity", True, "entry 1 gt_identity must be an integer, got True"),
+    ("gt_identity", 1.5, "entry 1 gt_identity must be an integer, got 1.5"),
+    ("gt_identity", 2**63, f"entry 1 gt_identity must be below 2**63, got {2**63}"),
+    ("tracklet_id", 5,
+     "manifest entry 1 is malformed: TypeError('tracklet_id must be a string, got 5')"),
+    ("camera_id", np.int64(1), "entry 1 camera_id must be an integer, got np.int64(1)"),
+], ids=["nan_frame", "float32_overflow", "gt_true", "gt_float", "gt_2_63", "int_id",
+        "numpy_camera"])
+def test_dataset_built_in_process_is_held_to_the_file_format(tmp_path, key, value, text):
+    tracklets = list(make_dataset().tracklets)
+    tracklets[1] = dataclasses.replace(tracklets[1], **{key: value})
+    with pytest.raises(DatasetError) as exc:
+        Dataset(d_in=3, n_cameras_vis=2, n_cameras_ir=2, tracklets=tracklets)
+    assert str(exc.value) == text
+    assert not list(tmp_path.iterdir())
+    if key != "camera_id":  # JSON holds no numpy integer
+        assert _load_error(tmp_path, tracklets) == text
+
+
+def test_dataset_built_in_process_holds_float32_columns():
+    tracklets = [dataclasses.replace(t, frames=t.frames.astype(np.float64))
+                 for t in make_dataset().tracklets]
+    ds = Dataset(d_in=3, n_cameras_vis=2, n_cameras_ir=2, tracklets=tracklets)
+    assert ds.frames.dtype == np.dtype("<f4") and not ds.frames.flags.writeable
+    np.testing.assert_array_equal(ds.frames, np.concatenate([t.frames for t in tracklets]))
+    assert ds.tracklet_ids == ("t0", "t1", "t2", "t3")
+    assert ds.camera_id.tolist() == [0, 1, 0, 1] and ds.offset.tolist() == [0, 4, 8, 12]
+    assert all(np.shares_memory(t.frames, ds.frames) for t in ds.tracklets)
 
 
 def test_modality_keys_partition_dataset():
