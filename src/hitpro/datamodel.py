@@ -791,6 +791,11 @@ def _parse_checkpoint(header: dict, blob: bytes):
         ids.extend(group_ids)
         modalities.extend([modality] * len(group_ids))
         cameras.extend([cam] * len(group_ids))
+    # a section nothing claims would be dropped without a word
+    unclaimed = arrays.keys() - names - {f"encoder.{n}" for n, _ in params.named_arrays()}
+    if unclaimed:
+        raise ValueError(f"sections {sorted(unclaimed)} belong to neither the encoder "
+                         "nor a store group")
     matrix = np.concatenate(blocks) if blocks else np.empty((0, 0))
     seen = set()  # a repeated id, which the store would refuse
     for tid in ids:

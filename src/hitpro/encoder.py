@@ -21,8 +21,9 @@ embed_dim * ffn_dim``, in a process allowed two or more cores) submits its
 weight-matrix gradients to one helper thread, started on first use, while
 the calling thread carries the input gradient down the layers. A table of
 two or more slices that large hands its odd slices to the same thread. The
-helper runs the same products on the same arrays and sums them in the same
-order, so it changes no bit of the result.
+helper runs only functions the calling thread also runs, on the same arrays
+(``_add_weight_grad`` for each weight gradient, ``_forward`` for each
+slice), so it changes no bit of the result.
 
 All arithmetic runs in float64 so analytic gradients can be checked against
 central finite differences; parameters are serialized as float32.
@@ -46,8 +47,6 @@ LN_EPS = 1e-5
 # hands its weight gradients to the helper thread: below it the hand-off
 # costs more than the second core saves (measured on a 2-vCPU host).
 HELPER_MIN_WORK = 2**20
-# samples per product the helper takes into its scratch buffer at once
-_CHUNK = 8
 # rows per forward call of encode_table: large enough that per-call overhead
 # is small, small enough that one call's activations stay a few MB
 ENCODE_CHUNK = 64
@@ -473,7 +472,7 @@ def encode_backward(
     futures = []
     try:
         _backward(params, cache, g, grads,
-                  lambda *args: futures.append(helper.submit(_add, *args)))
+                  lambda *args: futures.append(helper.submit(_add_weight_grad, *args)))
     finally:  # no job may write into grads after this returns or raises
         failures = [future.exception() for future in futures]
     _raise_first(failures)
@@ -535,37 +534,6 @@ def _backward(params, cache, g, grads, add_weight_grad) -> None:
 
     add_weight_grad(grads.proj, cache.x, dh)
     grads.pos += dh.sum(axis=0)
-
-
-# the scratch buffer of _add; only the helper thread runs _add
-_scratch = np.empty(0)
-
-
-def _add(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``target += sum_n a[n].T @ b[n]``, run on the helper thread only.
-
-    The per-sample products go ``_CHUNK`` samples at a time into one reused
-    scratch buffer, behind a carry row holding the running total, and each
-    chunk is added into the total with one ``np.add.reduce`` over axis 0.
-    That adds the rows one after another, so the total has the bits of
-    ``.sum(axis=0)``. (numpy sums a column of one-element rows pairwise
-    instead, but every weight matrix has ``embed_dim`` as one side, and at
-    ``embed_dim == 1`` every gradient is zero.)
-    """
-    global _scratch
-    d, k = target.shape
-    size = d * k
-    if _scratch.size < (_CHUNK + 2) * size:
-        _scratch = np.empty((_CHUNK + 2) * size)
-    total = _scratch[:size].reshape(d, k)
-    rows = _scratch[size : (_CHUNK + 2) * size].reshape(_CHUNK + 1, d, k)
-    for start in range(0, len(a), _CHUNK):
-        m = min(_CHUNK, len(a) - start)
-        np.matmul(_t(a[start : start + m]), b[start : start + m], out=rows[1 : m + 1])
-        if start:
-            rows[0] = total
-        np.add.reduce(rows[(0 if start else 1) : m + 1], axis=0, out=total)
-    target += total
 
 
 def _failure(fn, *args) -> Exception | None:

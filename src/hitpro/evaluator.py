@@ -13,7 +13,7 @@ from .mining import MiningReport
 from .prototyping import embed_table, table_of_rows, tracklet_embedding
 
 # Rows per block of the (256, n) temporaries in distance_distribution (Gram
-# rows) and evaluate_retrieval (ranked matches): a few MB even for a gallery
+# rows) and retrieval_metrics (ranked matches): a few MB even for a gallery
 # of thousands.
 _ROW_BLOCK = 256
 N_BINS = 50  # fixed bins of distance_distribution's histograms over [0, 2]

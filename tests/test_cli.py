@@ -456,19 +456,35 @@ def test_mine_epoch_outside_schedule_writes_nothing(zero_noise_run, tmp_path, ca
     assert not (tmp_path / "m").exists()
 
 
-def test_mine_blames_a_negative_checkpoint_epoch_not_the_flag(zero_noise_run, tmp_path, capsys):
-    cfg, data, checkpoint = zero_noise_run
+def _rewrite_header(checkpoint, out, mutate):
+    """Copy ``checkpoint`` to ``out`` with ``mutate(header)`` applied to its header."""
     raw = checkpoint.read_bytes()
     (header_len,) = struct.unpack("<I", raw[:4])
     header = json.loads(raw[4 : 4 + header_len])
-    header["epoch"] = -3
+    mutate(header)
     new_header = json.dumps(header, sort_keys=True).encode()
-    (tmp_path / "bad.hpt").write_bytes(
-        struct.pack("<I", len(new_header)) + new_header + raw[4 + header_len :])
+    out.write_bytes(struct.pack("<I", len(new_header)) + new_header + raw[4 + header_len :])
+    return out
+
+
+def test_mine_blames_a_negative_checkpoint_epoch_not_the_flag(zero_noise_run, tmp_path, capsys):
+    cfg, data, checkpoint = zero_noise_run
+    bad = _rewrite_header(checkpoint, tmp_path / "bad.hpt",
+                          lambda header: header.update(epoch=-3))
     assert main(["mine", "--config", cfg, "--data", str(data), "--checkpoint",
-                 str(tmp_path / "bad.hpt"), "--out", str(tmp_path / "m")]) == 2
+                 str(bad), "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
     assert "epoch must be at least 0, got -3" in err and "--epoch" not in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_mine_rejects_a_checkpoint_section_no_store_group_claims(zero_noise_run, tmp_path, capsys):
+    cfg, data, checkpoint = zero_noise_run
+    bad = _rewrite_header(checkpoint, tmp_path / "bad.hpt",
+                          lambda header: header["store_groups"].pop())
+    assert main(["mine", "--config", cfg, "--data", str(data), "--checkpoint",
+                 str(bad), "--out", str(tmp_path / "m")]) == 2
+    assert "sections ['store.IR.1'] belong to neither" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -459,6 +460,27 @@ def test_checkpoint_missing_section_rejected(tmp_path, section):
     bad = _rewrite_header(path, tmp_path / "bad.hpt", drop_section)
     with pytest.raises(CheckpointError, match="section"):
         load_checkpoint(bad)
+
+
+def _drop_last_store_group(header):
+    group = header["store_groups"].pop()
+    return f"store.{group['modality']}.{group['camera_id']}"
+
+
+def _add_unknown_encoder_section(header):
+    header["sections"].append({"name": "encoder.extra", "shape": [1], "offset": 0})
+    return "encoder.extra"
+
+
+@pytest.mark.parametrize("mutate", [_drop_last_store_group, _add_unknown_encoder_section])
+def test_checkpoint_section_nothing_claims_rejected(tmp_path, mutate):
+    orphans = []
+    bad = _rewrite_header(_saved_checkpoint(tmp_path), tmp_path / "bad.hpt",
+                          lambda header: orphans.append(mutate(header)))
+    for load in (load_checkpoint, load_encoder):
+        with pytest.raises(CheckpointError, match=re.escape(f"sections {orphans} belong to "
+                                                            "neither the encoder nor a store")):
+            load(bad)
 
 
 def test_checkpoint_encoder_shape_mismatch_rejected(tmp_path):

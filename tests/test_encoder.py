@@ -365,8 +365,7 @@ def _backward_both_forms(p, cache, g):
     dims=st.tuples(*[st.integers(1, 12)] * 5),
     seed=st.integers(0, 10_000),
 )
-# two-element weight matrices, and sample counts on both sides of the
-# helper's chunk
+# two-element weight matrices, and two layers of wider ones
 @example(n=17, n_layers=1, dims=(1, 2, 1, 1, 4), seed=5)
 @example(n=8, n_layers=2, dims=(3, 4, 5, 2, 6), seed=6)
 def test_helper_thread_gives_the_inline_bytes(n, n_layers, dims, seed):
@@ -397,7 +396,31 @@ def test_helper_runs_only_for_large_calls_on_several_cores(monkeypatch):
     assert encoder_mod._grad_helper(10 * limit) is None
 
 
-_HELPER_ADD = encoder_mod._add
+_ADD_WEIGHT_GRAD = encoder_mod._add_weight_grad
+
+
+def test_the_helper_runs_the_inline_weight_gradient_sum(monkeypatch):
+    _force_helper(monkeypatch, on=True)
+    helper = encoder_mod._grad_helper(0)
+    jobs = []  # (function, thread name) of each job the helper ran
+
+    class Recorder:
+        def submit(self, fn, *args):
+            def job():
+                jobs.append((fn, threading.current_thread().name))
+                fn(*args)
+            return helper.submit(job)
+
+    monkeypatch.setattr(encoder_mod, "_grad_helper", lambda work: Recorder())
+    p = small_params(n_tte_layers=2)
+    rng = np.random.default_rng(5)
+    _, cache = encode(p, rng.normal(size=(6, 3, 4)))
+    encode_backward(p, cache, rng.normal(size=(6, 8)))
+    # proj, wa1, and wq, wk, wv, wo, wf1 and wf2 of each layer
+    assert len(jobs) == 2 + 6 * 2
+    for fn, thread_name in jobs:
+        assert fn is _ADD_WEIGHT_GRAD
+        assert thread_name.startswith("hitpro-encoder-helper")
 
 
 def _slow_jobs(monkeypatch, fail_shape=None):
@@ -409,9 +432,9 @@ def _slow_jobs(monkeypatch, fail_shape=None):
         time.sleep(0.005)
         if target.shape == fail_shape:
             raise RuntimeError("job failed on purpose")
-        _HELPER_ADD(target, a, b)
+        _ADD_WEIGHT_GRAD(target, a, b)
 
-    monkeypatch.setattr(encoder_mod, "_add", slow_add)
+    monkeypatch.setattr(encoder_mod, "_add_weight_grad", slow_add)
 
 
 def _unchanged_after_return(out):
@@ -462,8 +485,9 @@ def test_caller_failure_waits_for_the_queued_jobs(monkeypatch):
 
 @pytest.mark.parametrize("n_layers", [0, 1, 2])
 def test_one_wide_embedding_has_zero_gradients(n_layers):
-    # why the helper never meets a one-element weight matrix, whose column
-    # numpy would sum pairwise: each has embed_dim as one side
+    # why .sum(axis=0) adds in stack order for every weight matrix: numpy
+    # would sum a one-element matrix's column pairwise, but each has
+    # embed_dim as one side
     p = encoder_init(1, 1, 3, 2, n_tte_layers=n_layers, seq_len=4, seed=1)
     rng = np.random.default_rng(n_layers)
     if n_layers:
@@ -481,9 +505,9 @@ def test_concurrent_callers_share_the_helper_and_get_their_own_bytes(monkeypatch
 
     def recorded_add(target, a, b):
         served_by.add(threading.current_thread())
-        _HELPER_ADD(target, a, b)
+        _ADD_WEIGHT_GRAD(target, a, b)
 
-    monkeypatch.setattr(encoder_mod, "_add", recorded_add)
+    monkeypatch.setattr(encoder_mod, "_add_weight_grad", recorded_add)
     monkeypatch.setattr(encoder_mod, "_helper", None)  # the callers race to start it
     rng = np.random.default_rng(9)
     cases = []
@@ -494,7 +518,7 @@ def test_concurrent_callers_share_the_helper_and_get_their_own_bytes(monkeypatch
     expected = []
     for p, cache, g in cases:
         out = p.zeros_like()
-        encoder_mod._backward(p, cache, g, out, encoder_mod._add_weight_grad)
+        encoder_mod._backward(p, cache, g, out, _ADD_WEIGHT_GRAD)
         expected.append(out.flat.tobytes())
     assert served_by == set() and encoder_mod._helper is None
     mismatches = []

@@ -1,5 +1,6 @@
 """The claim rule of ``tools/bench_pairs.py``: ``summarize`` on hand-built
-pairs; and the path normalization of ``tools/cmp_artifacts.py``."""
+pairs, and its working-tree export; and the path normalization of
+``tools/cmp_artifacts.py``."""
 
 import importlib.util
 import math
@@ -84,6 +85,22 @@ def test_every_metric_gets_its_own_entry():
                                       {"name": "b", "better": "higher"}])
     assert set(s) == {"a", "b", "failed"}
     assert s["b"]["ties"] == 4 and s["b"]["change_wins"] == 0 and s["b"]["parent_iqr"] == 1.5
+
+
+def test_the_change_side_runs_from_a_copy_of_the_working_tree(tmp_path):
+    root = tmp_path / "repo"  # no git here: the files were never committed
+    files = {"src/hitpro/encoder.py": "x = 1\n", "perfbench/run.py": "y = 2\n"}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    (root / "src/hitpro/__pycache__").mkdir()
+    (root / "src/hitpro/__pycache__/encoder.cpython-311.pyc").write_bytes(b"stale")
+    (root / "README.md").write_text("not benchmarked\n")
+    dest = bench_pairs.export(None, tmp_path / "change", root)
+    assert dest == tmp_path / "change"
+    copied = {str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file()}
+    assert copied == set(files)
+    assert all((dest / name).read_text() == text for name, text in files.items())
 
 
 def _side(root, config_text, stdout_text, payload=b"\x00\x01"):

@@ -4,7 +4,8 @@ Usage: python tools/bench_pairs.py REV --workload W --pairs N --seed S
            [--seconds T] [--json PATH]
 
 ``REV``'s ``src/`` and ``perfbench/`` are exported with ``git archive`` into
-a temporary directory (the parent); the working tree is the change. Pair
+a temporary directory (the parent), and the working tree's are copied into
+a sibling one (the change), so that both sides run from fresh copies. Pair
 ``i`` runs ``perfbench/run.py --workload W --seed S+i --trace 0`` once under
 each tree, one after the other, the parent first in even pairs and the
 change first in odd ones. ``--seconds`` defaults to ``BENCHMARK.json``'s
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,6 +35,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+EXPORTED = ("src", "perfbench")
+
+
+def export(rev: str | None, dest: Path, root: Path = ROOT) -> Path:
+    """Write ``src/`` and ``perfbench/`` of ``root`` into ``dest`` and return it:
+    revision ``rev``'s with ``git archive``, or, for None, the working tree's
+    files as they are, committed or not, without bytecode caches."""
+    if rev is None:
+        for name in EXPORTED:
+            shutil.copytree(root / name, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        return dest
+    blob = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev, *EXPORTED],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest)
+    return dest
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -83,14 +102,8 @@ def main(argv: list[str]) -> int:
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
-        blob = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src", "perfbench"],
-            check=True, capture_output=True,
-        ).stdout
-        with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-            tar.extractall(parent)
-        trees = {"parent": parent, "change": ROOT}
+        trees = {"parent": export(args.rev, Path(tmp) / "parent"),
+                 "change": export(None, Path(tmp) / "change")}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": args.seed + i, "first": order[0]}
