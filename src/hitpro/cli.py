@@ -249,9 +249,10 @@ def _cmd_eval(args) -> int:
     # columns from disk to matrices: no Tracklet, no PrototypeStore
     params = load_encoder(args.checkpoint)
     dataset = load_dataset(args.data)
-    for key, value in (("seq_len", cfg.seq_len), ("d_in", dataset.d_in)):
-        if value != getattr(params, key):
-            raise ValueError(f"{key} must be {getattr(params, key)}, the checkpoint's, got {value}")
+    for key, expected in params.dims().items():
+        value = dataset.d_in if key == "d_in" else getattr(cfg, key)
+        if value != expected:
+            raise ValueError(f"{key} must be {expected}, the checkpoint's, got {value}")
     vectors = embed_table(params, table_of_rows(dataset.frames, dataset.n_frames, cfg))
     results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
     # the layout of the dataset's frames.f32: little-endian float32, here

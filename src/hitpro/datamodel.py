@@ -102,42 +102,31 @@ class SubTracklet:
         return tracklet.frames[self.start : self.end]
 
 
+@dataclass(frozen=True, eq=False)  # an array field: no field-wise ==
 class Prototype:
-    """Unit-norm identity anchor for one tracklet.
+    """Unit-norm identity anchor for one tracklet: its ``(d,)`` vector.
 
-    A prototype built directly owns a copy of its ``(d,)`` float64 vector. One
-    handed out by a :class:`PrototypeStore` is a view of a row of the store's
-    ``stacked`` matrix: reading ``vector`` reads that row, assigning it
-    writes the row.
+    One handed out by a :class:`PrototypeStore` holds a view of its row of
+    the store's ``stacked`` matrix, so writing into ``vector[...]`` writes
+    that row.
     """
 
-    __slots__ = ("tracklet_id", "modality", "camera_id", "_matrix", "_row")
-
-    def __init__(self, tracklet_id: str, modality: Modality, camera_id: int, vector):
-        self.tracklet_id = tracklet_id
-        self.modality = modality
-        self.camera_id = camera_id
-        self._matrix = np.array(vector, dtype=np.float64, ndmin=2)
-        self._row = 0
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self._matrix[self._row]
-
-    @vector.setter
-    def vector(self, value) -> None:
-        self._matrix[self._row] = value
+    tracklet_id: str
+    modality: Modality
+    camera_id: int
+    vector: np.ndarray  # (d,) float64
 
 
 class PrototypeStore:
     """Prototypes as one ``(N, d)`` float64 matrix, ``stacked``, in blocks of
     rows per (modality, camera).
 
-    Each camera block keeps its tracklet ids in dataset order, stable for
-    the epoch; row ``i`` of ``stacked`` is the prototype of the ``i``-th id.
-    Losses, mining and the checkpoint read the camera blocks directly. The
-    store is the one mutable training structure: EMA updates rewrite rows
-    in place.
+    The blocks come in one order, whoever builds the store: VIS cameras
+    ascending, then IR cameras ascending. Each block keeps its tracklet ids
+    in input order; row ``i`` of ``stacked`` is the prototype of the
+    ``i``-th id. Losses, mining and the checkpoint read the camera blocks
+    directly. The store is the one mutable training structure: EMA updates
+    rewrite rows in place.
     """
 
     def __init__(self, prototypes: list[Prototype]):
@@ -154,7 +143,7 @@ class PrototypeStore:
     def from_matrix(cls, matrix, ids, modalities, cameras) -> "PrototypeStore":
         """The store whose prototype of ``ids[i]``, in camera
         ``(modalities[i], cameras[i])``, is a copy of row ``i`` of the
-        ``(n, d)`` ``matrix``. Cameras keep their rows in input order."""
+        ``(n, d)`` ``matrix``."""
         store = cls.__new__(cls)
         store._fill(matrix, ids, modalities, cameras)
         return store
@@ -165,6 +154,9 @@ class PrototypeStore:
         members: dict[tuple[Modality, int], list[int]] = {}
         for i, key in enumerate(zip(modalities, cameras)):
             members.setdefault(key, []).append(i)
+        # VIS cameras ascending, then IR cameras ascending
+        members = {key: members[key]
+                   for key in sorted(members, key=lambda key: (key[0] is Modality.IR, key[1]))}
         order = [i for rows in members.values() for i in rows]
         self._stacked = np.asarray(matrix, dtype=np.float64)[np.array(order, dtype=np.intp)]
         self._ids = [ids[i] for i in order]
@@ -211,31 +203,24 @@ class PrototypeStore:
         b = int(np.searchsorted(self._bounds, position, side="right")) - 1
         return (*list(self._blocks)[b], position - int(self._bounds[b]))
 
-    def _view(self, modality: Modality, camera_id: int, position: int) -> Prototype:
-        p = Prototype.__new__(Prototype)
-        p.tracklet_id, p.modality, p.camera_id = self._ids[position], modality, camera_id
-        p._matrix, p._row = self._stacked, position
-        return p
-
     def group(self, modality: Modality, camera_id: int) -> list[Prototype]:
         rows = self.block_rows(modality, camera_id)
-        return [self._view(modality, camera_id, i) for i in range(rows.start, rows.stop)]
+        return [Prototype(self._ids[i], modality, camera_id, self._stacked[i])
+                for i in range(rows.start, rows.stop)]
 
     def cameras(self, modality: Modality) -> list[int]:
-        return sorted(c for (m, c) in self._blocks if m is modality)
+        return [c for (m, c) in self._blocks if m is modality]
 
     def modality_prototypes(self, modality: Modality) -> list[Prototype]:
         return [p for cam in self.cameras(modality) for p in self.group(modality, cam)]
 
     def get(self, tracklet_id: str) -> Prototype:
         modality, camera_id, _ = self.locate(tracklet_id)
-        return self._view(modality, camera_id, self._position[tracklet_id])
+        return Prototype(tracklet_id, modality, camera_id,
+                         self._stacked[self._position[tracklet_id]])
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def __contains__(self, tracklet_id: str) -> bool:
-        return tracklet_id in self._position
 
 
 class PositiveKind(enum.Enum):

@@ -1,10 +1,12 @@
 """Training loop: per epoch, freeze the encoder, rebuild prototypes, mine
 positives once, draw and plan the epoch's batches, then iterate them with
-SGD and EMA memory updates. The frame table is built once per run.
+SGD and EMA memory updates. The frame table and the prototype store are
+built once per run.
 
-Stores are rebuilt from scratch every epoch; nothing leaks across epochs
-except the encoder parameters. Ground-truth labels never influence the
-optimization path; they feed diagnostics only.
+Each epoch overwrites every row of the store with the frozen encoder's
+prototypes; nothing leaks across epochs except the encoder parameters.
+Ground-truth labels never influence the optimization path; they feed
+diagnostics only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .encoder import EncoderParams, encode, encode_backward, encoder_init
 from .evaluator import dataset_labels, mining_quality
 from .mining import MiningReport, build_mining_report, rho_schedule
 from .objective import Targets, apply_ema, batch_loss, loss_schedule, plan_batches
-from .prototyping import build_prototypes, table_of_rows
+from .prototyping import build_prototypes, embed_table, table_of_rows
 from .sampler import camera_rows, sample_rows
 
 
@@ -100,17 +102,18 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     cameras = [camera_rows(dataset, m, table.starts, table.k_eff)
                for m in (Modality.VIS, Modality.IR)]
     store = build_prototypes(params, dataset, cfg, table)
-    # every epoch's store lays the tracklets out alike: the store row of each
-    # table row, and each row's own prototype as its intra-camera target
+    # the one store's row of each tracklet and of each table row, and each
+    # row's own prototype as its intra-camera target
     n = len(store)
-    store_rows = np.array([store.position(tid) for tid in dataset.tracklet_ids],
-                          dtype=np.intp)[table.owners]
+    tracklet_rows = np.array([store.position(tid) for tid in dataset.tracklet_ids],
+                             dtype=np.intp)
+    store_rows = tracklet_rows[table.owners]
     own = Targets(np.arange(n + 1), np.arange(n), np.ones(n))
 
     for epoch in range(cfg.total_epochs):
         opt.lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
         if epoch:
-            store = build_prototypes(params, dataset, cfg, table)
+            store.stacked[tracklet_rows] = embed_table(params, table)
         reports = {key: build_mining_report(store, modality, kind, epoch, cfg)
                    for modality, kind, key in _FAMILY_KEYS}
         intra = mined_targets([reports["vis_intra"], reports["ir_intra"]], len(store))

@@ -47,14 +47,15 @@ def on_the_helper() -> bool:
 
 
 def spy_helper_slices(monkeypatch):
-    """Record, for each slice that :func:`hitpro.encoder.encode_table`
-    encodes from now on, whether the helper thread encoded it."""
-    on_helper = []
+    """Record ``(address, on_helper)`` for each slice that
+    :func:`hitpro.encoder.encode_table` encodes from now on: the address of
+    the slice's first frame, and whether the helper thread encoded it."""
+    ran = []
     forward = encoder_mod._forward
 
     def spy(params, x):
-        on_helper.append(on_the_helper())
+        ran.append((x.ctypes.data, on_the_helper()))
         return forward(params, x)
 
     monkeypatch.setattr(encoder_mod, "_forward", spy)
-    return on_helper
+    return ran

@@ -287,13 +287,19 @@ def test_eval_max_rank_below_one_is_usage_error(tmp_path, capsys, value):
     assert not (tmp_path / "e").exists()
 
 
-def test_eval_seq_len_other_than_the_checkpoints_names_the_key(zero_noise_run, tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("seq_len", 5), ("embed_dim", 64), ("ffn_dim", 7), ("pool_hidden_dim", 5),
+    ("n_tte_layers", 2),
+])
+def test_eval_encoder_dim_other_than_the_checkpoints_names_the_key(zero_noise_run, tmp_path,
+                                                                     capsys, key, value):
     _, data, checkpoint = zero_noise_run
-    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, "seq_len": 5})
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, key: value})
     out = tmp_path / "e"
     assert main(["eval", "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
                  "--out", str(out)]) == 2
-    assert "error: seq_len must be 4, the checkpoint's, got 5" in capsys.readouterr().err
+    assert (f"error: {key} must be {ZERO_NOISE[key]}, the checkpoint's, got {value}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -706,7 +712,7 @@ def test_eval_writes_the_same_bytes_with_and_without_the_helper_thread(tmp_path,
     assert main(["gen", "--config", config, "--out", str(data)]) == 0
     assert main(["train", *common, "--out", str(run)]) == 0
     monkeypatch.setattr(encoder_mod, "_cores", lambda: 2)
-    on_helper = spy_helper_slices(monkeypatch)  # per table slice, whether the helper took it
+    ran = spy_helper_slices(monkeypatch)  # per table slice, whether the helper took it
     reports = {}
     for label, limit in (("off", 2**62), ("on", encoder_mod.HELPER_MIN_WORK)):
         monkeypatch.setattr(encoder_mod, "HELPER_MIN_WORK", limit)
@@ -714,8 +720,8 @@ def test_eval_writes_the_same_bytes_with_and_without_the_helper_thread(tmp_path,
         assert main(["eval", *common, "--checkpoint", str(run / "checkpoint.hpt"),
                      "--out", str(out)]) == 0
         reports[label] = [(out / name).read_bytes() for name in ("report.json", "embeddings.f32")]
-        assert sorted(on_helper) == [False, label == "on"]  # the second slice
-        on_helper.clear()
+        assert sorted(h for _, h in ran) == [False, label == "on"]  # the second slice
+        ran.clear()
     assert reports["on"] == reports["off"]
 
 

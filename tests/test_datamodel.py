@@ -542,6 +542,24 @@ def test_store_from_matrix_equals_list_built_store():
     assert np.abs(store.stacked).min() > 0
 
 
+def test_store_blocks_come_vis_then_ir_cameras_ascending():
+    rng = np.random.default_rng(4)
+    keys = [(Modality.IR, 2), (Modality.VIS, 1), (Modality.IR, 0), (Modality.VIS, 0)]
+    picks = np.concatenate([np.arange(4), rng.integers(0, 4, size=16)])
+    ids = [f"t{i}" for i in range(len(picks))]
+    modalities, cameras = zip(*(keys[k] for k in picks))
+    matrix = rng.normal(size=(len(ids), 3))
+    for store in (PrototypeStore.from_matrix(matrix, ids, modalities, cameras),
+                  PrototypeStore([Prototype(*f) for f in zip(ids, modalities, cameras, matrix)])):
+        assert store.cameras(Modality.VIS) == [0, 1] and store.cameras(Modality.IR) == [0, 2]
+        starts = [store.block_rows(m, c).start for m, c in
+                  ((Modality.VIS, 0), (Modality.VIS, 1), (Modality.IR, 0), (Modality.IR, 2))]
+        assert starts == store.block_bounds[:-1].tolist()
+        for m, c in keys:  # each block's rows in input order
+            assert store.ids(m, c) == [t for t, key in zip(ids, zip(modalities, cameras))
+                                       if key == (m, c)]
+
+
 def test_store_from_matrix_rejects_bad_input():
     with pytest.raises(ValueError, match="duplicate prototype"):
         PrototypeStore.from_matrix(np.ones((2, 3)), ["a", "a"], [Modality.VIS] * 2, [0, 1])
@@ -585,10 +603,10 @@ def test_prototype_vector_writes_through_to_camera_matrix():
     store = make_store()
     modality, cam, row = store.locate("IR_1_2")
     new = np.arange(4.0)
-    store.get("IR_1_2").vector = new
+    store.get("IR_1_2").vector[...] = new
     np.testing.assert_array_equal(store.matrix(modality, cam)[row], new)
     for p in store.group(modality, cam):
-        p.vector = p.vector * 2.0
+        p.vector[...] = p.vector * 2.0
     np.testing.assert_array_equal(store.matrix(modality, cam)[row], 2.0 * new)
     np.testing.assert_array_equal(store.get("IR_1_2").vector, 2.0 * new)
 

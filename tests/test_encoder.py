@@ -21,7 +21,7 @@ from hitpro.encoder import (
 )
 from hitpro.gradcheck import finite_difference_grads, max_relative_error, run_gradcheck
 
-from conftest import on_the_helper
+from conftest import on_the_helper, spy_helper_slices
 from oracles import straightline_encode
 
 
@@ -566,20 +566,6 @@ def test_forked_child_starts_its_own_helper(monkeypatch):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def _spy_table_slices(monkeypatch):
-    """Record the address of each slice :func:`encode_table` encodes, and
-    whether the helper thread encoded it."""
-    ran = []
-    forward = encoder_mod._forward
-
-    def spy(params, x):
-        ran.append((x.ctypes.data, on_the_helper()))
-        return forward(params, x)
-
-    monkeypatch.setattr(encoder_mod, "_forward", spy)
-    return ran
-
-
 def _helper_slices(ran, frames, chunk):
     """The indexes of the ``chunk``-row slices of ``frames`` that the helper
     thread encoded, in order."""
@@ -594,7 +580,7 @@ def _helper_slices(ran, frames, chunk):
 def test_encode_table_gives_the_per_row_encode_bytes(monkeypatch, on, n_layers, n_rows):
     _force_helper(monkeypatch, on)
     monkeypatch.setattr(encoder_mod, "ENCODE_CHUNK", 5)
-    ran = _spy_table_slices(monkeypatch)
+    ran = spy_helper_slices(monkeypatch)
     p = small_params(n_tte_layers=n_layers, seed=n_rows)
     frames = np.random.default_rng(n_rows).normal(size=(n_rows, 3, 4))
     got = encoder_mod.encode_table(p, frames)
@@ -634,7 +620,7 @@ def test_encode_table_raises_the_first_failing_slice(monkeypatch, on):
         return forward(params, x)
 
     monkeypatch.setattr(encoder_mod, "_forward", late_on_the_helper)
-    ran = _spy_table_slices(monkeypatch)
+    ran = spy_helper_slices(monkeypatch)
     p = small_params(n_tte_layers=2)
     clean = np.random.default_rng(6).normal(size=(16, 3, 4))
     frames = clean.copy()

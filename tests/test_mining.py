@@ -176,7 +176,7 @@ def test_scale_invariance_of_acceptance():
         for s in mine_positive_sets(store, Modality.IR, PositiveKind.CROSS_MODAL, 10, cfg)
     }
     for p in store.modality_prototypes(Modality.VIS):
-        p.vector = p.vector * 7.5
+        p.vector[...] = p.vector * 7.5
     after = {
         s.source: s.target_ids
         for s in mine_positive_sets(store, Modality.IR, PositiveKind.CROSS_MODAL, 10, cfg)

@@ -335,7 +335,7 @@ def test_prototype_assignment_changes_what_the_loss_reads():
     ])
     q = np.array([1.0, 0.0])
     before, _ = loss_intra_camera([(q, "own")], store, 0.5)
-    store.get("other").vector = np.array([1.0, 0.0])  # now tied with own
+    store.get("other").vector[...] = np.array([1.0, 0.0])  # now tied with own
     after, _ = loss_intra_camera([(q, "own")], store, 0.5)
     assert before == pytest.approx(0.1269, abs=1e-4)
     assert after == pytest.approx(np.log(2.0), abs=1e-12)

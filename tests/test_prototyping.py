@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hitpro.datamodel import (
-    Dataset, Modality, Prototype, PrototypeStore, TrainConfig, Tracklet, load_dataset,
-    read_frames, read_manifest, save_dataset,
+    Dataset, Modality, Prototype, PrototypeStore, TrainConfig, Tracklet, load_checkpoint,
+    load_dataset, read_frames, read_manifest, save_checkpoint, save_dataset,
 )
 import hitpro.encoder as encoder_mod
 from hitpro import prototyping
@@ -167,6 +167,20 @@ def test_build_prototypes_equals_list_built_store():
     assert_same_store(build_prototypes(params, ds, cfg), listed)
 
 
+def test_store_of_an_ir_first_dataset_equals_its_checkpoint_store(tmp_path):
+    grouped = make_dataset(n_per_group=3)
+    ds = Dataset(d_in=4, n_cameras_vis=2, n_cameras_ir=2,
+                 tracklets=grouped.tracklets[::-1])  # IR camera 1 first
+    cfg = small_cfg()
+    params = params_for(cfg)
+    store = build_prototypes(params, ds, cfg)
+    store.stacked[...] = store.stacked.astype("<f4")  # the values a checkpoint holds
+    save_checkpoint(params, store, 0, tmp_path / "checkpoint.hpt")
+    _, loaded, _ = load_checkpoint(tmp_path / "checkpoint.hpt")
+    assert_same_store(loaded, store)
+    assert store.locate(store.ids(Modality.VIS, 0)[0]) == (Modality.VIS, 0, 0)
+
+
 def _looped_tracklet_embedding(params, t, cfg):
     """One 2-D encoder call per sub-tracklet, summed in order."""
     total = np.zeros(cfg.embed_dim)
@@ -200,12 +214,13 @@ def test_embed_tracklets_on_the_helper_matches_per_tracklet(monkeypatch, n_layer
     monkeypatch.setattr(encoder_mod, "ENCODE_CHUNK", chunk)
     monkeypatch.setattr(encoder_mod, "HELPER_MIN_WORK", 0)
     monkeypatch.setattr(encoder_mod, "_cores", lambda: 2)
-    on_helper = spy_helper_slices(monkeypatch)
+    ran = spy_helper_slices(monkeypatch)
     cfg = small_cfg(n_subtracklets=3, n_tte_layers=n_layers)
     ds = make_dataset(n_per_group=n_per_group)  # 12 * n_per_group rows
     params = params_for(cfg)
     vectors = embed_tracklets(params, ds.tracklets, cfg)
-    assert len(on_helper) == -(-12 * n_per_group // chunk) and sum(on_helper) == handed
+    assert len(ran) == -(-12 * n_per_group // chunk)
+    assert sum(on_helper for _, on_helper in ran) == handed
     for t, vec in zip(ds.tracklets, vectors, strict=True):
         np.testing.assert_array_equal(vec, _looped_tracklet_embedding(params, t, cfg))
 

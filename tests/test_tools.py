@@ -1,13 +1,16 @@
 """The claim rule of ``tools/bench_pairs.py``: ``summarize`` on hand-built
-pairs, and its working-tree export; and the path normalization of
-``tools/cmp_artifacts.py``."""
+pairs, and its working-tree export; and the path normalization and the
+reversed dataset of ``tools/cmp_artifacts.py``."""
 
 import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hitpro.datamodel import load_dataset, save_dataset
+from hitpro.synthgen import GenConfig, generate_dataset
 
 
 def _tool(name):
@@ -136,3 +139,19 @@ def test_cmp_artifacts_still_sees_a_changed_value_or_payload(tmp_path):
     assert "embeddings.f32" not in cmp_artifacts.NAMES_PATHS
     assert all(cmp_artifacts.STDOUT in files and "effective_config.json" in files
                for files in cmp_artifacts.ARTIFACTS.values())
+
+
+def test_cmp_artifacts_reversed_dataset_keeps_each_tracklets_frames(tmp_path):
+    dataset = generate_dataset(GenConfig(n_identities=3, cams_vis=2, cams_ir=2, d_in=5,
+                                         d_latent=3, frame_len_min=2, frame_len_max=7, seed=1))
+    save_dataset(dataset, tmp_path / "data")
+    cmp_artifacts.reversed_dataset(tmp_path / "data", tmp_path / "reversed")
+    back = load_dataset(tmp_path / "reversed")
+    assert back.tracklet_ids == dataset.tracklet_ids[::-1]
+    assert back.modalities[0] is dataset.modalities[-1]  # IR first
+    assert back.tracklet_ids[0] != dataset.tracklet_ids[0]
+    for t in dataset.tracklets:
+        got = back.get(t.tracklet_id)
+        assert (got.modality, got.camera_id, got.gt_identity) == (
+            t.modality, t.camera_id, t.gt_identity)
+        np.testing.assert_array_equal(got.frames, t.frames)

@@ -161,6 +161,21 @@ def test_core_modules_never_read_labels():
         assert "gt_identity" not in inspect.getsource(module), module.__name__
 
 
+@pytest.mark.parametrize("total_epochs", [0, 1, 3])
+def test_train_builds_one_store_per_run(monkeypatch, total_epochs):
+    built = []
+    fill = PrototypeStore._fill
+
+    def counted(store, *args):
+        built.append(store)
+        fill(store, *args)
+
+    monkeypatch.setattr(PrototypeStore, "_fill", counted)
+    result = train(tiny_dataset(), tiny_cfg(total_epochs=total_epochs, cross_start_epoch=0,
+                                            intra_start_epoch=0))
+    assert len(built) == 1 and built[0] is result.store
+
+
 def test_hls_logs_zero_before_activation():
     ds = tiny_dataset()
     cfg = tiny_cfg(total_epochs=3, intra_start_epoch=2, cross_start_epoch=3)
@@ -248,7 +263,7 @@ def _shuffled_store(rng, cams_vis, cams_ir, tie=False):
     if tie:
         for p in protos[1:]:
             if p.camera_id != protos[0].camera_id or p.modality is not protos[0].modality:
-                p.vector = protos[0].vector
+                p.vector[...] = protos[0].vector
     order = rng.permutation(len(protos))
     return PrototypeStore([protos[i] for i in order])
 

@@ -7,7 +7,10 @@ Usage: python tools/cmp_artifacts.py [REV]   (REV defaults to HEAD)
 directory. Under each ``src/``, with one BLAS thread, ``gen``, ``train``,
 ``eval`` and ``mine`` run on ``configs/zero_noise.json``,
 ``configs/noisy_benchmark.json`` and the ``perfbench/workloads.py`` configs
-at seed 0. Besides each verb's files, its ``effective_config.json`` and the
+at seed 0. ``train``, ``eval`` and ``mine`` also run on one dataset that
+``gen`` never writes: each side's ``noisy_benchmark`` dataset with its
+entries in reverse order (``reversed_dataset``), so its IR cameras come
+first. Besides each verb's files, its ``effective_config.json`` and the
 line it prints are compared, with the side's output root in them replaced
 by ``<out>``. Prints one line per artifact and exits 1 if any differs.
 """
@@ -33,6 +36,8 @@ ARTIFACTS = {
     "report": ("report.json", "embeddings.f32", "effective_config.json", STDOUT),
     "mine": ("mining_report.json", "effective_config.json", STDOUT),
 }
+# the noisy_benchmark dataset in reverse order, and the config it runs under
+REVERSED, REVERSED_FROM = "noisy_benchmark_reversed", "noisy_benchmark"
 # the files that name paths under the side's output root
 NAMES_PATHS = ("effective_config.json", STDOUT)
 # run hitpro's CLI from the src/ directory given as the first argument
@@ -54,9 +59,25 @@ def configs(out: Path) -> dict[str, Path]:
     return found
 
 
+def reversed_dataset(data: Path, out: Path) -> None:
+    """Write to ``out`` the dataset in ``data`` with its manifest entries,
+    and each entry's ``frames.f32`` rows with it, in reverse order."""
+    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    raw, row = (data / "frames.f32").read_bytes(), 4 * manifest["d_in"]
+    blocks, start = [], 0
+    for entry in manifest["tracklets"]:
+        blocks.append(raw[start : start + row * entry["n_frames"]])
+        start += row * entry["n_frames"]
+    manifest["tracklets"].reverse()
+    out.mkdir(parents=True)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    (out / "frames.f32").write_bytes(b"".join(reversed(blocks)))
+
+
 def run_all(src: Path, config: Path, out: Path) -> None:
-    """``gen``, ``train``, ``eval`` and ``mine`` on ``config`` into ``out``,
-    each verb's stdout kept as ``STDOUT`` in its output directory."""
+    """``gen`` (unless ``out`` already holds the data), ``train``, ``eval``
+    and ``mine`` on ``config`` into ``out``, each verb's stdout kept as
+    ``STDOUT`` in its output directory."""
     data, run = out / "data", out / "run"
     common = ["--config", str(config), "--data", str(data)]
     checkpoint = ["--checkpoint", str(run / "checkpoint.hpt")]
@@ -64,6 +85,8 @@ def run_all(src: Path, config: Path, out: Path) -> None:
                       ("run", ["train", *common, "--out", str(run)]),
                       ("report", ["eval", *common, *checkpoint, "--out", str(out / "report")]),
                       ("mine", ["mine", *common, *checkpoint, "--out", str(out / "mine")])):
+        if sub == "data" and data.exists():
+            continue
         proc = subprocess.run([sys.executable, "-c", CHILD, str(src), *argv], env=ENV,
                               check=True, stdout=subprocess.PIPE)
         (out / sub / STDOUT).write_bytes(proc.stdout)
@@ -91,11 +114,17 @@ def main(argv: list[str]) -> int:
         with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
             tar.extractall(tmp / "rev")
         sides = (tmp / "rev" / "src", ROOT / "src")
+        found = configs(tmp)
         differ = False
-        for name, config in configs(tmp).items():
+        for name, config in [*found.items(), (REVERSED, found[REVERSED_FROM])]:
             for i, src in enumerate(sides):
+                if name == REVERSED:
+                    reversed_dataset(tmp / f"out{i}" / REVERSED_FROM / "data",
+                                     tmp / f"out{i}" / name / "data")
                 run_all(src, config, tmp / f"out{i}" / name)
             for sub, files in ARTIFACTS.items():
+                if (name, sub) == (REVERSED, "data"):  # made here, not by gen
+                    continue
                 for file in files:
                     a, b = (artifact(tmp / f"out{i}", name, sub, file) for i in range(2))
                     same = a == b
