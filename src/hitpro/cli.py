@@ -109,11 +109,19 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(_json_artifact(payload), encoding="utf-8")
 
 
+def _texts(convert, values: list) -> np.ndarray:
+    """``convert`` of each of ``values``, as an object array."""
+    return np.fromiter(map(convert, values), dtype=object, count=len(values))
+
+
 def _mining_rows_text(report: MiningReport) -> str:
     """A family's ``rows`` as ``mining_report.json`` holds them: per source
     its ``accepted`` pairs, ``candidates``, ``s_max`` (Python ``max`` over the
     row's sims, as ``MiningReport.rows`` takes it), ``source`` and
-    ``threshold``, filled into fixed templates from the report's arrays.
+    ``threshold``.
+
+    The family is one template, the row template of each row's accepted
+    count joined, filled by one ``%`` from the report's arrays.
     """
     n, n_cand = report.sims.shape
     if n == 0:
@@ -122,42 +130,59 @@ def _mining_rows_text(report: MiningReport) -> str:
     key_in = row_in + "  "  # before a row's keys and its lists' "]"
     item_in = key_in + "  "  # before each candidate's or accepted pair's "{"
     field_in = item_in + "  "
-    finite = np.isfinite(report.sims).all() and np.isfinite(report.weights).all()
-    float_text = float.__repr__ if finite else _json_float
-    sims = list(map(float_text, report.sims.ravel().tolist()))
-    targets = list(map(encode_basestring_ascii, report.targets.ravel().tolist()))
-    cameras = list(map(int.__repr__, report.cameras.ravel().tolist()))
-    candidate = ("{" + field_in + '"camera": %s,' + field_in + '"sim": %s,' + field_in
-                 + '"target": %s' + item_in + "}")
-    candidates = list(map(candidate.__mod__, zip(cameras, sims, targets)))
-    flat = np.flatnonzero(report.accepted).tolist()  # row-major: camera order per row
-    weights = map(float_text, report.weights.ravel()[flat].tolist())
+
+    def listed(item: str, count: int) -> str:
+        if not count:
+            return "[]"
+        return "[" + item_in + ("," + item_in).join([item] * count) + key_in + "]"
+
     pair = ("{" + field_in + '"sim": %s,' + field_in + '"target": %s,' + field_in
             + '"weight": %s' + item_in + "}")
-    accepted = [pair % (sims[i], targets[i], w) for i, w in zip(flat, weights)]
+    candidate = ("{" + field_in + '"camera": %s,' + field_in + '"sim": %s,' + field_in
+                 + '"target": %s' + item_in + "}")
+    tail = ("," + key_in + '"candidates": ' + listed(candidate, n_cand) + "," + key_in
+            + '"s_max": %s,' + key_in + '"source": %s,' + key_in + '"threshold": %s'
+            + row_in + "}")
+    row_of_count = ["{" + key_in + '"accepted": ' + listed(pair, k) + tail
+                    for k in range(n_cand + 1)]
+    later_row_of_count = ["," + row_in + row for row in row_of_count]
+    counts = report.accepted.sum(axis=1)
+    # one join with the brackets in it: a concatenation would copy the text again
+    template = "".join(["[" + row_in + row_of_count[counts[0]],
+                        *map(later_row_of_count.__getitem__, counts[1:].tolist()), "\n    ]"])
 
-    open_list, sep, close_list = "[" + item_in, "," + item_in, key_in + "]"
+    # per row: an accepted triple per candidate slot, of which the first
+    # ``count`` are filled, a candidate triple per camera, and the row's
+    # (s_max, source, threshold); the mask keeps the filled triples in order
+    values = np.empty((n, 2 * n_cand + 1, 3), dtype=object)
+    values[:, -1, 1] = _texts(encode_basestring_ascii, report.sources)
     if n_cand:
-        s_max = [float_text(max(r)) for r in report.sims.tolist()]
-        candidate_lists = [open_list + sep.join(candidates[i:i + n_cand]) + close_list
-                           for i in range(0, n * n_cand, n_cand)]
+        thresholds = np.array(report.thresholds, dtype=np.float64)
+        finite = all(np.isfinite(a).all() for a in (report.sims, report.weights, thresholds))
+        # repr is json's text for finite floats and for an integer fixed_threshold
+        number_text = repr if finite else _json_float
+        cameras, sims, targets = (
+            _texts(convert, array.ravel().tolist()).reshape(n, n_cand)
+            for convert, array in ((int.__repr__, report.cameras), (number_text, report.sims),
+                                   (encode_basestring_ascii, report.targets)))
+        candidates = values[:, n_cand:-1]
+        candidates[..., 0], candidates[..., 1], candidates[..., 2] = cameras, sims, targets
+        rows, cols = np.nonzero(report.accepted)  # row-major: camera order per row
+        slots = (np.cumsum(report.accepted, axis=1) - 1)[rows, cols]
+        values[rows, slots, 0], values[rows, slots, 1] = sims[rows, cols], targets[rows, cols]
+        values[rows, slots, 2] = _texts(number_text, report.weights[rows, cols].tolist())
+        # argmax takes the first maximum, as Python max does on finite sims;
+        # a row holding NaN or inf keeps Python max
+        s_max = sims[np.arange(n), report.sims.argmax(axis=1)]
+        for i in np.flatnonzero(~np.isfinite(report.sims).all(axis=1)).tolist():
+            s_max[i] = number_text(max(report.sims[i].tolist()))
+        values[:, -1, 0] = s_max
+        values[:, -1, 2] = _texts(number_text, report.thresholds)
     else:
-        s_max, candidate_lists = ["null"] * n, ["[]"] * n
-    row = ("{" + key_in + '"accepted": %s,' + key_in + '"candidates": %s,' + key_in
-           + '"s_max": %s,' + key_in + '"source": %s,' + key_in + '"threshold": %s'
-           + row_in + "}")
-    rows = []
-    start = 0
-    for count, cands, top, source, threshold in zip(
-        report.accepted.sum(axis=1).tolist(), candidate_lists, s_max, report.sources,
-        report.thresholds,
-    ):
-        stop = start + count
-        taken = open_list + sep.join(accepted[start:stop]) + close_list if count else "[]"
-        rows.append(row % (taken, cands, top, encode_basestring_ascii(source),
-                           "null" if threshold is None else _json_float(threshold)))
-        start = stop
-    return "[" + row_in + ("," + row_in).join(rows) + "\n    ]"
+        values[:, -1, 0] = values[:, -1, 2] = "null"
+    filled = np.ones(values.shape[:2], dtype=bool)
+    filled[:, :n_cand] = np.arange(n_cand) < counts[:, None]
+    return template % tuple(values[filled].ravel().tolist())
 
 
 # what json.dumps writes at each family's "rows" before the rows go in
@@ -180,9 +205,13 @@ def _mining_report_text(store, epoch: int, cfg: TrainConfig, gt) -> str:
             if gt is not None:
                 entry["precision"], entry["recall"] = mining_quality(report, gt)
             rows[key] = _mining_rows_text(report)
-    # only the skeleton is searched; sorted keys put the placeholders in key order
+    # only the skeleton is searched; sorted keys put the placeholders in key
+    # order, and one join copies each family's rows text once
     parts = _json_artifact(payload).split(json.dumps(_ROWS))
-    return parts[0] + "".join(rows[k] + part for k, part in zip(sorted(rows), parts[1:]))
+    pieces = parts[:1]
+    for key, part in zip(sorted(rows), parts[1:]):
+        pieces += (rows[key], part)
+    return "".join(pieces)
 
 
 def _write_effective_config(out_dir: Path, command: str, gen_cfg, train_cfg, args) -> None:
@@ -231,7 +260,9 @@ def _cmd_train(args) -> int:
 def _cmd_mine(args) -> int:
     gen_cfg, cfg = _resolve_configs(args)
     params, store, saved_epoch = load_checkpoint(args.checkpoint)
-    gt = dataset_labels(read_manifest(args.data))
+    manifest = read_manifest(args.data)
+    cfg = cfg.with_overrides(d_in=manifest.d_in)
+    gt = dataset_labels(manifest)
     epoch = args.epoch if args.epoch is not None else min(saved_epoch, cfg.total_epochs)
     if not 0 <= epoch <= cfg.total_epochs:
         raise ValueError(f"--epoch {epoch} outside [0, {cfg.total_epochs}]")
@@ -249,8 +280,9 @@ def _cmd_eval(args) -> int:
     # columns from disk to matrices: no Tracklet, no PrototypeStore
     params = load_encoder(args.checkpoint)
     dataset = load_dataset(args.data)
+    cfg = cfg.with_overrides(d_in=dataset.d_in)
     for key, expected in params.dims().items():
-        value = dataset.d_in if key == "d_in" else getattr(cfg, key)
+        value = getattr(cfg, key)
         if value != expected:
             raise ValueError(f"{key} must be {expected}, the checkpoint's, got {value}")
     vectors = embed_table(params, table_of_rows(dataset.frames, dataset.n_frames, cfg))

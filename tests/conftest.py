@@ -6,13 +6,14 @@ import hitpro.encoder as encoder_mod
 from hitpro.datamodel import Modality, Prototype, PrototypeStore
 
 
-def random_store(rng, cams_vis=2, cams_ir=2, max_per_cam=4, d=6):
-    """Random unit-norm store plus the plain-dict mirror the oracles consume."""
+def random_store(rng, cams_vis=2, cams_ir=2, max_per_cam=4, d=6, min_per_cam=1):
+    """Random unit-norm store, ``min_per_cam`` to ``max_per_cam`` prototypes
+    per camera, plus the plain-dict mirror the oracles consume."""
     protos = []
     groups = {}
     for modality, n_cams in ((Modality.VIS, cams_vis), (Modality.IR, cams_ir)):
         for cam in range(n_cams):
-            n = int(rng.integers(1, max_per_cam + 1))
+            n = int(rng.integers(min_per_cam, max_per_cam + 1))
             group = []
             for i in range(n):
                 v = rng.normal(size=d)

@@ -396,6 +396,22 @@ def test_mining_text_matches_dict_path_on_random_stores(cfg, shape):
             _family_rows(store, cfg, epoch, gt=gt if seed else None)
 
 
+def test_mining_text_matches_dict_path_at_scale():
+    # 3+3 cameras of 100 to 120 prototypes: every row template of an
+    # accepted count from 0 to the candidate count is filled somewhere
+    store, _ = random_store(np.random.default_rng(11), cams_vis=3, cams_ir=3, min_per_cam=100,
+                            max_per_cam=120, d=16)
+    gt = {tid: int(tid.rsplit("_", 1)[1]) % 40 for m in Modality for cam in store.cameras(m)
+          for tid in store.ids(m, cam)}
+    seen = {}
+    for cfg in MINING_CFGS:
+        for epoch in (0, cfg.total_epochs):
+            for rows in _family_rows(store, cfg, epoch, gt).values():
+                for r in rows:
+                    seen.setdefault(len(r["candidates"]), set()).add(len(r["accepted"]))
+    assert seen == {2: {0, 1, 2}, 3: {0, 1, 2, 3}}
+
+
 @pytest.mark.parametrize("cfg", MINING_CFGS)
 def test_mining_text_without_candidate_cameras(cfg):
     store, _ = random_store(np.random.default_rng(3), cams_vis=1, cams_ir=1)

@@ -315,6 +315,17 @@ def test_eval_dataset_d_in_other_than_the_checkpoints_names_the_key(zero_noise_r
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["eval", "mine"])
+def test_eval_and_mine_record_the_datasets_d_in_not_the_configs(zero_noise_run, tmp_path, verb):
+    # the config says 6; the dataset and the checkpoint are d_in 8
+    _, data, checkpoint = zero_noise_run
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, "d_in": 6})
+    out = tmp_path / verb
+    assert main([verb, "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "effective_config.json").read_text())["d_in"] == 8
+
+
 def test_eval_dataset_without_labels_creates_no_out(zero_noise_run, tmp_path, capsys):
     cfg, data, checkpoint = zero_noise_run
     unlabeled, out = tmp_path / "unlabeled", tmp_path / "e"

@@ -1,6 +1,6 @@
 """The claim rule of ``tools/bench_pairs.py``: ``summarize`` on hand-built
-pairs, and its working-tree export; and the path normalization and the
-reversed dataset of ``tools/cmp_artifacts.py``."""
+pairs, and its working-tree export; and the path normalization, the verb
+runs and the reversed dataset of ``tools/cmp_artifacts.py``."""
 
 import importlib.util
 import math
@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hitpro.cli import build_parser
 from hitpro.datamodel import load_dataset, save_dataset
 from hitpro.synthgen import GenConfig, generate_dataset
 
@@ -155,3 +156,20 @@ def test_cmp_artifacts_reversed_dataset_keeps_each_tracklets_frames(tmp_path):
         assert (got.modality, got.camera_id, got.gt_identity) == (
             t.modality, t.camera_id, t.gt_identity)
         np.testing.assert_array_equal(got.frames, t.frames)
+
+
+def test_cmp_artifacts_runs_each_verb_into_its_own_directory(tmp_path):
+    config, out = tmp_path / "wide.json", tmp_path / "wide"
+    runs = cmp_artifacts.verbs(config, out)
+    assert [sub for sub, _ in runs] == list(cmp_artifacts.ARTIFACTS)
+    args = {sub: build_parser().parse_args(argv) for sub, argv in runs}
+    assert {sub: (a.command, a.out) for sub, a in args.items()} == {
+        "data": ("gen", str(out / "data")), "run": ("train", str(out / "run")),
+        "report": ("eval", str(out / "report")), "mine": ("mine", str(out / "mine")),
+        "mine_epoch0": ("mine", str(out / "mine_epoch0"))}
+    assert all(a.config == str(config) for a in args.values())
+    # the checkpoint's epoch, and the start of the threshold schedule
+    assert (args["mine"].epoch, args["mine_epoch0"].epoch) == (None, 0)
+    assert args["mine"].checkpoint == args["mine_epoch0"].checkpoint == str(
+        out / "run" / "checkpoint.hpt")
+    assert sum(map(len, cmp_artifacts.ARTIFACTS.values())) == 18  # per config

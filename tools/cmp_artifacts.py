@@ -5,14 +5,17 @@ Usage: python tools/cmp_artifacts.py [REV]   (REV defaults to HEAD)
 
 ``REV``'s ``src/`` is exported with ``git archive`` into a temporary
 directory. Under each ``src/``, with one BLAS thread, ``gen``, ``train``,
-``eval`` and ``mine`` run on ``configs/zero_noise.json``,
+``eval``, ``mine`` and ``mine --epoch 0`` run on ``configs/zero_noise.json``,
 ``configs/noisy_benchmark.json`` and the ``perfbench/workloads.py`` configs
-at seed 0. ``train``, ``eval`` and ``mine`` also run on one dataset that
-``gen`` never writes: each side's ``noisy_benchmark`` dataset with its
-entries in reverse order (``reversed_dataset``), so its IR cameras come
-first. Besides each verb's files, its ``effective_config.json`` and the
-line it prints are compared, with the side's output root in them replaced
-by ``<out>``. Prints one line per artifact and exits 1 if any differs.
+at seed 0: ``mine`` mines at the checkpoint's epoch, at ``thresh_final``,
+and ``mine --epoch 0`` at ``thresh_init``, so the reports of both ends of the
+threshold schedule are compared. ``train``, ``eval`` and both ``mine`` runs
+also run on one dataset that ``gen`` never writes: each side's
+``noisy_benchmark`` dataset with its entries in reverse order
+(``reversed_dataset``), so its IR cameras come first. Besides each verb's
+files, its ``effective_config.json`` and the line it prints are compared,
+with the side's output root in them replaced by ``<out>``. Prints one line
+per artifact (104 in all) and exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ ARTIFACTS = {
     "run": ("checkpoint.hpt", "metrics.json", "effective_config.json", STDOUT),
     "report": ("report.json", "embeddings.f32", "effective_config.json", STDOUT),
     "mine": ("mining_report.json", "effective_config.json", STDOUT),
+    "mine_epoch0": ("mining_report.json", "effective_config.json", STDOUT),
 }
 # the noisy_benchmark dataset in reverse order, and the config it runs under
 REVERSED, REVERSED_FROM = "noisy_benchmark_reversed", "noisy_benchmark"
@@ -74,18 +78,26 @@ def reversed_dataset(data: Path, out: Path) -> None:
     (out / "frames.f32").write_bytes(b"".join(reversed(blocks)))
 
 
-def run_all(src: Path, config: Path, out: Path) -> None:
-    """``gen`` (unless ``out`` already holds the data), ``train``, ``eval``
-    and ``mine`` on ``config`` into ``out``, each verb's stdout kept as
-    ``STDOUT`` in its output directory."""
+def verbs(config: Path, out: Path) -> list[tuple[str, list[str]]]:
+    """Per output directory of ``ARTIFACTS``, in order, the hitpro arguments
+    that run one verb on ``config`` into it under ``out``."""
     data, run = out / "data", out / "run"
     common = ["--config", str(config), "--data", str(data)]
-    checkpoint = ["--checkpoint", str(run / "checkpoint.hpt")]
-    for sub, argv in (("data", ["gen", "--config", str(config), "--out", str(data)]),
-                      ("run", ["train", *common, "--out", str(run)]),
-                      ("report", ["eval", *common, *checkpoint, "--out", str(out / "report")]),
-                      ("mine", ["mine", *common, *checkpoint, "--out", str(out / "mine")])):
-        if sub == "data" and data.exists():
+    mine = ["mine", *common, "--checkpoint", str(run / "checkpoint.hpt")]
+    return [("data", ["gen", "--config", str(config), "--out", str(data)]),
+            ("run", ["train", *common, "--out", str(run)]),
+            ("report", ["eval", *common, "--checkpoint", str(run / "checkpoint.hpt"),
+                        "--out", str(out / "report")]),
+            ("mine", [*mine, "--out", str(out / "mine")]),
+            ("mine_epoch0", [*mine, "--epoch", "0", "--out", str(out / "mine_epoch0")])]
+
+
+def run_all(src: Path, config: Path, out: Path) -> None:
+    """``verbs`` on ``config`` into ``out``, ``gen`` only unless ``out``
+    already holds the data, each verb's stdout kept as ``STDOUT`` in its
+    output directory."""
+    for sub, argv in verbs(config, out):
+        if sub == "data" and (out / "data").exists():
             continue
         proc = subprocess.run([sys.executable, "-c", CHILD, str(src), *argv], env=ENV,
                               check=True, stdout=subprocess.PIPE)
