@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -21,8 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .datamodel import (
-    Modality,
-    PositiveKind,
     TrainConfig,
     load_checkpoint,
     load_dataset,
@@ -33,7 +30,7 @@ from .datamodel import (
 )
 from .evaluator import dataset_labels, distance_distribution, evaluate_embeddings, mining_quality
 from .gradcheck import run_gradcheck
-from .mining import MiningReport, build_mining_report
+from .mining import MiningReport, mine_families
 from .prototyping import embed_table, table_of_rows
 from .synthgen import GenConfig, generate_dataset
 from .trainer import train
@@ -87,17 +84,6 @@ def _numpy_to_list(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _json_float(value: float) -> str:
-    """A number as ``json`` writes it: NaN and +-Infinity by name, else its repr."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return repr(value)
 
 
 def _json_artifact(payload) -> str:
@@ -159,8 +145,8 @@ def _mining_rows_text(report: MiningReport) -> str:
     if n_cand:
         thresholds = np.array(report.thresholds, dtype=np.float64)
         finite = all(np.isfinite(a).all() for a in (report.sims, report.weights, thresholds))
-        # repr is json's text for finite floats and for an integer fixed_threshold
-        number_text = repr if finite else _json_float
+        # repr, the faster, is json's text for finite floats and an integer fixed_threshold
+        number_text = repr if finite else json.dumps
         cameras, sims, targets = (
             _texts(convert, array.ravel().tolist()).reshape(n, n_cand)
             for convert, array in ((int.__repr__, report.cameras), (number_text, report.sims),
@@ -195,16 +181,14 @@ def _mining_report_text(store, epoch: int, cfg: TrainConfig, gt) -> str:
     ``rows``, and each family's ``_mining_rows_text`` replaces its placeholder.
     """
     payload, rows = {"epoch": epoch}, {}
-    for modality in (Modality.VIS, Modality.IR):
-        for kind in (PositiveKind.INTRA_MODAL, PositiveKind.CROSS_MODAL):
-            report = build_mining_report(store, modality, kind, epoch, cfg)
-            key = f"{modality.value.lower()}_{kind.value.lower()}"
-            payload[key] = entry = {"source_modality": modality.value, "kind": kind.value,
-                                    "epoch": epoch, "rows": _ROWS,
-                                    "mean_positive_set_size": report.mean_positive_set_size}
-            if gt is not None:
-                entry["precision"], entry["recall"] = mining_quality(report, gt)
-            rows[key] = _mining_rows_text(report)
+    for family, report in mine_families(store, epoch, cfg).items():
+        key = f"{family}_modal"
+        payload[key] = entry = {"source_modality": report.source_modality.value,
+                                "kind": report.kind.value, "epoch": epoch, "rows": _ROWS,
+                                "mean_positive_set_size": report.mean_positive_set_size}
+        if gt is not None:
+            entry["precision"], entry["recall"] = mining_quality(report, gt)
+        rows[key] = _mining_rows_text(report)
     # only the skeleton is searched; sorted keys put the placeholders in key
     # order, and one join copies each family's rows text once
     parts = _json_artifact(payload).split(json.dumps(_ROWS))
@@ -224,6 +208,14 @@ def _write_effective_config(out_dir: Path, command: str, gen_cfg, train_cfg, arg
         if getattr(args, key, None) is not None:
             payload[key] = str(getattr(args, key))
     _write_json(out_dir / "effective_config.json", payload)
+
+
+def _check_encoder_dims(params, cfg: TrainConfig) -> None:
+    """Raise unless ``cfg`` holds every dimension of the checkpoint's encoder."""
+    for key, expected in params.dims().items():
+        value = getattr(cfg, key)
+        if value != expected:
+            raise ValueError(f"{key} must be {expected}, the checkpoint's, got {value}")
 
 
 def _cmd_gen(args) -> int:
@@ -262,6 +254,7 @@ def _cmd_mine(args) -> int:
     params, store, saved_epoch = load_checkpoint(args.checkpoint)
     manifest = read_manifest(args.data)
     cfg = cfg.with_overrides(d_in=manifest.d_in)
+    _check_encoder_dims(params, cfg)
     gt = dataset_labels(manifest)
     epoch = args.epoch if args.epoch is not None else min(saved_epoch, cfg.total_epochs)
     if not 0 <= epoch <= cfg.total_epochs:
@@ -281,10 +274,7 @@ def _cmd_eval(args) -> int:
     params = load_encoder(args.checkpoint)
     dataset = load_dataset(args.data)
     cfg = cfg.with_overrides(d_in=dataset.d_in)
-    for key, expected in params.dims().items():
-        value = getattr(cfg, key)
-        if value != expected:
-            raise ValueError(f"{key} must be {expected}, the checkpoint's, got {value}")
+    _check_encoder_dims(params, cfg)
     vectors = embed_table(params, table_of_rows(dataset.frames, dataset.n_frames, cfg))
     results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
     # the layout of the dataset's frames.f32: little-endian float32, here

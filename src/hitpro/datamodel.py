@@ -728,6 +728,7 @@ def _parse_checkpoint(header: dict, blob: bytes):
     from .encoder import EncoderParams  # deferred to avoid an import cycle
 
     arrays: dict[str, np.ndarray] = {}
+    spans = []  # (name, start, end) of each section, in header order
     for sec in header["sections"]:
         name = sec["name"]
         if name in arrays:
@@ -744,6 +745,7 @@ def _parse_checkpoint(header: dict, blob: bytes):
         if not np.isfinite(arr).all():
             raise ValueError(f"section {name!r} holds non-finite values")
         arrays[name] = arr.astype(np.float64)
+        spans.append((name, start, end))
 
     encoder_arrays = {
         name[len("encoder.") :]: arr for name, arr in arrays.items() if name.startswith("encoder.")
@@ -788,4 +790,13 @@ def _parse_checkpoint(header: dict, blob: bytes):
             raise ValueError(f"duplicate prototype for tracklet {tid}")
         seen.add(tid)
     epoch = _json_int(header["epoch"], "epoch", ValueError, 0)
+    # the sections lie back to back in header order from byte 0 and fill the
+    # blob: no two share bytes and no byte goes unread
+    at = 0
+    for name, start, end in spans:
+        if start != at:
+            raise ValueError(f"section {name!r} starts at byte {start}, not {at}")
+        at = end
+    if at != len(blob):
+        raise ValueError(f"{len(blob) - at} bytes follow the last section")
     return params, (matrix, ids, modalities, cameras), epoch

@@ -20,10 +20,10 @@ A large backward call (at least ``HELPER_MIN_WORK`` of ``N * seq_len *
 embed_dim * ffn_dim``, in a process allowed two or more cores) submits its
 weight-matrix gradients to one helper thread, started on first use, while
 the calling thread carries the input gradient down the layers. A table of
-two or more slices that large hands its odd slices to the same thread. The
-helper runs only functions the calling thread also runs, on the same arrays
-(``_add_weight_grad`` for each weight gradient, ``_forward`` for each
-slice), so it changes no bit of the result.
+two or more slices that large hands the last half of its rows to the same
+thread. The helper runs only functions the calling thread also runs, on the
+same arrays (``_add_weight_grad`` for each weight gradient, ``_forward`` for
+each slice), so it changes no bit of the result.
 
 All arithmetic runs in float64 so analytic gradients can be checked against
 central finite differences; parameters are serialized as float32.
@@ -379,10 +379,10 @@ def encode_table(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
     The stack goes through in slices of ``ENCODE_CHUNK`` rows. When a slice's
     work ``ENCODE_CHUNK * seq_len * embed_dim * ffn_dim`` is at least
     ``HELPER_MIN_WORK``, the process may run on two or more cores and there
-    are two slices or more, the helper thread encodes the odd slices while
-    the caller encodes the even ones, each into its own rows of the result.
-    A failure raises the first failing slice's error, in stack order, once
-    no slice is running.
+    are two slices or more, the helper thread encodes the last half of the
+    rows while the caller encodes the first, each into its own rows of the
+    result. A failure raises the first failing slice's error, in stack
+    order, once no slice is running: the caller's come first.
     """
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (params.seq_len, params.d_in):
@@ -397,16 +397,15 @@ def encode_table(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
     starts = range(0, len(x), ENCODE_CHUNK)
     work = ENCODE_CHUNK * params.seq_len * params.embed_dim * params.ffn_dim
     helper = _grad_helper(work) if len(starts) >= 2 else None
-    if helper is None:
-        for start in starts:
-            encode_rows(start)
-        return out
-    failures = [None] * len(starts)
-    futures = [helper.submit(encode_rows, start) for start in starts[1::2]]
+    # the caller takes the whole slices nearest half the rows: half the
+    # slices would give it 256 of 400 rows when the last slice is short
+    split = len(starts) if helper is None else (len(x) + ENCODE_CHUNK) // (2 * ENCODE_CHUNK)
+    futures = [helper.submit(encode_rows, start) for start in starts[split:]]
     try:
-        failures[0::2] = [_failure(encode_rows, start) for start in starts[0::2]]
-    finally:
-        failures[1::2] = [future.exception() for future in futures]
+        for start in starts[:split]:
+            encode_rows(start)
+    finally:  # no slice may write into out after this returns or raises
+        failures = [future.exception() for future in futures]
     _raise_first(failures)
     return out
 
@@ -534,15 +533,6 @@ def _backward(params, cache, g, grads, add_weight_grad) -> None:
 
     add_weight_grad(grads.proj, cache.x, dh)
     grads.pos += dh.sum(axis=0)
-
-
-def _failure(fn, *args) -> Exception | None:
-    """Call ``fn(*args)``; return the exception it raised, else None."""
-    try:
-        fn(*args)
-    except Exception as exc:  # noqa: BLE001 - re-raised by _raise_first
-        return exc
-    return None
 
 
 def _raise_first(failures) -> None:

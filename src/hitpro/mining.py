@@ -192,6 +192,22 @@ def build_mining_report(
     )
 
 
+# the four families as (source modality, kind, key): ``metrics.json`` names
+# each by its key, ``mining_report.json`` by its key and ``_modal``
+FAMILIES = (
+    (Modality.VIS, PositiveKind.INTRA_MODAL, "vis_intra"),
+    (Modality.VIS, PositiveKind.CROSS_MODAL, "vis_cross"),
+    (Modality.IR, PositiveKind.INTRA_MODAL, "ir_intra"),
+    (Modality.IR, PositiveKind.CROSS_MODAL, "ir_cross"),
+)
+
+
+def mine_families(store: PrototypeStore, epoch: int, cfg: TrainConfig) -> dict[str, MiningReport]:
+    """The report of each of ``FAMILIES`` at ``epoch``, under its key."""
+    return {key: build_mining_report(store, modality, kind, epoch, cfg)
+            for modality, kind, key in FAMILIES}
+
+
 def _accept(sims: np.ndarray, rho: float, cfg: TrainConfig):
     """Threshold every source's candidates and weight the survivors:
     ``(accepted, thresholds, weights)``."""

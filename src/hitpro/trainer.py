@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, Modality, PositiveKind, PrototypeStore, TrainConfig
+from .datamodel import Dataset, Modality, PrototypeStore, TrainConfig
 from .encoder import EncoderParams, encode, encode_backward, encoder_init
 from .evaluator import dataset_labels, mining_quality
-from .mining import MiningReport, build_mining_report, rho_schedule
+from .mining import MiningReport, mine_families, rho_schedule
 from .objective import Targets, apply_ema, batch_loss, loss_schedule, plan_batches
 from .prototyping import build_prototypes, embed_table, table_of_rows
 from .sampler import camera_rows, sample_rows
@@ -51,14 +51,6 @@ class TrainResult:
     params: EncoderParams
     store: PrototypeStore
     epochs: list[dict] = field(default_factory=list)
-
-
-_FAMILY_KEYS = (
-    (Modality.VIS, PositiveKind.INTRA_MODAL, "vis_intra"),
-    (Modality.IR, PositiveKind.INTRA_MODAL, "ir_intra"),
-    (Modality.VIS, PositiveKind.CROSS_MODAL, "vis_cross"),
-    (Modality.IR, PositiveKind.CROSS_MODAL, "ir_cross"),
-)
 
 
 def mined_targets(reports: list[MiningReport], n_rows: int) -> Targets:
@@ -114,8 +106,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         opt.lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
         if epoch:
             store.stacked[tracklet_rows] = embed_table(params, table)
-        reports = {key: build_mining_report(store, modality, kind, epoch, cfg)
-                   for modality, kind, key in _FAMILY_KEYS}
+        reports = mine_families(store, epoch, cfg)
         intra = mined_targets([reports["vis_intra"], reports["ir_intra"]], len(store))
         cross = mined_targets([reports["vis_cross"], reports["ir_cross"]], len(store))
 
@@ -161,13 +152,13 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             "mean_l_cm": sums["l_cm"] / n_it,
             "mean_l_total": sums["l_total"] / n_it,
             "positive_set_sizes": {
-                key: reports[key].mean_positive_set_size for _, _, key in _FAMILY_KEYS
+                key: report.mean_positive_set_size for key, report in reports.items()
             },
         }
         if gt is not None:
             record["mining"] = {}
-            for _, _, key in _FAMILY_KEYS:
-                precision, recall = mining_quality(reports[key], gt)
+            for key, report in reports.items():
+                precision, recall = mining_quality(report, gt)
                 record["mining"][key] = {"precision": precision, "recall": recall}
         epochs.append(record)
 

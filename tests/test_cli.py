@@ -287,29 +287,35 @@ def test_eval_max_rank_below_one_is_usage_error(tmp_path, capsys, value):
     assert not (tmp_path / "e").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("seq_len", 5), ("embed_dim", 64), ("ffn_dim", 7), ("pool_hidden_dim", 5),
-    ("n_tte_layers", 2),
+_OTHER_DIMS = [("seq_len", 5), ("embed_dim", 64), ("ffn_dim", 7), ("pool_hidden_dim", 5),
+               ("n_tte_layers", 2)]
+
+
+# eval's cases keep the ids they had before mine made the same check
+@pytest.mark.parametrize("verb, key, value", [
+    *(pytest.param("eval", key, value, id=f"{key}-{value}") for key, value in _OTHER_DIMS),
+    *(pytest.param("mine", key, value, id=f"mine-{key}-{value}") for key, value in _OTHER_DIMS),
 ])
 def test_eval_encoder_dim_other_than_the_checkpoints_names_the_key(zero_noise_run, tmp_path,
-                                                                     capsys, key, value):
+                                                                     capsys, verb, key, value):
     _, data, checkpoint = zero_noise_run
     cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, key: value})
     out = tmp_path / "e"
-    assert main(["eval", "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
+    assert main([verb, "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
                  "--out", str(out)]) == 2
     assert (f"error: {key} must be {ZERO_NOISE[key]}, the checkpoint's, got {value}"
             in capsys.readouterr().err)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["eval", "mine"])
 def test_eval_dataset_d_in_other_than_the_checkpoints_names_the_key(zero_noise_run, tmp_path,
-                                                                      capsys):
+                                                                      capsys, verb):
     cfg, _, checkpoint = zero_noise_run
     other = write_config(tmp_path / "other.json", **{**ZERO_NOISE, "d_in": 6})
     data, out = tmp_path / "data", tmp_path / "e"
     assert main(["gen", "--config", other, "--out", str(data)]) == 0
-    assert main(["eval", "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
+    assert main([verb, "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
                  "--out", str(out)]) == 2
     assert "error: d_in must be 8, the checkpoint's, got 6" in capsys.readouterr().err
     assert not out.exists()

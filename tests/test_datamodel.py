@@ -483,6 +483,31 @@ def test_checkpoint_section_nothing_claims_rejected(tmp_path, mutate):
             load(bad)
 
 
+def _append_eight_bytes(path, out):
+    out.write_bytes(path.read_bytes() + bytes(8))
+    return "8 bytes follow the last section"
+
+
+def _point_wk_at_wq(path, out):
+    def wk_at_wq(header):
+        sections = {s["name"]: s for s in header["sections"]}
+        sections["encoder.layers.0.wk"]["offset"] = sections["encoder.layers.0.wq"]["offset"]
+
+    _rewrite_header(path, out, wk_at_wq)
+    return "section 'encoder.layers.0.wk' starts at byte "
+
+
+# each loaded without error before the sections had to tile the blob: the
+# second read wk as a copy of wq
+@pytest.mark.parametrize("damage", [_append_eight_bytes, _point_wk_at_wq])
+def test_checkpoint_sections_that_do_not_tile_the_blob_rejected(tmp_path, damage):
+    bad = tmp_path / "bad.hpt"
+    match = damage(_saved_checkpoint(tmp_path), bad)
+    for load in (load_checkpoint, load_encoder):
+        with pytest.raises(CheckpointError, match=re.escape(match)):
+            load(bad)
+
+
 def test_checkpoint_encoder_shape_mismatch_rejected(tmp_path):
     path = _saved_checkpoint(tmp_path)
 

@@ -207,10 +207,11 @@ def test_embed_tracklets_across_chunks_matches_per_tracklet(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
-# 5 and 6 slices, of which the helper takes the odd ones
-@pytest.mark.parametrize("n_per_group, chunk, handed", [(2, 5, 2), (3, 6, 3)])
+# 5 and 6 slices, of which the caller keeps those of the first half of the
+# rows: 10 of 24 rows, 18 of 36
+@pytest.mark.parametrize("n_per_group, chunk, kept", [(2, 5, 2), (3, 6, 3)])
 def test_embed_tracklets_on_the_helper_matches_per_tracklet(monkeypatch, n_layers, n_per_group,
-                                                             chunk, handed):
+                                                             chunk, kept):
     monkeypatch.setattr(encoder_mod, "ENCODE_CHUNK", chunk)
     monkeypatch.setattr(encoder_mod, "HELPER_MIN_WORK", 0)
     monkeypatch.setattr(encoder_mod, "_cores", lambda: 2)
@@ -220,7 +221,7 @@ def test_embed_tracklets_on_the_helper_matches_per_tracklet(monkeypatch, n_layer
     params = params_for(cfg)
     vectors = embed_tracklets(params, ds.tracklets, cfg)
     assert len(ran) == -(-12 * n_per_group // chunk)
-    assert sum(on_helper for _, on_helper in ran) == handed
+    assert sum(not on_helper for _, on_helper in ran) == kept
     for t, vec in zip(ds.tracklets, vectors, strict=True):
         np.testing.assert_array_equal(vec, _looped_tracklet_embedding(params, t, cfg))
 
