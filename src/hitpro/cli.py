@@ -198,9 +198,9 @@ def _mining_report_text(store, epoch: int, cfg: TrainConfig, gt) -> str:
     return "".join(pieces)
 
 
-def _write_effective_config(out_dir: Path, command: str, gen_cfg, train_cfg, args) -> None:
+def _write_effective_config(out_dir: Path, gen_cfg, train_cfg, args) -> None:
     payload = {
-        "command": command,
+        "command": args.command,
         **dataclasses.asdict(gen_cfg),
         **dataclasses.asdict(train_cfg),
     }
@@ -223,7 +223,7 @@ def _cmd_gen(args) -> int:
     out = Path(args.out)
     dataset = generate_dataset(gen_cfg)
     save_dataset(dataset, out)
-    _write_effective_config(out, "gen", gen_cfg, train_cfg, args)
+    _write_effective_config(out, gen_cfg, train_cfg, args)
     print(f"wrote {len(dataset.tracklet_ids)} tracklets to {out}")
     return 0
 
@@ -232,12 +232,12 @@ def _cmd_train(args) -> int:
     gen_cfg, cfg = _resolve_configs(args)
     dataset = load_dataset(args.data)
     cfg = cfg.with_overrides(d_in=dataset.d_in)
+    result = train(dataset, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = train(dataset, cfg)
     save_checkpoint(result.params, result.store, cfg.total_epochs, out / "checkpoint.hpt")
     _write_json(out / "metrics.json", {"epochs": result.epochs})
-    _write_effective_config(out, "train", gen_cfg, cfg, args)
+    _write_effective_config(out, gen_cfg, cfg, args)
     if result.epochs:
         last = result.epochs[-1]
         print(
@@ -263,7 +263,7 @@ def _cmd_mine(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "mining_report.json").write_text(text, encoding="utf-8")
-    _write_effective_config(out, "mine", gen_cfg, cfg, args)
+    _write_effective_config(out, gen_cfg, cfg, args)
     print(f"wrote mining report for epoch {epoch} to {out / 'mining_report.json'}")
     return 0
 
@@ -295,7 +295,7 @@ def _cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / EMBEDDINGS_FILE).write_bytes(matrix.tobytes())
     _write_json(out / "report.json", payload)
-    _write_effective_config(out, "eval", gen_cfg, cfg, args)
+    _write_effective_config(out, gen_cfg, cfg, args)
     print(
         "IR->VIS rank1={:.4f} map={:.4f} | VIS->IR rank1={:.4f} map={:.4f}".format(
             results["IR->VIS"].cmc[0],
@@ -320,7 +320,7 @@ def _cmd_gradcheck(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "gradcheck_report.json", report)
-        _write_effective_config(out, "gradcheck", gen_cfg, train_cfg, args)
+        _write_effective_config(out, gen_cfg, train_cfg, args)
     if report["max_rel_error"] >= 1e-4:
         raise RuntimeError(
             f"gradient check failed: max rel error {report['max_rel_error']:.3e}"

@@ -50,6 +50,9 @@ HELPER_MIN_WORK = 2**20
 # rows per forward call of encode_table: large enough that per-call overhead
 # is small, small enough that one call's activations stay a few MB
 ENCODE_CHUNK = 64
+# the encoder's dimensions, each a TrainConfig field, in the order of
+# EncoderParams' arguments and of dims(), whose first mismatch a check names
+DIMS = ("d_in", "embed_dim", "ffn_dim", "pool_hidden_dim", "seq_len", "n_tte_layers")
 
 
 class NumericError(RuntimeError):
@@ -83,14 +86,13 @@ class EncoderParams:
         n_tte_layers: int,
         flat: np.ndarray | None = None,
     ):
-        check_settings(TrainConfig, dict(d_in=d_in, embed_dim=embed_dim, ffn_dim=ffn_dim,
-                                         pool_hidden_dim=pool_hidden_dim, seq_len=seq_len,
-                                         n_tte_layers=n_tte_layers))
         self.d_in = d_in
         self.embed_dim = embed_dim
         self.ffn_dim = ffn_dim
         self.pool_hidden_dim = pool_hidden_dim
         self.seq_len = seq_len
+        self.n_tte_layers = n_tte_layers
+        check_settings(TrainConfig, self.dims())
         d, d_ff = embed_dim, ffn_dim
         # a TTE layer's tensors in flat (= checkpoint section) order; layers[i] views them
         layer_shapes = dict(
@@ -125,19 +127,8 @@ class EncoderParams:
         self.ba1 = views["ba1"]  # (pool_hidden_dim,)
         self.wa2 = views["wa2"]  # (pool_hidden_dim,)
 
-    @property
-    def n_tte_layers(self) -> int:
-        return len(self.layers)
-
     def dims(self) -> dict:
-        return {
-            "d_in": self.d_in,
-            "embed_dim": self.embed_dim,
-            "ffn_dim": self.ffn_dim,
-            "pool_hidden_dim": self.pool_hidden_dim,
-            "seq_len": self.seq_len,
-            "n_tte_layers": self.n_tte_layers,
-        }
+        return {key: getattr(self, key) for key in DIMS}
 
     def named_arrays(self):
         """Deterministic (name, array) iteration over every parameter tensor,
@@ -465,13 +456,11 @@ def encode_backward(
         params.check_same_layout(out)
         grads = out
     helper = _grad_helper(len(g) * params.seq_len * params.embed_dim * params.ffn_dim)
-    if helper is None:
-        _backward(params, cache, g, grads, _add_weight_grad)
-        return grads
     futures = []
+    add_weight_grad = _add_weight_grad if helper is None else (
+        lambda *args: futures.append(helper.submit(_add_weight_grad, *args)))
     try:
-        _backward(params, cache, g, grads,
-                  lambda *args: futures.append(helper.submit(_add_weight_grad, *args)))
+        _backward(params, cache, g, grads, add_weight_grad)
     finally:  # no job may write into grads after this returns or raises
         failures = [future.exception() for future in futures]
     _raise_first(failures)

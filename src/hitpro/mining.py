@@ -93,38 +93,28 @@ class MiningReport:
             return 0.0
         return int(self.accepted.sum()) / len(self.sources)
 
-    def _accepted_lists(self) -> list[list[tuple[str, float, float]]]:
-        """Per source, the accepted ``(target id, sim, weight)`` in camera order."""
-        return [
-            [(t, s, w) for t, s, w, a in zip(*row) if a]
-            for row in zip(self.targets.tolist(), self.sims.tolist(),
-                           self.weights.tolist(), self.accepted.tolist())
-        ]
-
     def positive_sets(self) -> list[WeightedPositiveSet]:
         return [
-            WeightedPositiveSet(
-                source=source,
-                kind=self.kind,
-                entries=tuple((tid, w) for tid, _, w in accepted),
-            )
-            for source, accepted in zip(self.sources, self._accepted_lists())
+            WeightedPositiveSet(source=row.source, kind=self.kind,
+                                entries=tuple((tid, w) for tid, _, w in row.accepted))
+            for row in self.rows
         ]
 
     @property
     def rows(self) -> list[MiningRow]:
-        """Per-source diagnostics, built on each access."""
+        """Per-source diagnostics, built on each access; a row's accepted
+        ``(target id, sim, weight)`` in camera order."""
         return [
             MiningRow(
                 source=source,
                 s_max=max(sims) if sims else None,
                 threshold=threshold,
                 candidates=list(zip(cams, targets, sims)),
-                accepted=accepted,
+                accepted=[(t, s, w) for t, s, w, a in zip(targets, sims, weights, accepted) if a],
             )
-            for source, cams, targets, sims, threshold, accepted in zip(
-                self.sources, self.cameras.tolist(), self.targets.tolist(),
-                self.sims.tolist(), self.thresholds, self._accepted_lists(),
+            for source, cams, targets, sims, weights, accepted, threshold in zip(
+                self.sources, self.cameras.tolist(), self.targets.tolist(), self.sims.tolist(),
+                self.weights.tolist(), self.accepted.tolist(), self.thresholds,
             )
         ]
 

@@ -54,11 +54,7 @@ class FrameTable:
     frames: np.ndarray  # (n_rows, seq_len, d_in) float64
     starts: np.ndarray  # (n_tracklets,) first row of each tracklet
     k_eff: np.ndarray  # (n_tracklets,) sub-tracklets of each tracklet
-
-    @property
-    def owners(self) -> np.ndarray:
-        """``(n_rows,)``: the tracklet index of each row."""
-        return np.repeat(np.arange(len(self.k_eff)), self.k_eff)
+    owners: np.ndarray  # (n_rows,) the tracklet index of each row
 
 
 def frame_table(tracklets, cfg: TrainConfig) -> FrameTable:
@@ -81,9 +77,9 @@ def table_of_rows(rows, n_frames, cfg: TrainConfig) -> FrameTable:
     lengths = np.asarray(n_frames, dtype=np.intp)
     k_eff = np.minimum(lengths, cfg.n_subtracklets)
     starts = np.cumsum(k_eff) - k_eff
-    if not len(lengths):
-        return FrameTable(np.empty((0, seq_len, cfg.d_in)), starts, k_eff)
     owners = np.repeat(np.arange(len(k_eff)), k_eff)
+    if not len(lengths):
+        return FrameTable(np.empty((0, seq_len, cfg.d_in)), starts, k_eff, owners)
     # partition_tracklet: the first L mod K_eff slices get one extra frame
     base, extra = np.divmod(lengths, k_eff)
     base, extra = base[owners], extra[owners]
@@ -95,7 +91,7 @@ def table_of_rows(rows, n_frames, cfg: TrainConfig) -> FrameTable:
     spaced = (j * (size[:, None] - 1) / max(seq_len - 1, 1) + 0.5).astype(np.intp)
     picked = np.where(size[:, None] >= seq_len, spaced, j % size[:, None])
     frames = rows[first[:, None] + picked]
-    return FrameTable(frames=frames.astype(np.float64), starts=starts, k_eff=k_eff)
+    return FrameTable(frames.astype(np.float64), starts, k_eff, owners)
 
 
 def embed_table(params: EncoderParams, table: FrameTable) -> np.ndarray:

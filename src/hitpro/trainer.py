@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import Dataset, Modality, PrototypeStore, TrainConfig
-from .encoder import EncoderParams, encode, encode_backward, encoder_init
+from .encoder import DIMS, EncoderParams, encode, encode_backward, encoder_init
 from .evaluator import dataset_labels, mining_quality
 from .mining import MiningReport, mine_families, rho_schedule
 from .objective import Targets, apply_ema, batch_loss, loss_schedule, plan_batches
@@ -77,15 +77,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     if dataset.is_vis.all() or not dataset.is_vis.any():
         raise ValueError("training requires tracklets in both modalities")
 
-    params = encoder_init(
-        d_in=dataset.d_in,
-        embed_dim=cfg.embed_dim,
-        ffn_dim=cfg.ffn_dim,
-        pool_hidden_dim=cfg.pool_hidden_dim,
-        n_tte_layers=cfg.n_tte_layers,
-        seq_len=cfg.seq_len,
-        seed=cfg.seed,
-    )
+    dims = {key: getattr(cfg, key) for key in DIMS} | {"d_in": dataset.d_in}
+    params = encoder_init(**dims, seed=cfg.seed)
     opt = OptState(velocity=params.zeros_like(), lr=cfg.lr, momentum=cfg.sgd_momentum)
     grads = params.zeros_like()
     gt = dataset_labels(dataset)
@@ -124,7 +117,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             [own, intra, cross],
         )
 
-        sums = {"l_ic": 0.0, "l_imcc": 0.0, "l_cm": 0.0, "l_total": 0.0}
+        # each loss term's sum over the epoch; the record holds its mean as mean_<term>
+        sums = dict.fromkeys(("l_ic", "l_imcc", "l_cm", "l_total"), 0.0)
         for it, (rows, plan) in enumerate(zip(batches, plans)):
             embeddings, cache = encode(params, table.frames[rows])
             breakdown = batch_loss(embeddings, store, plan, cfg.loss_temp)
@@ -139,7 +133,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 raise RuntimeError(f"non-finite gradient at epoch {epoch} iteration {it}")
             sgd_step(params, grads, opt)
             apply_ema(store, embeddings, plan, cfg.ema_momentum)
-            for key in ("l_ic", "l_imcc", "l_cm", "l_total"):
+            for key in sums:
                 sums[key] += getattr(breakdown, key)
 
         n_it = max(cfg.iters_per_epoch, 1)
@@ -147,10 +141,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             "epoch": epoch,
             "lr": opt.lr,
             "rho": rho_schedule(epoch, cfg),
-            "mean_l_ic": sums["l_ic"] / n_it,
-            "mean_l_imcc": sums["l_imcc"] / n_it,
-            "mean_l_cm": sums["l_cm"] / n_it,
-            "mean_l_total": sums["l_total"] / n_it,
+            **{f"mean_{key}": total / n_it for key, total in sums.items()},
             "positive_set_sizes": {
                 key: report.mean_positive_set_size for key, report in reports.items()
             },

@@ -11,10 +11,11 @@ import pytest
 
 import hitpro
 import hitpro.encoder as encoder_mod
+import hitpro.trainer as trainer_mod
 from hitpro import cli, datamodel
 from hitpro.cli import _numpy_to_list, _write_json, main
 from hitpro.datamodel import (
-    TrainConfig, load_checkpoint, load_dataset, read_manifest,
+    Dataset, Modality, TrainConfig, load_checkpoint, load_dataset, read_manifest, save_dataset,
 )
 from hitpro.evaluator import dataset_labels
 from hitpro.prototyping import embed_tracklets
@@ -309,6 +310,22 @@ def test_eval_encoder_dim_other_than_the_checkpoints_names_the_key(zero_noise_ru
 
 
 @pytest.mark.parametrize("verb", ["eval", "mine"])
+def test_encoder_dims_check_names_the_first_differing_key(zero_noise_run, tmp_path, capsys,
+                                                          verb):
+    # two dimensions differ: the message names the one that comes first in
+    # encoder.DIMS, embed_dim, not n_tte_layers
+    _, data, checkpoint = zero_noise_run
+    cfg = write_config(tmp_path / "cfg.json", **{**ZERO_NOISE, "n_tte_layers": 2, "embed_dim": 64})
+    out = tmp_path / "e"
+    assert main([verb, "--config", cfg, "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: embed_dim must be 12, the checkpoint's, got 64" in err
+    assert "n_tte_layers" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["eval", "mine"])
 def test_eval_dataset_d_in_other_than_the_checkpoints_names_the_key(zero_noise_run, tmp_path,
                                                                       capsys, verb):
     cfg, _, checkpoint = zero_noise_run
@@ -344,6 +361,29 @@ def test_eval_dataset_without_labels_creates_no_out(zero_noise_run, tmp_path, ca
     assert main(["eval", "--config", cfg, "--data", str(unlabeled),
                  "--checkpoint", str(checkpoint), "--out", str(out)]) == 2
     assert "gt_identity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failure", ["vis_only", "ir_only", "nan_loss"])
+def test_train_that_fails_creates_no_out(zero_noise_run, tmp_path, capsys, monkeypatch, failure):
+    cfg, data, _ = zero_noise_run
+    if failure == "nan_loss":
+        batch_loss = trainer_mod.batch_loss
+
+        def nan_loss(*args):
+            return dataclasses.replace(batch_loss(*args), l_total=math.nan)
+
+        monkeypatch.setattr(trainer_mod, "batch_loss", nan_loss)
+        message = "error: non-finite loss nan at epoch 0 iteration 0"
+    else:
+        dataset, data = load_dataset(data), tmp_path / failure
+        kept = dataset.by_modality(Modality.VIS if failure == "vis_only" else Modality.IR)
+        save_dataset(Dataset(dataset.d_in, dataset.n_cameras_vis, dataset.n_cameras_ir, kept),
+                     data)
+        message = "error: training requires tracklets in both modalities"
+    out = tmp_path / "r"
+    assert main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

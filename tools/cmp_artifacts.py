@@ -3,7 +3,7 @@ the working tree's.
 
 Usage: python tools/cmp_artifacts.py [REV]   (REV defaults to HEAD)
 
-``REV``'s ``src/`` is exported with ``git archive`` into a temporary
+``REV``'s ``src/`` is exported by ``bench_pairs.export`` into a temporary
 directory. Under each ``src/``, with one BLAS thread, ``gen``, ``train``,
 ``eval``, ``mine`` and ``mine --epoch 0`` run on ``configs/zero_noise.json``,
 ``configs/noisy_benchmark.json`` and the ``perfbench/workloads.py`` configs
@@ -20,16 +20,17 @@ per artifact (104 in all) and exits 1 if any differs.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from bench_pairs import export  # noqa: E402  (tools/ is not a package)
+
 # per verb: its output directory and the files compared there; STDOUT is
 # the line the verb printed
 STDOUT = "stdout.txt"
@@ -121,11 +122,7 @@ def main(argv: list[str]) -> int:
     rev = argv[0] if argv else "HEAD"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
-                              check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-            tar.extractall(tmp / "rev")
-        sides = (tmp / "rev" / "src", ROOT / "src")
+        sides = (export(rev, tmp / "rev") / "src", ROOT / "src")
         found = configs(tmp)
         differ = False
         for name, config in [*found.items(), (REVERSED, found[REVERSED_FROM])]:
