@@ -16,6 +16,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,16 +25,17 @@ from .datamodel import (
     load_checkpoint,
     load_dataset,
     load_encoder,
+    read_frames,
     read_manifest,
     save_checkpoint,
     save_dataset,
 )
-from .evaluator import dataset_labels, distance_distribution, evaluate_embeddings, mining_quality
-from .gradcheck import run_gradcheck
-from .mining import MiningReport, mine_families
-from .prototyping import embed_table, table_of_rows
 from .synthgen import GenConfig, generate_dataset
-from .trainer import train
+
+# Each verb imports the modules it runs when it runs, so `hitpro gen` loads
+# no encoder, trainer or evaluator.
+if TYPE_CHECKING:
+    from .mining import MiningReport
 
 _GEN_FIELDS = {f.name for f in dataclasses.fields(GenConfig)}
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -180,6 +182,9 @@ def _mining_report_text(store, epoch: int, cfg: TrainConfig, gt) -> str:
     recall unless ``gt`` is None: ``json.dumps`` writes every key but the
     ``rows``, and each family's ``_mining_rows_text`` replaces its placeholder.
     """
+    from .evaluator import mining_quality
+    from .mining import mine_families
+
     payload, rows = {"epoch": epoch}, {}
     for family, report in mine_families(store, epoch, cfg).items():
         key = f"{family}_modal"
@@ -229,6 +234,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .trainer import train
+
     gen_cfg, cfg = _resolve_configs(args)
     dataset = load_dataset(args.data)
     cfg = cfg.with_overrides(d_in=dataset.d_in)
@@ -250,6 +257,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    from .evaluator import dataset_labels
+
     gen_cfg, cfg = _resolve_configs(args)
     params, store, saved_epoch = load_checkpoint(args.checkpoint)
     manifest = read_manifest(args.data)
@@ -269,26 +278,31 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluator import distance_distribution, evaluate_embeddings
+    from .prototyping import embed_table, table_of_rows
+
     gen_cfg, cfg = _resolve_configs(args)
     # columns from disk to matrices: no Tracklet, no PrototypeStore
     params = load_encoder(args.checkpoint)
-    dataset = load_dataset(args.data)
-    cfg = cfg.with_overrides(d_in=dataset.d_in)
+    manifest = read_manifest(args.data)
+    frames = read_frames(manifest)  # load_dataset's checks, before the dims check
+    cfg = cfg.with_overrides(d_in=manifest.d_in)
     _check_encoder_dims(params, cfg)
-    vectors = embed_table(params, table_of_rows(dataset.frames, dataset.n_frames, cfg))
-    results = evaluate_embeddings(dataset, vectors, max_rank=args.max_rank)
+    vectors = embed_table(params, table_of_rows(frames, manifest.n_frames, cfg))
+    del frames  # the all-pairs passes below need only the manifest
+    results = evaluate_embeddings(manifest, vectors, max_rank=args.max_rank)
     # the layout of the dataset's frames.f32: little-endian float32, here
     # one row per tracklet in dataset order
     matrix = vectors.astype("<f4")
     payload = {
         "ir_to_vis": results["IR->VIS"].to_json(),
         "vis_to_ir": results["VIS->IR"].to_json(),
-        "distance_distribution": distance_distribution(vectors, dataset.gt_identity),
+        "distance_distribution": distance_distribution(vectors, manifest.gt_identity),
         "embeddings": {
             "file": EMBEDDINGS_FILE,
             "dtype": "<f4",
             "shape": list(matrix.shape),
-            "tracklet_ids": list(dataset.tracklet_ids),
+            "tracklet_ids": list(manifest.tracklet_ids),
         },
     }
     out = Path(args.out)
@@ -308,6 +322,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    from .gradcheck import run_gradcheck
+
     gen_cfg, train_cfg = _resolve_configs(args)
     # the check runs its own seed, not the config's, and records the one it ran
     train_cfg = train_cfg.with_overrides(seed=getattr(args, "seed", 7))

@@ -194,7 +194,9 @@ def distance_distribution(vectors, identities) -> dict:
     histograms use ``N_BINS`` fixed bins over [0, 2]; distances are clipped
     to [0, 2] first, so one that rounds below 0 (identical vectors) still
     counts, and each histogram sums to its pair count. The pairs are visited
-    in row blocks of the upper triangle of the Gram matrix.
+    in row blocks of the upper triangle of the Gram matrix: a block holds
+    its ``(_ROW_BLOCK, n)`` distances, two masks and the gathered pairs, and
+    only the gathered pairs are left when they are binned and summed.
     """
     ids = np.asarray(identities)
     n = len(ids)
@@ -209,14 +211,19 @@ def distance_distribution(vectors, identities) -> dict:
     sums = [0.0, 0.0]
     for a in range(0, n - 1, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, n)
-        dist = 1.0 - mat[a:b] @ mat[a:].T  # entry (r, c) is pair (a + r, a + c)
+        dist = mat[a:b] @ mat[a:].T  # entry (r, c) is pair (a + r, a + c)
+        np.subtract(1.0, dist, out=dist)
         np.clip(dist, 0.0, 2.0, out=dist)
         upper = np.arange(a, n) > np.arange(a, b)[:, None]
         same = ids[a:b, None] == ids[a:]
-        for k, mask in enumerate((upper & same, upper & ~same)):
-            picked = dist[mask]
+        same &= upper  # the positive pairs
+        upper ^= same  # the negative pairs
+        pairs = (dist[same], dist[upper])
+        del dist, same, upper
+        for k, picked in enumerate(pairs):
             hists[k] += np.histogram(picked, bins=N_BINS, range=(0.0, 2.0))[0]
             sums[k] += float(picked.sum())
+        del pairs, picked  # before the next block's product
     return {
         "bin_edges": np.linspace(0.0, 2.0, N_BINS + 1),
         "positive_hist": hists[0],

@@ -449,3 +449,80 @@ def test_criterion_9_artifacts_byte_identical_across_blas_threads(tmp_path):
             "run/checkpoint.hpt", "run/metrics.json", "eval/report.json")]
     assert artifacts["1"] == artifacts["2"]
     report(9, "checkpoint, metrics and report byte-identical at 1 and 2 BLAS threads")
+
+
+# eval in a fresh interpreter that imports hitpro from argv[1]; its last
+# stdout line is the user-time ticks each thread but the main one (the
+# OpenBLAS workers) spent in eval, once their start-up spin has settled
+_BLAS_SPLIT_CHILD = """
+import json, os, sys, time
+sys.path.insert(0, sys.argv[1])
+from hitpro.cli import main
+
+def worker_ticks():
+    ticks = {}
+    for task in os.listdir("/proc/self/task"):
+        if int(task) != os.getpid():
+            with open(f"/proc/self/task/{task}/stat") as fh:  # utime is field 14
+                ticks[task] = int(fh.read().rsplit(")", 1)[1].split()[11])
+    return ticks
+
+before, settled = worker_ticks(), None
+for _ in range(100):
+    if before == settled:
+        break
+    time.sleep(0.1)
+    settled, before = before, worker_ticks()
+config, data, checkpoint, out = sys.argv[2:]
+assert main(["eval", "--config", config, "--data", data, "--checkpoint", checkpoint,
+             "--out", out]) == 0
+after = worker_ticks()
+print(json.dumps({task: after[task] - ticks for task, ticks in before.items()}))
+"""
+
+
+def _no_blas_split_reason():
+    """Why this host cannot show a split OpenBLAS call, or None."""
+    if not sys.platform.startswith("linux"):
+        return "reads thread user time under /proc/self/task (Linux only)"
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return "counts the work of OpenBLAS worker threads; numpy uses another BLAS"
+    if len(os.sched_getaffinity(0)) < 2:
+        return "OpenBLAS starts no worker thread on one core"
+    return None
+
+
+def test_criterion_9_eval_splits_blas_calls_and_keeps_its_bytes(tmp_path):
+    # a 900-tracklet gallery, wide_gallery's shape: eval's Gram and
+    # similarity products are large enough for OpenBLAS to split at two
+    # threads, so the byte comparison covers arithmetic that was split
+    reason = _no_blas_split_reason()
+    if reason:
+        pytest.skip(reason)
+    config = dict(DETERMINISM_CONFIG, n_identities=150, cams_vis=3, cams_ir=3,
+                  n_subtracklets=1, total_epochs=0, intra_start_epoch=0, cross_start_epoch=0)
+    cfg_path, data, run = tmp_path / "cfg.json", tmp_path / "data", tmp_path / "run"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert cli_main(["train", "--config", str(cfg_path), "--data", str(data),
+                     "--out", str(run)]) == 0
+    assert len(json.loads((data / "manifest.json").read_text())["tracklets"]) >= 900
+    src = Path(hitpro.__file__).resolve().parent.parent
+    artifacts, rises = {}, {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"eval_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_SPLIT_CHILD, str(src), str(cfg_path), str(data),
+             str(run / "checkpoint.hpt"), str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rises[threads] = json.loads(proc.stdout.splitlines()[-1])
+        artifacts[threads] = [(out / name).read_bytes()
+                              for name in ("report.json", "embeddings.f32")]
+    assert rises["1"] == {}  # no worker thread at one BLAS thread
+    assert rises["2"] and max(rises["2"].values()) > 0, rises["2"]
+    assert artifacts["1"] == artifacts["2"]
+    report(9, "eval of a 900-tracklet gallery splits BLAS calls at 2 threads; "
+              "report and embeddings byte-identical at 1 and 2")

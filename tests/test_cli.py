@@ -12,7 +12,7 @@ import pytest
 import hitpro
 import hitpro.encoder as encoder_mod
 import hitpro.trainer as trainer_mod
-from hitpro import cli, datamodel
+from hitpro import cli, datamodel, gradcheck
 from hitpro.cli import _numpy_to_list, _write_json, main
 from hitpro.datamodel import (
     Dataset, Modality, TrainConfig, load_checkpoint, load_dataset, read_manifest, save_dataset,
@@ -177,7 +177,7 @@ def test_gradcheck_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("config_seed", [None, 11])
 def test_gradcheck_records_the_seed_it_ran(tmp_path, monkeypatch, config_seed):
     ran = []
-    monkeypatch.setattr(cli, "run_gradcheck", lambda seed: ran.append(seed) or {
+    monkeypatch.setattr(gradcheck, "run_gradcheck", lambda seed: ran.append(seed) or {
         "per_depth": {0: 0.0}, "max_rel_error": 0.0, "elapsed_s": 0.0})
     extra = [] if config_seed is None else [
         "--config", write_config(tmp_path / "cfg.json", seed=config_seed)]
@@ -791,6 +791,8 @@ assert threading.active_count() == 1
 assert hitpro.cli.main(["gen", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
 assert threading.active_count() == 1
 assert "concurrent.futures" not in sys.modules and "logging" not in sys.modules
+loaded = sorted(m for m in sys.modules if m.startswith("hitpro"))
+assert loaded == ["hitpro", "hitpro.cli", "hitpro.datamodel", "hitpro.synthgen"], loaded
 """
 
 

@@ -188,6 +188,20 @@ def test_retrieval_peak_memory_below_three_similarity_matrices():
     assert peak < 3 * 450 * 450 * 8
 
 
+def test_distance_distribution_peak_memory_below_three_gram_blocks():
+    # the wide_gallery benchmark's shape: 900 embeddings, 150 identities x 6;
+    # a block's pairs are gathered, then its distances and masks dropped
+    rng = np.random.default_rng(0)
+    vectors, ids = rng.normal(size=(900, 32)), np.repeat(np.arange(150), 6)
+    tracemalloc.start()
+    try:
+        distance_distribution(vectors, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 256 * 900 * 8  # three (256, 900) float64 Gram blocks
+
+
 def _split(embeddings):
     return [e for e, _ in embeddings], [i for _, i in embeddings]
 
